@@ -84,11 +84,14 @@ def emit(name: str, text: str, data=None, figures=None) -> None:
     text tables.
 
     ``figures`` is a flat ``{metric_name: number}`` dict of the bench's
-    headline *simulated-time* figures (ready seconds, hit ratios — never
-    wall-clock timings, which would make records machine-dependent).
-    When given, a record is appended to ``BENCH_{name}.json`` at the
-    repo root; ``benchmarks/check_regression.py`` compares the last two
-    records and fails CI on a >10% regression.
+    headline figures.  Most are *simulated-time* figures (ready seconds,
+    hit ratios), deterministic for a given commit; the benches that
+    measure the simulator itself (``bench_kernel``, ``bench_fleet``)
+    also record wall-clock seconds and rates, each a median of repeated
+    runs, which depend on the machine.  When given, a record is appended
+    to ``BENCH_{name}.json`` at the repo root;
+    ``benchmarks/check_regression.py`` compares the last two records and
+    fails CI on a >10% regression (>25% for the wall-clock families).
     """
     print()
     print(text)

@@ -2,10 +2,11 @@
 """Compare the last two bench records and fail on a >10% regression.
 
 ``benchmarks/_common.emit(..., figures={...})`` appends one record per
-bench run to ``BENCH_<name>.json`` at the repo root.  Every figure is a
-*simulated-time* metric, so records are deterministic: the same code
-produces identical figures, and any drift between consecutive records
-is a real behavioral change.  This checker compares the newest record
+bench run to ``BENCH_<name>.json`` at the repo root.  Simulated-time
+figures are deterministic: the same code produces identical figures, and
+any drift between consecutive records is a real behavioral change.  The
+wall-clock families (``WALL_SUFFIXES``) are medians of repeated runs and
+get a wider threshold.  This checker compares the newest record
 against the one before it, per shared metric, and exits non-zero when
 any metric worsened by more than the threshold.
 

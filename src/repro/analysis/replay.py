@@ -84,6 +84,17 @@ def check_replay(scenario, runs: int = 2) -> ReplayReport:
     return ReplayReport(tuple(digests), tuple(counts))
 
 
+@dataclass(frozen=True)
+class DeploymentRun:
+    """What one run of a :func:`deployment_scenario` built."""
+
+    testbed: object
+    cluster: object
+    telemetry: object
+    #: The run's :class:`~repro.analysis.SanitizerSuite` (``sanitize=``).
+    sanitizers: object = None
+
+
 def deployment_scenario(image_factory, node_count: int = 1,
                         server_count: int = 1, p2p: bool = False,
                         select_policy: str = "round-robin",
@@ -92,7 +103,11 @@ def deployment_scenario(image_factory, node_count: int = 1,
                         policy=None, wait: bool = True,
                         telemetry_factory=None,
                         fast_lane: bool = True,
-                        deploy_options: dict | None = None):
+                        deploy_options: dict | None = None,
+                        disk_controller: str = "ahci",
+                        method: str = "bmcast",
+                        sanitize: bool = False,
+                        settle_seconds: float = 1.0):
     """A canned scenario callable for :func:`check_replay`.
 
     ``image_factory`` is a zero-argument callable returning a fresh
@@ -108,38 +123,52 @@ def deployment_scenario(image_factory, node_count: int = 1,
     nothing (see ``docs/performance.md``).  ``deploy_options`` are
     forwarded to every deployment — e.g. ``{"fluid": True}``; the
     fluid-off-is-byte-identical tests compare a ``fluid=False`` run
-    against one with no option at all.
+    against one with no option at all.  ``sanitize`` attaches a fresh
+    :class:`~repro.analysis.SanitizerSuite` to each run.  With ``wait``
+    the run continues to every copy's completion plus
+    ``settle_seconds``.
+
+    The callable takes an optional :class:`ReplayRecorder` and returns
+    the :class:`DeploymentRun`, so a caller can run the scenario once
+    for its own use and hand the same callable to :func:`check_replay`
+    — the replay then checks the very run it was given.
     """
+    from repro.analysis.sanitizers import SanitizerSuite
     from repro.cloud import Cluster, WaveScheduler, build_testbed
     from repro.obs.telemetry import NULL_TELEMETRY
     from repro.sim import Environment
 
-    def scenario(recorder: ReplayRecorder) -> None:
+    def scenario(recorder: ReplayRecorder | None = None) -> DeploymentRun:
         env = Environment(fast_lane=fast_lane)
         telemetry = NULL_TELEMETRY if telemetry_factory is None \
             else telemetry_factory(env)
         testbed = build_testbed(node_count=node_count,
+                                disk_controller=disk_controller,
                                 server_count=server_count, p2p=p2p,
                                 select_policy=select_policy,
                                 loss_probability=loss_probability,
                                 image=image_factory(),
                                 env=env, telemetry=telemetry)
-        recorder.attach(testbed.env)
+        if recorder is not None:
+            recorder.attach(testbed.env)
         cluster = Cluster(testbed)
+        options = dict(deploy_options or {})
+        suite = None
+        if sanitize:
+            suite = options["sanitizers"] = SanitizerSuite(env)
 
         def run():
-            extra = deploy_options or {}
             if wave_size is not None:
                 scheduler = WaveScheduler(cluster, wave_size=wave_size)
-                yield from scheduler.run("bmcast", policy=policy,
-                                         **extra)
+                yield from scheduler.run(method, policy=policy, **options)
             else:
-                yield from cluster.deploy_all("bmcast", policy=policy,
-                                              **extra)
+                yield from cluster.deploy_all(method, policy=policy,
+                                              **options)
             if wait:
                 yield from cluster.wait_deployment_complete(
-                    settle_seconds=1.0)
+                    settle_seconds=settle_seconds)
 
         testbed.env.run(until=testbed.env.process(run()))
+        return DeploymentRun(testbed, cluster, telemetry, suite)
 
     return scenario

@@ -48,9 +48,9 @@ CLAIM_TAILS = frozenset({
 })
 
 #: Name tokens that mark a helper as mutual-exclusion machinery — the
-#: AHCI/MegaRAID mediators serialize re-entrant hooks through a
-#: ``_claim_blocked`` spin-wait, and any lock/acquire-style helper
-#: counts the same way.  Matched on whole underscore-separated words
+#: device mediators serialize re-entrant hooks through
+#: ``_claim_blocked``, and any lock/acquire-style helper counts the
+#: same way.  Matched on whole underscore-separated words
 #: so ``reclaim`` (returning a node to the pool) does not qualify.
 CLAIM_MARKERS = frozenset({"claim", "acquire", "lock"})
 

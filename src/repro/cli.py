@@ -313,16 +313,22 @@ def _segments(timeline) -> str:
                      for label, seconds in timeline.segments)
 
 
-def _make_telemetry(args):
-    """(env, telemetry): a Telemetry when --metrics-out or --trace-out
-    was given (the latter arms the forensics layer too), otherwise the
+def _telemetry_factory(args):
+    """``env -> telemetry`` when --metrics-out or --trace-out was given
+    (the latter arms the forensics layer too), otherwise ``None``: the
     zero-cost null object — the timeline is identical either way."""
-    env = Environment()
     if getattr(args, "trace_out", None):
-        return env, Telemetry(env, forensics=True)
+        return lambda env: Telemetry(env, forensics=True)
     if getattr(args, "metrics_out", None):
-        return env, Telemetry(env)
-    return env, NULL_TELEMETRY
+        return Telemetry
+    return None
+
+
+def _make_telemetry(args):
+    """(env, telemetry) for the commands that build their own run."""
+    env = Environment()
+    factory = _telemetry_factory(args)
+    return env, NULL_TELEMETRY if factory is None else factory(env)
 
 
 def _write_trace(telemetry, path, pid: int = 1,
@@ -336,40 +342,16 @@ def _write_trace(telemetry, path, pid: int = 1,
 
 
 def cmd_deploy(args, print_summary: bool = False) -> int:
-    env, telemetry = _make_telemetry(args)
-    testbed = build_testbed(disk_controller=args.controller,
-                            image=_image(args.image_gb),
-                            server_count=getattr(args, "replicas", 1),
-                            p2p=getattr(args, "p2p", False),
-                            select_policy=getattr(args, "select_policy",
-                                                  "round-robin"),
-                            env=env, telemetry=telemetry)
-    provisioner = Provisioner(testbed)
-    options = {}
-    if getattr(args, "prefetch", False) and args.method == "bmcast":
-        options["prefetch_lbas"] = testbed.image.boot_lbas()
-    if getattr(args, "trace", False) and args.method == "bmcast":
-        options["trace"] = True
-    suite = None
-    if getattr(args, "sanitize", False):
-        if args.method != "bmcast":
-            print("--sanitize requires --method bmcast")
-            return 2
-        from repro.analysis import SanitizerSuite
-        suite = SanitizerSuite(env)
-        options["sanitizers"] = suite
-    if getattr(args, "fluid", False):
-        if args.method != "bmcast":
-            print("--fluid requires --method bmcast")
-            return 2
-        options["fluid"] = True
-    if getattr(args, "full_speed", False):
-        from repro.vmm.moderation import FULL_SPEED
-        options["policy"] = FULL_SPEED
-
-    instance = env.run(until=env.process(provisioner.deploy(
-        args.method, skip_firmware=not getattr(args, "cold", False),
-        **options)))
+    if args.method != "bmcast":
+        for flag in ("sanitize", "fluid"):
+            if getattr(args, flag, False):
+                print(f"--{flag} requires --method bmcast")
+                return 2
+    scenario = _deploy_scenario(args)
+    run = scenario()
+    env = run.testbed.env
+    telemetry = run.telemetry
+    instance = run.cluster.instances[0]
     print(f"{args.method}: instance ready after "
           f"{instance.timeline.total:.1f}s "
           f"({_segments(instance.timeline)})")
@@ -378,12 +360,11 @@ def cmd_deploy(args, print_summary: bool = False) -> int:
 
     platform = instance.platform
     if args.wait and platform is not None and hasattr(platform, "copier"):
-        env.run(until=platform.copier.done)
-        env.run(until=env.now + 10.0)
         print(f"deployment finished at t={env.now:.1f}s; "
               f"phase={platform.phase}")
         for key, value in platform.summary().items():
             print(f"  {key}: {value}")
+    print(f"simulated events: {env.events_processed}")
     if getattr(args, "trace", False) and platform is not None \
             and hasattr(platform, "tracer"):
         print("\nlast trace events:")
@@ -398,28 +379,49 @@ def cmd_deploy(args, print_summary: bool = False) -> int:
         _write_trace(telemetry, args.trace_out,
                      process_name=f"deploy:{args.method}")
     status = 0
-    if suite is not None:
-        suite.finalize()
-        print(suite.describe())
-        if suite.violations:
+    if run.sanitizers is not None:
+        run.sanitizers.finalize()
+        print(run.sanitizers.describe())
+        if run.sanitizers.violations:
             status = 1
     if getattr(args, "replay_check", False):
-        status = max(status, _replay_check(args))
+        from repro.analysis import check_replay
+        report = check_replay(scenario, runs=2)
+        print(report.describe())
+        status = max(status, 1 if report.divergent else 0)
     return status
 
 
-def _replay_check(args) -> int:
-    """Run the deploy scenario twice and compare event streams."""
-    from repro.analysis import check_replay, deployment_scenario
-    scenario = deployment_scenario(
+def _deploy_scenario(args):
+    """The ``deploy`` run as a replayable scenario: ``--replay-check``
+    re-runs this same callable, so it checks the run that was made."""
+    from repro.analysis import deployment_scenario
+    bmcast = args.method == "bmcast"
+    options = {"skip_firmware": not getattr(args, "cold", False)}
+    if getattr(args, "prefetch", False) and bmcast:
+        options["prefetch_lbas"] = _image(args.image_gb).boot_lbas()
+    if getattr(args, "trace", False) and bmcast:
+        options["trace"] = True
+    if getattr(args, "fluid", False):
+        options["fluid"] = True
+    policy = None
+    if getattr(args, "full_speed", False):
+        from repro.vmm.moderation import FULL_SPEED
+        policy = FULL_SPEED
+    # --wait runs to the copy's completion and ten seconds past it.
+    return deployment_scenario(
         lambda: _image(args.image_gb),
+        disk_controller=args.controller,
+        method=args.method,
         server_count=getattr(args, "replicas", 1),
         p2p=getattr(args, "p2p", False),
         select_policy=getattr(args, "select_policy", "round-robin"),
-        wait=getattr(args, "wait", False))
-    report = check_replay(scenario, runs=2)
-    print(report.describe())
-    return 1 if report.divergent else 0
+        policy=policy,
+        wait=args.wait and bmcast,
+        settle_seconds=10.0,
+        telemetry_factory=_telemetry_factory(args),
+        deploy_options=options,
+        sanitize=getattr(args, "sanitize", False))
 
 
 def cmd_scaleout(args) -> int:

@@ -21,6 +21,7 @@ from repro.sim.events import (
     Condition,
     Event,
     Interrupt,
+    Notifier,
     SimulationError,
     Timeout,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
+    "Notifier",
     "PriorityStore",
     "Process",
     "Request",

@@ -144,6 +144,34 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay} at {hex(id(self))}>"
 
 
+class Notifier:
+    """An on-demand, re-arming notification.
+
+    :meth:`wait` returns an event that fires at the next :meth:`notify`.
+    The event is created only when somebody waits, so notifying with no
+    waiter schedules nothing; every waiter between two notifications
+    shares one event.
+    """
+
+    __slots__ = ("env", "_event")
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        self._event: Event | None = None
+
+    def wait(self) -> Event:
+        event = self._event
+        if event is None:
+            event = self._event = Event(self.env)
+        return event
+
+    def notify(self) -> None:
+        event = self._event
+        if event is not None:
+            self._event = None
+            event.succeed()
+
+
 class ConditionValue:
     """Ordered mapping of the events a condition completed with."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim import Environment
+from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.disk import Disk
 from repro.storage.ide import (
@@ -119,6 +119,10 @@ class AhciController:
         #: observers (moderation accounting, sanitizers) see true
         #: provenance.
         self.request_origin = "guest"
+        #: Fires at the next command completion, whether or not the port
+        #: interrupt is enabled (the mediator waits on it while it owns
+        #: the device with interrupts masked).
+        self.completion = Notifier(env)
 
         # Metrics.
         self.commands_executed = 0
@@ -243,5 +247,6 @@ class AhciController:
         if self.pxie & PXIS_DHRS:
             self.interrupts_raised += 1
             self.machine.interrupts.raise_irq(self.irq_line)
+        self.completion.notify()
 
     kind = "ahci"

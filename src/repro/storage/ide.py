@@ -11,7 +11,7 @@ and distinguishes command / status / data phases exactly as the paper's
 from __future__ import annotations
 
 from repro import params
-from repro.sim import Environment
+from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.disk import Disk
 
@@ -171,6 +171,9 @@ class IdeController:
         #: "vmm" for the duration of its own raw commands so disk-level
         #: observers see true provenance.
         self.request_origin = "guest"
+        #: Fires at the next command completion, the instant the
+        #: controller raises its interrupt (masked or not).
+        self.completion = Notifier(env)
         self.status = STATUS_DRDY
         self.error = 0
         self.bm_command = 0
@@ -299,6 +302,7 @@ class IdeController:
     def _raise_irq(self) -> None:
         self.interrupts_raised += 1
         self.machine.interrupts.raise_irq(self.irq_line)
+        self.completion.notify()
 
     # -- identification for scenario plumbing --------------------------------------
 

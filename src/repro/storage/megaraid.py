@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.sim import Environment
+from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.disk import Disk
 
@@ -82,6 +82,9 @@ class MegaRaidController:
         #: "vmm" for the duration of its own raw commands so disk-level
         #: observers see true provenance.
         self.request_origin = "guest"
+        #: Fires at the next frame completion, the instant the firmware
+        #: raises its interrupt (masked or not).
+        self.completion = Notifier(env)
 
         # Metrics.
         self.commands_executed = 0
@@ -165,5 +168,6 @@ class MegaRaidController:
         self._doorbell = True
         self.interrupts_raised += 1
         self.machine.interrupts.raise_irq(self.irq_line)
+        self.completion.notify()
 
     kind = "megaraid"

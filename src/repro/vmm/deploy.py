@@ -52,6 +52,8 @@ class DeploymentContext:
         #: Callbacks invoked with each block index the copier commits
         #: (the peer chunk service hangs its gossip batching here).
         self.block_filled_listeners: list = []
+        if poll_interval <= 0:
+            raise ValueError("poll_interval must be positive")
         self.poll_interval = poll_interval
         #: Structured event tracer (a no-op unless tracing is enabled).
         self.tracer = tracer

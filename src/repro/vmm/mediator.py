@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Notifier, Resource
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.vmm.deploy import DeploymentContext
 
@@ -91,6 +91,9 @@ class DeviceMediator:
         self._device_lock = Resource(env, capacity=1)
         #: Guest commands absorbed while the VMM owned the device.
         self._queued_commands: list = []
+        #: Fires when a blocked guest command's redirect context is
+        #: released (subclasses serialize those contexts on it).
+        self._unblocked = Notifier(env)
         # Metrics (per paper terminology).
         self.interpreted_commands = 0
         self.redirected_reads = 0
@@ -345,16 +348,44 @@ class DeviceMediator:
         controller.request_origin = "vmm"
         try:
             self._issue_to_device(request, buffer)
-            poll = self.deployment.poll_interval
-            while not self._device_done():
-                yield self.env.timeout(poll)
+            yield from self._await(self._device_done, controller.completion)
         finally:
             controller.request_origin = "guest"
 
     def _wait_device_idle(self):
+        yield from self._await(lambda: not self._device_busy(),
+                               self.machine.disk_controller.completion)
+
+    def _await(self, predicate, notifier):
+        """Generator: return at the first poll tick at which
+        ``predicate()`` holds, ticks counted from the call instant.
+
+        The paper's VMM polls with interrupts masked on the preemption
+        timer; this finds the tick at which that loop would notice the
+        change without an event per tick.  ``predicate`` may only turn
+        true when ``notifier`` fires (a controller completion, or the
+        release of a blocked context).  The predicate is re-checked at
+        every tick it returns on: the guest may make the device busy
+        again between the notification and the tick.  The VM exits the
+        polls cost are bulk-accounted by the VMM at de-virtualization.
+        """
+        if predicate():
+            return
+        env = self.env
         poll = self.deployment.poll_interval
-        while self._device_busy():
-            yield self.env.timeout(poll)
+        # A request that finishes within one tick costs one timeout.
+        tick = env.now + poll
+        yield env.timeout(poll)
+        while not predicate():
+            tick += poll
+            yield notifier.wait()
+            # Tick by tick, so the float instants are the ones a loop of
+            # poll timeouts reaches; ``tick - now`` is exact (Sterbenz),
+            # so the timeout lands on ``tick`` itself.
+            now = env.now
+            while tick < now:
+                tick += poll
+            yield env.timeout(tick - now)
 
     def _drain_queue(self):
         while self._queued_commands:

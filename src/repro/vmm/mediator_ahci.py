@@ -177,18 +177,22 @@ class AhciMediator(DeviceMediator):
                 else:
                     yield from self.protect_access(request)
             finally:
-                self._blocked_slot = None
-                self._blocked_request = None
+                self._release_blocked()
         yield self.env.timeout(0)
 
     def _claim_blocked(self, slot: int, request: BlockRequest):
         """Serialize redirect contexts: hooks are re-entrant across guest
         processes (AHCI allows concurrent slots), but the engine serves
         one blocked command at a time."""
-        while self._blocked_slot is not None:
-            yield self.env.timeout(self.deployment.poll_interval)
+        yield from self._await(lambda: self._blocked_slot is None,
+                               self._unblocked)
         self._blocked_slot = slot
         self._blocked_request = request
+
+    def _release_blocked(self) -> None:
+        self._blocked_slot = None
+        self._blocked_request = None
+        self._unblocked.notify()
 
     def _decode_slot(self, slot: int) -> BlockRequest | None:
         """I/O interpretation: walk the guest's command structures."""
@@ -304,8 +308,7 @@ class AhciMediator(DeviceMediator):
                     else:
                         yield from self.protect_access(request)
                 finally:
-                    self._blocked_slot = None
-                    self._blocked_request = None
+                    self._release_blocked()
             else:
                 forward_mask |= (1 << slot)
         if forward_mask:

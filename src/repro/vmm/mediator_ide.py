@@ -182,13 +182,17 @@ class IdeMediator(DeviceMediator):
                 self.shadow_bm_prdt, self.shadow_bm_command))
         else:
             # redirect / protect: block the command until BM start, then
-            # serve it ourselves.  (IDE is single-outstanding, but a
-            # replayed redirect can overlap a fresh hook: serialize.)
-            while self._blocked is not None:
-                yield self.env.timeout(self.deployment.poll_interval)
-            self._blocked = request
-            self._blocked_kind = action
+            # serve it ourselves.
+            yield from self._claim_blocked(request, action)
         yield self.env.timeout(0)
+
+    def _claim_blocked(self, request: BlockRequest, action: str):
+        """Serialize blocked commands: IDE is single-outstanding, but a
+        replayed redirect can overlap a fresh hook."""
+        yield from self._await(lambda: self._blocked is None,
+                               self._unblocked)
+        self._blocked = request
+        self._blocked_kind = action
 
     def _launch_blocked(self):
         request = self._blocked
@@ -202,6 +206,7 @@ class IdeMediator(DeviceMediator):
         finally:
             self._blocked = None
             self._blocked_kind = None
+            self._unblocked.notify()
 
     # -- primitives used by the base engine -------------------------------------------------
 

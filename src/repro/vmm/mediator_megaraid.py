@@ -142,15 +142,19 @@ class MegaRaidMediator(DeviceMediator):
             else:
                 yield from self.protect_access(request)
         finally:
-            self._blocked_frame = None
-            self._blocked_address = None
+            self._release_blocked()
 
     def _claim_blocked(self, frame, frame_address: int):
         """Serialize redirect contexts across re-entrant hook calls."""
-        while self._blocked_frame is not None:
-            yield self.env.timeout(self.deployment.poll_interval)
+        yield from self._await(lambda: self._blocked_frame is None,
+                               self._unblocked)
         self._blocked_frame = frame
         self._blocked_address = frame_address
+
+    def _release_blocked(self) -> None:
+        self._blocked_frame = None
+        self._blocked_address = None
+        self._unblocked.notify()
 
     # -- primitives used by the base engine ------------------------------------------------------
 
@@ -235,8 +239,7 @@ class MegaRaidMediator(DeviceMediator):
                 try:
                     yield from self.protect_access(request)
                 finally:
-                    self._blocked_frame = None
-                    self._blocked_address = None
+                    self._release_blocked()
                 return
             if (request.op is BlockOp.READ
                     and request.lba < bitmap.image_sectors
@@ -246,8 +249,7 @@ class MegaRaidMediator(DeviceMediator):
                 try:
                     yield from self.redirect(request)
                 finally:
-                    self._blocked_frame = None
-                    self._blocked_address = None
+                    self._release_blocked()
                 return
         yield from self._wait_device_idle()
         self.controller.mmio_write(

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -98,6 +100,19 @@ def test_deploy_replay_check(capsys):
                  "--replay-check"]) == 0
     out = capsys.readouterr().out
     assert "runs identical" in out
+
+
+def test_deploy_replay_check_replays_the_deploy(capsys):
+    # Every deploy option reaches the replayed scenario: a moderated
+    # AHCI packet-mode replay would process a different event count.
+    assert main(["deploy", "--image-gb", "0.0625", "--controller", "ide",
+                 "--fluid", "--full-speed", "--replay-check"]) == 0
+    out = capsys.readouterr().out
+    assert "fluid mode: active" in out
+    deployed = int(re.search(r"simulated events: (\d+)", out).group(1))
+    replayed = int(re.search(r"runs identical \((\d+) events",
+                             out).group(1))
+    assert replayed == deployed
 
 
 def test_scaleout_sanitized(capsys):
