@@ -247,6 +247,12 @@ class AoeInitiator:
             timer = self.env.timeout(rtt.rto, value="timeout")
             outcome = yield self.env.any_of([transaction.done, timer])
             if transaction.done in outcome:
+                # Drop the spent RTO timer rather than let it fire later
+                # as a dead event.  Only while it is still pending: a
+                # cancel on a processed event would mark its *next*
+                # occurrence.
+                if timer.callbacks is not None:
+                    self.env.cancel(timer)
                 break
             # Fragments still trickling in: the reply is in flight,
             # extend rather than retransmit.

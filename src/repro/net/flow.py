@@ -67,9 +67,13 @@ class FlowNetwork:
     """
 
     def __init__(self, env: Environment, rate_bps: float,
-                 telemetry=NULL_TELEMETRY):
+                 telemetry=NULL_TELEMETRY, on_change=None):
         self.env = env
         self.rate_bps = float(rate_bps)
+        #: Optional ``on_change(src, dst)``, called whenever a flow
+        #: starts or ends — the switch re-prices packet-mode bulk chunks
+        #: on those links (their interleave penalty counts fluid flows).
+        self._on_change = on_change
         #: Active flows in arrival order.  Order matters: the solver
         #: iterates this list, so determinism (and therefore replay
         #: stability) follows from arrival order alone.
@@ -148,6 +152,8 @@ class FlowNetwork:
         self._tx_count[src] = self._tx_count.get(src, 0) + 1
         self._rx_count[dst] = self._rx_count.get(dst, 0) + 1
         self._m_active.set(len(self._flows))
+        if self._on_change is not None:
+            self._on_change(src, dst)
         self._resolve()
         yield flow.done
 
@@ -247,6 +253,8 @@ class FlowNetwork:
             self._rx_count[flow.dst] -= 1
             self.flows_completed += 1
             self._m_active.set(len(self._flows))
+            if self._on_change is not None:
+                self._on_change(flow.src, flow.dst)
             flow.done.succeed()
             self._resolve()
         return complete

@@ -27,7 +27,6 @@ ACTOR_COMPONENTS = (
     ("os-streaming-copier", "copier"),
     ("aoe-dispatch", "aoe-client"),
     ("aoe-serve", "aoe-server"),
-    ("bulk-rx", "nic"),
     ("switch-forward", "switch"),
     ("nic-mediator-poll", "mediator"),
     ("megaraid-", "disk"),

@@ -137,6 +137,21 @@ def test_read_returns_image_runs():
     assert server.commands_served == 1
 
 
+def test_completed_read_cancels_its_rto_timer():
+    # Left pending, the spent retransmit timer would fire later as a
+    # dead event.
+    env, client, server, store = make_aoe()
+
+    def proc():
+        return (yield from client.read_blocks(100, 64))
+
+    run(env, proc())
+    events = env.events_processed
+    assert env.peek() == float("inf")
+    env.run()
+    assert env.events_processed == events
+
+
 def test_large_read_fragments_on_wire():
     env, client, server, store = make_aoe()
     sectors = 2048  # 1 MB

@@ -33,6 +33,28 @@ def test_timeout_advances_clock():
     assert env.now == 3.5
 
 
+def test_timeout_at_lands_on_the_instant_bit_for_bit():
+    env = Environment()
+    at = 3.3000000000000003
+    # A relative delay cannot reach every absolute instant.
+    assert 0.7 + (at - 0.7) != at
+    fired = []
+
+    def proc():
+        yield env.timeout(0.7)
+        yield env.timeout_at(at)
+        fired.append(env.now)
+
+    env.run(until=env.process(proc()))
+    assert fired == [at]
+
+
+def test_timeout_at_rejects_the_past():
+    env = Environment(initial_time=1.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(0.5)
+
+
 def test_timeout_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):

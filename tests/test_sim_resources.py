@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Notifier, PriorityStore, Resource, Store
 
 
 # -- Resource ---------------------------------------------------------------
@@ -63,6 +63,31 @@ def test_resource_fifo_queueing():
         env.process(user(env, name))
     env.run()
     assert order == list("abcd")
+
+
+def test_resource_contended_fires_when_a_request_queues():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    resource.request()
+    seen = []
+    resource.contended.subscribe(lambda event: seen.append(env.now))
+    resource.request()
+    env.run()
+    assert seen == [0.0]
+
+
+def test_notifier_unsubscribe_leaves_nothing_to_schedule():
+    env = Environment()
+    notifier = Notifier(env)
+
+    def callback(event):
+        raise AssertionError("unsubscribed callback ran")
+
+    event = notifier.subscribe(callback)
+    notifier.unsubscribe(event, callback)
+    notifier.notify()
+    env.run()
+    assert env.events_processed == 0
 
 
 def test_resource_release_unqueued_request_noop():
