@@ -76,7 +76,7 @@ class InterruptController:
         for event in waiters:
             # Small delivery latency so handlers run after the raising
             # device finishes its state update.
-            self.env.process(_delayed_succeed(self.env, event, line))
+            _delayed_succeed(self.env, event, line)
 
     # -- masking (used by device mediators) -----------------------------------
 
@@ -103,7 +103,14 @@ class InterruptController:
         return line in self._pending
 
 
-def _delayed_succeed(env: Environment, event: Event, line: int):
-    yield env.timeout(IRQ_DELIVERY_SECONDS)
-    if not event.triggered:
-        event.succeed(line)
+def _delayed_succeed(env: Environment, event: Event, line: int) -> None:
+    """Succeed ``event`` with ``line`` after the delivery latency.
+
+    A timer callback rather than a process: one event per delivery
+    instead of three (kick-start, timeout, process exit).
+    """
+    def deliver(_timer) -> None:
+        if not event.triggered:
+            event.succeed(line)
+
+    env.timeout(IRQ_DELIVERY_SECONDS).callbacks.append(deliver)

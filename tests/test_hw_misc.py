@@ -3,7 +3,7 @@
 import pytest
 
 from repro import params
-from repro.hw.interrupts import InterruptController
+from repro.hw.interrupts import IRQ_DELIVERY_SECONDS, InterruptController
 from repro.hw.machine import Machine, MachineSpec
 from repro.hw.memory import PhysicalMemory
 from repro.hw.mmu import MemoryProfile, MmuFault, NestedPageTable
@@ -34,6 +34,20 @@ def test_irq_delivered_to_waiter():
     assert len(log) == 1
     assert log[0][1] == 14
     assert intc.delivered[14] == 1
+
+
+def test_irq_delivery_is_one_timer_per_waiter():
+    env = Environment()
+    intc = InterruptController(env)
+    waits = [intc.wait(14), intc.wait(14)]
+    env.timeout(1).callbacks.append(lambda _event: intc.raise_irq(14))
+    env.run()
+    for event in waits:
+        assert event.processed and event.value == 14
+    # The raising timeout, one delivery timer and the waiter's event
+    # per waiter: no helper process per delivery.
+    assert env.events_processed == 1 + 2 * 2
+    assert env.now == 1 + IRQ_DELIVERY_SECONDS
 
 
 def test_irq_pending_when_no_waiter():
