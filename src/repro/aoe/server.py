@@ -12,11 +12,13 @@ from repro import params
 from repro.aoe.protocol import (
     AoeAck,
     AoeCommand,
+    AoeDataFragment,
+    sectors_per_frame,
     split_read_reply,
 )
 from repro.net.nic import Nic
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Event, Resource
 from repro.util.intervalmap import IntervalMap
 
 
@@ -51,7 +53,17 @@ class ImageStore:
     STREAMING_SECTORS = 1024
 
     def read(self, lba: int, sector_count: int):
-        """Generator: fetch runs for ``[lba, lba+sector_count)``."""
+        """Generator form of :meth:`start_read`: returns the runs one
+        zero-delay hop after ``done`` would have run."""
+        done = Event(self.env)
+        self.start_read(lba, sector_count, done.succeed)
+        return (yield done)
+
+    def start_read(self, lba: int, sector_count: int, done, parent=None,
+                   lane: str | None = None) -> None:
+        """Fetch runs for ``[lba, lba+sector_count)``: ``done(runs)``.
+        (``parent`` and ``lane`` place profiler frames; this store
+        makes none.)"""
         self._request_index += 1
         self.reads += 1
         if sector_count >= self.STREAMING_SECTORS:
@@ -67,20 +79,34 @@ class ImageStore:
             is_hit = (self._request_index % round(period)) != 0
         base = self.hit_seconds if is_hit else self.miss_seconds
         transfer = sector_count * params.SECTOR_BYTES / self.bandwidth
-        yield self.env.pooled_timeout(base + transfer)
-        return list(self.contents.runs_in(lba, sector_count))
+
+        def fetched(_timer):
+            done(list(self.contents.runs_in(lba, sector_count)))
+
+        self.env.pooled_timeout(base + transfer).callbacks.append(fetched)
 
     def write(self, lba: int, runs: list):
-        """Generator: store runs (initiator write path; rarely used)."""
+        """Generator form of :meth:`start_write`."""
+        done = Event(self.env)
+        self.start_write(lba, runs, done.succeed)
+        yield done
+
+    def start_write(self, lba: int, runs: list, done) -> None:
+        """Store runs (initiator write path; rarely used): ``done()``."""
         nbytes = sum(end - start for start, end, _ in runs) \
             * params.SECTOR_BYTES
-        yield self.env.timeout(self.miss_seconds
-                               + nbytes / self.bandwidth)
-        for start, end, token in runs:
-            if token is None:
-                self.contents.clear_range(start, end - start)
-            else:
-                self.contents.set_range(start, end - start, token)
+
+        def written(_timer):
+            for start, end, token in runs:
+                if token is None:
+                    self.contents.clear_range(start, end - start)
+                else:
+                    self.contents.set_range(start, end - start, token)
+            done()
+
+        self.env.pooled_timeout(
+            self.miss_seconds + nbytes / self.bandwidth).callbacks.append(
+                written)
 
 
 class AoeServer:
@@ -113,7 +139,6 @@ class AoeServer:
         self.telemetry = telemetry
         self.workers = Resource(env, capacity=workers)
         self.worker_count = workers
-        self._inbox: Store = Store(env)
         self._process = None
         # Metrics.
         self.commands_served = 0
@@ -160,60 +185,109 @@ class AoeServer:
                 frame = yield from self.nic.recv()
                 command = frame.payload
                 if isinstance(command, AoeCommand):
-                    self.env.process(
-                        self._serve(command, reply_to=frame.src),
-                        name=f"aoe-serve-{command.tag}")
+                    _Serve(self, command, frame.src)
         except Interrupt:
             return
 
-    def _serve(self, command: AoeCommand, reply_to: str):
-        arrived = self.env.now
-        with self.workers.request() as grant, \
-                self.telemetry.profiler.track(self.COMPONENT,
-                                              f"serve-{command.op}"):
-            yield grant
-            self._m_queue_wait.observe(self.env.now - arrived)
-            started = self.env.now
-            if command.op == "read":
-                yield from self._serve_read(command, reply_to)
-            elif command.op == "write":
-                yield from self._serve_write(command, reply_to)
-            else:
-                raise ValueError(f"unknown AoE op {command.op!r}")
-            self._m_service[command.op].observe(self.env.now - started)
-            self._m_commands[command.op].inc()
-        self.commands_served += 1
+    def _serve_read(self, serve: "_Serve") -> None:
+        """Fetch a read's runs; ``serve`` replies with them."""
+        command = serve.command
+        self.store.start_read(command.lba, command.sector_count,
+                              serve.runs_fetched, serve.span, serve.lane)
 
-    def _serve_read(self, command: AoeCommand, reply_to: str):
-        runs = yield from self.store.read(command.lba, command.sector_count)
+    def _read_served(self) -> None:
+        """A read's reply has left the server."""
+
+
+class _Serve:
+    """One AoE command served by callbacks: a worker, the store, the
+    reply (a bulk stream or a train of fragments, each after its
+    per-frame CPU time), then the worker back.
+
+    Started in the dispatcher's own step, with no zero-delay hop: the
+    worker request queues on a pool only commands use, in the order
+    the dispatcher receives them.
+    """
+
+    __slots__ = ("server", "command", "reply_to", "arrived", "started",
+                 "grant", "span", "lane", "fragments", "index")
+
+    def __init__(self, server: AoeServer, command: AoeCommand,
+                 reply_to: str):
+        self.server = server
+        self.command = command
+        self.reply_to = reply_to
+        env = server.env
+        self.arrived = env.now
+        self.started = None
+        span = self.span = server.telemetry.profiler.begin(
+            server.COMPONENT, f"serve-{command.op}")
+        #: Trace lane of the profiler frames (only named when traced).
+        self.lane = None if span is None else f"aoe-serve-{command.tag}"
+        self.fragments = None
+        self.index = 0
+        self.grant = server.workers.request()
+        self.grant.callbacks.append(self._granted)
+
+    def _granted(self, _event) -> None:
+        server = self.server
+        now = server.env.now
+        server._m_queue_wait.observe(now - self.arrived)
+        self.started = now
+        op = self.command.op
+        if op == "read":
+            server._serve_read(self)
+        elif op == "write":
+            server.store.start_write(self.command.lba,
+                                     list(self.command.payload_runs),
+                                     self.stored)
+        else:
+            raise ValueError(f"unknown AoE op {op!r}")
+
+    # -- read ---------------------------------------------------------------
+
+    def runs_fetched(self, runs: list) -> None:
+        server = self.server
+        command = self.command
         if command.bulk:
-            yield from self._serve_read_bulk(command, reply_to, runs)
+            self._send_bulk(runs)
             return
-        fragments = split_read_reply(command.tag, command.lba, runs,
-                                     self.mtu)
-        # Hot path — hoisted lookups and pooled per-frame CPU timeouts.
-        env = self.env
-        nic_send = self.nic.send
-        per_frame_cpu = self.PER_FRAME_CPU_SECONDS
-        protocol = self.PROTOCOL
-        m_fragments_inc = self._m_fragments.inc
-        for fragment in fragments:
-            yield env.pooled_timeout(per_frame_cpu)
-            yield from nic_send(reply_to, fragment,
-                                fragment.payload_bytes,
-                                protocol=protocol)
-            self.fragments_sent += 1
-            m_fragments_inc()
+        self.fragments = split_read_reply(command.tag, command.lba, runs,
+                                          server.mtu)
+        self._next_fragment()
 
-    def _serve_read_bulk(self, command: AoeCommand, reply_to: str,
-                         runs: list):
+    def _next_fragment(self) -> None:
+        if self.index == len(self.fragments):
+            self.server._read_served()
+            self.finish()
+            return
+        server = self.server
+        server.env.pooled_timeout(
+            server.PER_FRAME_CPU_SECONDS).callbacks.append(
+                self._send_fragment)
+
+    def _send_fragment(self, _timer) -> None:
+        server = self.server
+        fragment = self.fragments[self.index]
+        server.nic.start_send(self.reply_to, fragment,
+                              fragment.payload_bytes, server.PROTOCOL,
+                              self._fragment_sent, self.span, self.lane)
+
+    def _fragment_sent(self, _delivered) -> None:
+        server = self.server
+        server.fragments_sent += 1
+        server._m_fragments.inc()
+        self.index += 1
+        self._next_fragment()
+
+    def _send_bulk(self, runs: list) -> None:
         """Aggregate path: one logical fragment, full wire time."""
-        from repro.aoe.protocol import AoeDataFragment, sectors_per_frame
+        server = self.server
+        command = self.command
         payload_bytes = command.sector_count * params.SECTOR_BYTES
-        per_frame_payload = sectors_per_frame(self.mtu) \
+        per_frame_payload = sectors_per_frame(server.mtu) \
             * params.SECTOR_BYTES + params.AOE_HEADER_BYTES
         frames = max(1, -(-payload_bytes // per_frame_payload))
-        yield self.env.pooled_timeout(frames * self.PER_FRAME_CPU_SECONDS)
         fragment = AoeDataFragment(
             tag=command.tag, fragment_index=0, fragment_total=1,
             lba=command.lba, sector_count=command.sector_count,
@@ -221,18 +295,45 @@ class AoeServer:
         # Fluid commands price the data leg analytically; the worker
         # grant is held either way, so replica fan-out contention (the
         # dominant queueing effect) is identical in both modes.
-        switch = self.nic.switch
-        transfer = switch.fluid_transfer if command.fluid \
-            else switch.bulk_transfer
-        yield from transfer(
-            self.nic.name, reply_to, fragment, payload_bytes,
-            per_frame_payload, protocol=self.PROTOCOL)
-        self.fragments_sent += 1
-        self._m_fragments.inc()
+        switch = server.nic.switch
+        start = switch.start_fluid_transfer if command.fluid \
+            else switch.start_bulk_transfer
 
-    def _serve_write(self, command: AoeCommand, reply_to: str):
-        yield from self.store.write(command.lba,
-                                    list(command.payload_runs))
-        ack = AoeAck(command.tag)
-        yield from self.nic.send(reply_to, ack, ack.payload_bytes,
-                                 protocol=self.PROTOCOL)
+        def send(_timer):
+            start(server.nic.name, self.reply_to, fragment, payload_bytes,
+                  per_frame_payload, server.PROTOCOL, self._bulk_sent)
+
+        server.env.pooled_timeout(
+            frames * server.PER_FRAME_CPU_SECONDS).callbacks.append(send)
+
+    def _bulk_sent(self) -> None:
+        server = self.server
+        server.fragments_sent += 1
+        server._m_fragments.inc()
+        server._read_served()
+        self.finish()
+
+    # -- write --------------------------------------------------------------
+
+    def stored(self) -> None:
+        ack = AoeAck(self.command.tag)
+        self.reply(ack, ack.payload_bytes)
+
+    # -- shared -------------------------------------------------------------
+
+    def reply(self, payload, payload_bytes: int) -> None:
+        """Send one frame back, then finish."""
+        server = self.server
+        server.nic.start_send(self.reply_to, payload, payload_bytes,
+                              server.PROTOCOL, self.finish, self.span,
+                              self.lane)
+
+    def finish(self, _delivered=None) -> None:
+        server = self.server
+        op = self.command.op
+        server._m_service[op].observe(server.env.now - self.started)
+        server._m_commands[op].inc()
+        if self.span is not None:
+            server.telemetry.profiler.end(self.span, self.lane)
+        server.workers.release(self.grant)
+        server.commands_served += 1

@@ -25,6 +25,8 @@ in-order logs, and the whole run is deterministic — the CLI's
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.ctl.lifecycle import NodePool
 from repro.ctl.placement import image_block_set
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -149,11 +151,10 @@ class ElasticController:
             request.ready = self.env.now
             self.pool.assign(record.index, request)
             self._m_served.inc()
-            self.env.process(self._serve(request),
-                             name=f"ctl-serve-{request.rid}")
+            self.env.timeout(request.hold).callbacks.append(
+                partial(self._served, request))
 
-    def _serve(self, request):
-        yield self.env.timeout(request.hold)
+    def _served(self, request, _timer) -> None:
         self.pool.release(request.node)
         request.completed = self.env.now
         self._completed_since_tick += 1

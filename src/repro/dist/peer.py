@@ -19,7 +19,7 @@ guest write, and the NAK path corrects the directory.
 
 from __future__ import annotations
 
-from repro.aoe.protocol import AoeCommand, AoeNak
+from repro.aoe.protocol import AoeNak
 from repro.aoe.server import AoeServer
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.storage.blockdev import BlockOp, BlockRequest
@@ -113,15 +113,17 @@ class LocalChunkStore:
         self.disk = disk
         self.reads = 0
 
-    def read(self, lba: int, sector_count: int):
-        """Generator: content runs from the local platters."""
+    def start_read(self, lba: int, sector_count: int, done, parent=None,
+                   lane: str | None = None) -> None:
+        """Content runs from the local platters: ``done(runs)``.  The
+        disk's profiler frame nests under ``parent`` on ``lane``."""
         self.reads += 1
         request = BlockRequest(BlockOp.READ, lba, sector_count,
                                origin="peer")
-        yield from self.disk.execute(request)
-        return list(request.buffer.runs)
+        self.disk.start(request, lambda read: done(list(read.buffer.runs)),
+                        lane, parent)
 
-    def write(self, lba: int, runs: list):
+    def start_write(self, lba: int, runs: list, done) -> None:
         raise RuntimeError("peer chunk service is read-only")
 
 
@@ -243,14 +245,16 @@ class PeerChunkService(AoeServer):
 
     # -- serving ------------------------------------------------------------------
 
-    def _serve_read(self, command: AoeCommand, reply_to: str):
+    def _serve_read(self, serve) -> None:
+        command = serve.command
         if not self.servable(command.lba, command.sector_count):
             self.naks_sent += 1
             self._m_naks.inc()
             nak = AoeNak(command.tag)
-            yield from self.nic.send(reply_to, nak, nak.payload_bytes,
-                                     protocol=self.PROTOCOL)
+            serve.reply(nak, nak.payload_bytes)
             return
-        yield from super()._serve_read(command, reply_to)
+        super()._serve_read(serve)
+
+    def _read_served(self) -> None:
         self.chunks_served += 1
         self._m_chunks.inc()

@@ -142,6 +142,10 @@ class FlowNetwork:
         every other concurrent flow.  The caller owns frame delivery
         and byte accounting (see ``EthernetSwitch.fluid_transfer``).
         """
+        yield self.start(src, dst, wire_bytes)
+
+    def start(self, src: str, dst: str, wire_bytes: int) -> Event:
+        """Admit a flow; returns the event fired when it completes."""
         flow = Flow(self.env, src, dst, wire_bytes)
         self.flows_started += 1
         self.bytes_transferred += wire_bytes
@@ -155,7 +159,7 @@ class FlowNetwork:
         if self._on_change is not None:
             self._on_change(src, dst)
         self._resolve()
-        yield flow.done
+        return flow.done
 
     # -- the solver --------------------------------------------------------
 

@@ -78,6 +78,12 @@ class EthernetSwitch:
         self._m_dropped = registry.counter(
             "switch_frames_dropped_total",
             help="frames lost by the switch's loss model")
+        # Callbacks of the per-frame machines, bound once.
+        self._on_tx_granted = self._tx_granted
+        self._on_tx_sent = self._tx_sent
+        self._on_rx_arrived = self._rx_arrived
+        self._on_rx_granted = self._rx_granted
+        self._on_rx_done = self._rx_done
 
     def attach(self, name: str, nic) -> None:
         if name in self._ports:
@@ -89,6 +95,22 @@ class EthernetSwitch:
     def serialization_time(self, frame: Frame) -> float:
         return frame.wire_bytes * 8.0 / self.rate_bps
 
+    def _check_frame(self, frame: Frame) -> None:
+        if frame.payload_bytes > self.mtu:
+            raise ValueError(
+                f"frame payload {frame.payload_bytes} exceeds MTU {self.mtu}")
+        self._check_ports(frame.src, frame.dst)
+
+    def _check_ports(self, src: str, dst: str) -> None:
+        if src not in self._ports:
+            raise ValueError(f"unknown source port {src!r}")
+        if dst not in self._ports:
+            raise ValueError(f"unknown destination port {dst!r}")
+
+    def _tx_seconds(self, frame: Frame) -> float:
+        return (self.serialization_time(frame)
+                + self._fluid_interleave_penalty(frame.src, tx=True))
+
     def transmit(self, frame: Frame):
         """Generator: carry ``frame`` from its source port to destination.
 
@@ -97,38 +119,90 @@ class EthernetSwitch:
         pipeline (store-and-forward, not stop-and-wait).  Returns True if
         the frame will be delivered, False if the switch dropped it.
         """
-        if frame.payload_bytes > self.mtu:
-            raise ValueError(
-                f"frame payload {frame.payload_bytes} exceeds MTU {self.mtu}")
-        if frame.src not in self._ports:
-            raise ValueError(f"unknown source port {frame.src!r}")
-        destination = self._ports.get(frame.dst)
-        if destination is None:
-            raise ValueError(f"unknown destination port {frame.dst!r}")
-
+        self._check_frame(frame)
         # Sender-side serialization: one frame at a time per port.
-        # Hot path — pooled timeouts (yield-only) and hoisted lookups.
-        env = self.env
         with self._tx_locks[frame.src].request() as grant:
             yield grant
-            yield env.pooled_timeout(
-                self.serialization_time(frame)
-                + self._fluid_interleave_penalty(frame.src, tx=True))
+            yield self.env.pooled_timeout(self._tx_seconds(frame))
+        return self._sent(frame)
+
+    def start_transmit(self, frame: Frame, done) -> None:
+        """Callback form of :meth:`transmit`: ``done(delivered)`` runs
+        once the frame has left its sender, where the generator would
+        have returned."""
+        self._check_frame(frame)
+        request = _FrameRequest(self._tx_locks[frame.src], frame, done)
+        request.callbacks.append(self._on_tx_granted)
+
+    def _tx_granted(self, request: "_FrameRequest") -> None:
+        self.env.pooled_timeout(self._tx_seconds(request.frame),
+                                request).callbacks.append(self._on_tx_sent)
+
+    def _tx_sent(self, timer) -> None:
+        request = timer._value
+        request.resource.release(request)
+        request.done(self._sent(request.frame))
+
+    def _sent(self, frame: Frame) -> bool:
+        """``frame`` has left its sender: drop it or send it on."""
         if self._flow_network is not None:
             self._charge_fluid(frame.src, True, frame.wire_bytes)
-
         if self.loss.drops(frame):
             self._m_dropped.inc()
             return False
-
-        env.process(self._forward(frame, destination),
-                    name="switch-forward")
+        self._forward(frame)
         return True
+
+    def _forward(self, frame: Frame) -> None:
+        """The receive leg, run by callbacks: forwarding latency, then
+        the receiver's port for one serialization time, then delivery.
+
+        No zero-delay hop precedes the latency timer: it is scheduled in
+        the callback that sees the frame leave its sender.
+        """
+        self.env.pooled_timeout(self.forward_latency,
+                                frame).callbacks.append(self._on_rx_arrived)
+
+    def _rx_arrived(self, timer) -> None:
+        frame = timer._value
+        request = _FrameRequest(self._rx_locks[frame.dst], frame)
+        request.callbacks.append(self._on_rx_granted)
+
+    def _rx_granted(self, request: "_FrameRequest") -> None:
+        frame = request.frame
+        self.env.pooled_timeout(
+            self.serialization_time(frame)
+            + self._fluid_interleave_penalty(frame.dst, tx=False),
+            request).callbacks.append(self._on_rx_done)
+
+    def _rx_done(self, timer) -> None:
+        request = timer._value
+        request.resource.release(request)
+        frame = request.frame
+        wire_bytes = frame.wire_bytes
+        if self._flow_network is not None:
+            self._charge_fluid(frame.dst, False, wire_bytes)
+        self.frames_forwarded += 1
+        self.bytes_forwarded += wire_bytes
+        self._account_protocol(frame.protocol, wire_bytes)
+        self._m_frames.inc()
+        self._m_bytes.inc(wire_bytes)
+        self._ports[frame.dst].deliver(frame)
 
     def bulk_transfer(self, src: str, dst: str, payload,
                       payload_bytes: int, per_frame_payload: int,
                       protocol: str = "aoe"):
-        """Generator: carry a large payload as one logical transfer.
+        """Generator form of :meth:`start_bulk_transfer`; the caller
+        resumes one zero-delay hop after ``done`` would have run."""
+        done = Event(self.env)
+        self.start_bulk_transfer(src, dst, payload, payload_bytes,
+                                 per_frame_payload, protocol, done.succeed)
+        yield done
+
+    def start_bulk_transfer(self, src: str, dst: str, payload,
+                            payload_bytes: int, per_frame_payload: int,
+                            protocol: str, done) -> None:
+        """Carry a large payload as one logical transfer.
 
         Equivalent on the wire to the fragment train the payload would
         have been split into (same serialization time, including
@@ -147,29 +221,39 @@ class EthernetSwitch:
         deviation: where chunk boundaries of several streams coincide
         exactly, their holds can end in another order than the loop's
         chunk timers did, and a port then goes to another waiter one
-        chunk earlier or later.  The caller returns once the last chunk
-        has crossed the switch and the receiver holds the payload.
+        chunk earlier or later.  ``done()`` runs once the last chunk has
+        crossed the switch and the receiver holds the payload.
         """
-        if src not in self._ports:
-            raise ValueError(f"unknown source port {src!r}")
-        destination = self._ports.get(dst)
-        if destination is None:
-            raise ValueError(f"unknown destination port {dst!r}")
-        frames = max(1, -(-payload_bytes // per_frame_payload))
-        wire_bytes = payload_bytes + frames * params.ETH_FRAME_OVERHEAD
+        self._check_ports(src, dst)
+        frames, wire_bytes = self._wire(payload_bytes, per_frame_payload)
         chunks = max(1, -(-payload_bytes // BULK_CHUNK_BYTES))
         per_chunk = wire_bytes * 8.0 / self.rate_bps / chunks
+        env = self.env
+        latency = self.forward_latency
 
         def deliver():
-            self._deliver(destination,
-                          Frame(src, dst, payload, per_frame_payload,
+            self._deliver(Frame(src, dst, payload, per_frame_payload,
                                 protocol=protocol),
                           frames, wire_bytes)
 
+        def crossed(_event):
+            env.pooled_timeout(latency).callbacks.append(arrived)
+
+        def arrived(_event):
+            rx_done = stream.rx_done
+            if rx_done.callbacks is None:  # the payload is already there
+                done()
+            else:
+                rx_done.callbacks.append(lambda _event: done())
+
         stream = _BulkStream(self, src, dst, chunks, per_chunk, deliver)
-        yield stream.tx_done
-        yield self.env.pooled_timeout(self.forward_latency)
-        yield stream.rx_done
+        stream.tx_done.callbacks.append(crossed)
+
+    @staticmethod
+    def _wire(payload_bytes: int, per_frame_payload: int) -> tuple:
+        """Frames and wire bytes of a payload split into frames."""
+        frames = max(1, -(-payload_bytes // per_frame_payload))
+        return frames, payload_bytes + frames * params.ETH_FRAME_OVERHEAD
 
     def _fluid_interleave_penalty(self, port: str, tx: bool) -> float:
         """Extra seconds a packet frame waits on a fluid-occupied link.
@@ -228,64 +312,71 @@ class EthernetSwitch:
     def fluid_transfer(self, src: str, dst: str, payload,
                        payload_bytes: int, per_frame_payload: int,
                        protocol: str = "aoe"):
-        """Generator: carry a large payload as one analytic fluid flow.
+        """Generator form of :meth:`start_fluid_transfer`; the caller
+        resumes one zero-delay hop after ``done`` would have run."""
+        done = Event(self.env)
+        self.start_fluid_transfer(src, dst, payload, payload_bytes,
+                                  per_frame_payload, protocol, done.succeed)
+        yield done
 
-        Wire math is identical to :meth:`bulk_transfer` (same frame
-        count, same per-frame overhead, same byte accounting), but the
-        transfer is priced by the max-min fair :class:`FlowNetwork`
+    def start_fluid_transfer(self, src: str, dst: str, payload,
+                             payload_bytes: int, per_frame_payload: int,
+                             protocol: str, done) -> None:
+        """Carry a large payload as one analytic fluid flow.
+
+        Wire math is identical to :meth:`start_bulk_transfer` (same
+        frame count, same per-frame overhead, same byte accounting), but
+        the transfer is priced by the max-min fair :class:`FlowNetwork`
         instead of chunk-by-chunk port locks: concurrent fluid flows
         through a shared port split its rate equally, re-solved only on
         flow arrival/departure.  Fluid flows do not contend with packet
         traffic — callers must demote to packet mode whenever that
         interaction matters (see ``repro.net.flow.FluidState``).
+        ``done()`` runs once the receiver holds the payload.
         """
-        if src not in self._ports:
-            raise ValueError(f"unknown source port {src!r}")
-        destination = self._ports.get(dst)
-        if destination is None:
-            raise ValueError(f"unknown destination port {dst!r}")
-        frames = max(1, -(-payload_bytes // per_frame_payload))
-        wire_bytes = payload_bytes + frames * params.ETH_FRAME_OVERHEAD
-        yield from self.flow_network.transfer(src, dst, wire_bytes)
-        yield self.env.pooled_timeout(self.forward_latency)
-        self._ports[src].note_fluid_tx(frames, wire_bytes)
-        self._deliver(destination,
-                      Frame(src, dst, payload, per_frame_payload,
-                            protocol=protocol),
-                      frames, wire_bytes)
+        self._check_ports(src, dst)
+        frames, wire_bytes = self._wire(payload_bytes, per_frame_payload)
+        env = self.env
+        latency = self.forward_latency
 
-    def _deliver(self, destination, frame: Frame, frames: int,
-                 wire_bytes: int) -> None:
+        def flowed(_event):
+            env.pooled_timeout(latency).callbacks.append(arrived)
+
+        def arrived(_event):
+            self._ports[src].note_fluid_tx(frames, wire_bytes)
+            self._deliver(Frame(src, dst, payload, per_frame_payload,
+                                protocol=protocol),
+                          frames, wire_bytes)
+            done()
+
+        self.flow_network.start(src, dst, wire_bytes).callbacks.append(
+            flowed)
+
+    def _deliver(self, frame: Frame, frames: int, wire_bytes: int) -> None:
         """Account a bulk payload's ``frames`` and hand it to its port."""
         self.frames_forwarded += frames
         self.bytes_forwarded += wire_bytes
         self._account_protocol(frame.protocol, wire_bytes)
         self._m_frames.inc(frames)
         self._m_bytes.inc(wire_bytes)
-        destination.deliver(frame)
-
-    def _forward(self, frame: Frame, destination):
-        env = self.env
-        yield env.pooled_timeout(self.forward_latency)
-        # Receiver-side port capacity: one frame at a time into the port.
-        with self._rx_locks[frame.dst].request() as grant:
-            yield grant
-            yield env.pooled_timeout(
-                self.serialization_time(frame)
-                + self._fluid_interleave_penalty(frame.dst, tx=False))
-        if self._flow_network is not None:
-            self._charge_fluid(frame.dst, False, frame.wire_bytes)
-        wire_bytes = frame.wire_bytes
-        self.frames_forwarded += 1
-        self.bytes_forwarded += wire_bytes
-        self._account_protocol(frame.protocol, wire_bytes)
-        self._m_frames.inc()
-        self._m_bytes.inc(wire_bytes)
-        destination.deliver(frame)
+        self._ports[frame.dst].deliver(frame)
 
     def _account_protocol(self, protocol: str, wire_bytes: int) -> None:
         self.bytes_by_protocol[protocol] = \
             self.bytes_by_protocol.get(protocol, 0) + wire_bytes
+
+
+class _FrameRequest(Request):
+    """A packet frame's port-lock request: carries the frame (and, on
+    the sending side, the caller's ``done``) through the grant and the
+    serialization timer."""
+
+    __slots__ = ("frame", "done")
+
+    def __init__(self, resource: Resource, frame: Frame, done=None):
+        self.frame = frame
+        self.done = done
+        super().__init__(resource)
 
 
 class _Request(Request):

@@ -63,11 +63,32 @@ class Nic:
         switch = self.switch
         with self.telemetry.profiler.track("nic", "tx"):
             delivered = yield from switch.transmit(frame)
+        self._count_tx(frame)
+        return delivered
+
+    def start_send(self, dst: str, payload, payload_bytes: int,
+                   protocol: str, done, parent=None,
+                   lane: str = "kernel") -> None:
+        """Callback form of :meth:`send`: ``done(delivered)`` runs where
+        the generator would have returned.  The profiler frame nests
+        under ``parent`` on the trace lane ``lane``."""
+        frame = Frame(self.name, dst, payload, payload_bytes, protocol)
+        profiler = self.telemetry.profiler
+        span = profiler.begin("nic", "tx", parent)
+
+        def sent(delivered):
+            if span is not None:
+                profiler.end(span, lane)
+            self._count_tx(frame)
+            done(delivered)
+
+        self.switch.start_transmit(frame, sent)
+
+    def _count_tx(self, frame: Frame) -> None:
         wire_bytes = frame.wire_bytes
         self.tx_frames += 1
         self.tx_bytes += wire_bytes
         self._m_tx_bytes.inc(wire_bytes)
-        return delivered
 
     def note_fluid_tx(self, frames: int, wire_bytes: int) -> None:
         """Account a fluid flow sourced from this NIC's port.

@@ -11,6 +11,12 @@ exit.  Frames nest per simulation process (each generator gets its own
 stack, keyed on the active process), producing flamegraph-style stacks:
 self-time is the frame's span minus its children's spans.
 
+Callback machines (the switch's receive leg, disk commands, AoE
+serving) run with no active process, so they cannot use ``track``.
+They open a frame with :meth:`SimProfiler.begin` and close it with
+:meth:`SimProfiler.end`, naming the lane it belongs to; a frame opened
+with a ``parent`` nests under it as ``track`` frames nest on a stack.
+
 Everything is observational — the profiler reads ``env.now`` and the
 active process, never schedules — so timelines are unchanged when
 profiling is on.  Exporters (folded stacks, Chrome trace) live in
@@ -23,16 +29,19 @@ from contextlib import contextmanager
 
 
 class _Frame:
-    """One live ``track`` interval on some process's stack."""
+    """One live interval: a ``track`` on some process's stack, or a
+    callback machine's ``begin``."""
 
-    __slots__ = ("component", "name", "start", "child_time", "depth")
+    __slots__ = ("component", "name", "start", "child_time", "depth",
+                 "parent")
 
-    def __init__(self, component, name, start, depth):
+    def __init__(self, component, name, start, parent):
         self.component = component
         self.name = name
         self.start = start
         self.child_time = 0.0
-        self.depth = depth
+        self.parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
 
 
 class SimProfiler:
@@ -44,8 +53,9 @@ class SimProfiler:
         self.env = env
         self.capacity = capacity
         self.dropped = 0
-        #: Completed frames as ``(process, component, name, start, end,
-        #: depth, self_time)`` — the raw material for the exporters.
+        #: Completed frames as ``(lane, component, name, start, end,
+        #: depth, self_time)`` — the raw material for the exporters.  A
+        #: ``track`` frame's lane is its process's name.
         self.frames: list[tuple] = []
         #: ``component -> total self seconds`` across all frames.
         self.component_self: dict[str, float] = {}
@@ -71,7 +81,7 @@ class SimProfiler:
         """Attribute the simulated time spent inside to ``component``."""
         stack = self._stack()
         frame = _Frame(component, name or component, self.env.now,
-                       len(stack))
+                       stack[-1] if stack else None)
         stack.append(frame)
         try:
             yield frame
@@ -82,28 +92,37 @@ class SimProfiler:
                 stack.pop()
             elif frame in stack:
                 stack.remove(frame)
-            self._finish(stack, frame)
+            self._finish(frame, self._process_label())
 
-    def _finish(self, stack: list, frame: _Frame) -> None:
+    def begin(self, component: str, name: str | None = None,
+              parent: _Frame | None = None) -> _Frame:
+        """Open a frame owned by no process, nested under ``parent``."""
+        return _Frame(component, name or component, self.env.now, parent)
+
+    def end(self, frame: _Frame, lane: str) -> None:
+        """Close a :meth:`begin` frame now, on the trace lane ``lane``."""
+        self._finish(frame, lane)
+
+    def _finish(self, frame: _Frame, lane: str) -> None:
         end = self.env.now
         span = end - frame.start
         self_time = max(0.0, span - frame.child_time)
-        if stack:
-            stack[-1].child_time += span
+        parent = frame.parent
+        if parent is not None:
+            parent.child_time += span
         self.component_self[frame.component] = \
             self.component_self.get(frame.component, 0.0) + self_time
         if self_time > 0.0:
             key = frame.component + ":" + frame.name
-            if stack:
-                key = ";".join(parent.component + ":" + parent.name
-                               for parent in stack) + ";" + key
+            while parent is not None:
+                key = parent.component + ":" + parent.name + ";" + key
+                parent = parent.parent
             self.folded[key] = self.folded.get(key, 0.0) + self_time
         if len(self.frames) >= self.capacity:
             self.dropped += 1
             return
-        self.frames.append((self._process_label(), frame.component,
-                            frame.name, frame.start, end, frame.depth,
-                            self_time))
+        self.frames.append((lane, frame.component, frame.name, frame.start,
+                            end, frame.depth, self_time))
 
     def _process_label(self) -> str:
         process = self.env.active_process
@@ -162,6 +181,12 @@ class NullSimProfiler:
 
     def track(self, component: str, name: str | None = None):
         return _NULL_SPAN
+
+    def begin(self, component: str, name: str | None = None, parent=None):
+        return None
+
+    def end(self, frame, lane: str) -> None:
+        pass
 
     def current_component(self):
         return None

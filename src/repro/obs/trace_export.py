@@ -5,7 +5,8 @@ Three output shapes:
 * **Chrome trace** — the ``{"traceEvents": [...]}`` JSON that
   ``chrome://tracing`` / Perfetto open directly.  Span-tree spans
   become one lane per deployment; profiler frames become one lane per
-  simulation process.  Timestamps are microseconds of *simulated* time.
+  simulation process (or per callback-machine lane, e.g. one AoE
+  request).  Timestamps are microseconds of *simulated* time.
 * **Folded stacks** — ``comp:name;comp:name self_us`` lines, the input
   format of ``flamegraph.pl`` and speedscope.
 * **Profile report** — the machine-readable dict behind
@@ -72,13 +73,14 @@ def chrome_trace_document(telemetry, pid: int = 1,
             events.append(event)
             stack.extend(reversed(span.children))
 
-    # One lane per simulation process, from the profiler's frames.
+    # One lane per simulation process or callback-machine lane, from
+    # the profiler's frames.
     profiler = getattr(telemetry, "profiler", None)
     if profiler is not None:
-        for (process, component, name, start, end, depth,
+        for (lane, component, name, start, end, depth,
              _self_time) in profiler.frames:
             events.append({
-                "ph": "X", "pid": pid, "tid": tid_for(f"proc:{process}"),
+                "ph": "X", "pid": pid, "tid": tid_for(f"proc:{lane}"),
                 "name": f"{component}:{name}",
                 "ts": _us(start),
                 "dur": _us(max(0.0, end - start)),

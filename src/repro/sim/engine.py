@@ -167,10 +167,11 @@ class Environment:
         recycled object is a real ``Timeout`` instance.
 
         **Contract**: the caller must only ``yield`` the returned event
-        and must not retain a reference past the yield — the object is
-        reset and reissued after its callbacks run.  Events held in
-        conditions (``any_of``/``all_of``) or stored for later inspection
-        must use :meth:`timeout` instead.
+        or append a callback to it, and must not retain a reference
+        past that — the object is reset and reissued after its
+        callbacks run (a callback may read ``value`` while it runs).
+        Events held in conditions (``any_of``/``all_of``), cancelled or
+        stored for later inspection must use :meth:`timeout` instead.
         """
         if not self.fast_lane:
             return Timeout(self, delay, value)

@@ -10,6 +10,7 @@ through memory, decode the command FIS, and track completion through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
@@ -53,6 +54,9 @@ COMMAND_SLOTS = 32
 
 #: Default interrupt line for the AHCI HBA.
 AHCI_IRQ = 11
+
+#: Profiler trace lane of each command slot.
+_SLOT_LANES = tuple(f"ahci-slot{slot}" for slot in range(COMMAND_SLOTS))
 
 
 @dataclass
@@ -204,19 +208,24 @@ class AhciController:
             if new_slots & (1 << slot):
                 self._active_slots.add(slot)
                 self.pxtfd |= TFD_BSY
-                self.env.process(self._run_slot(slot),
-                                 name=f"ahci-slot{slot}")
+                self._start_slot(slot)
 
-    def _run_slot(self, slot: int):
+    def _start_slot(self, slot: int) -> None:
+        """Run ``slot``'s command by callbacks: a timer for a non-data
+        command, :meth:`Disk.start` for a transfer.
+
+        Started in the PxCI write itself, with no zero-delay hop, so a
+        direct ``Disk.execute`` request made later at that very instant
+        queues for the arm behind the slot.
+        """
         header = self._command_header(slot)
         table = self.machine.hostmem.lookup(header.ctba)
         request = decode_fis(table.cfis)
+        done = partial(self._slot_done, slot)
         if request is None:
-            if table.cfis.command == CMD_FLUSH_CACHE:
-                yield self.env.timeout(2e-3)
-            else:
-                yield self.env.timeout(100e-6)
-            self._complete_slot(slot)
+            delay = 2e-3 if table.cfis.command == CMD_FLUSH_CACHE \
+                else 100e-6
+            self.env.pooled_timeout(delay).callbacks.append(done)
             return
         buffer = self.machine.hostmem.lookup(table.prdt[0])
         if not isinstance(buffer, SectorBuffer):
@@ -227,7 +236,9 @@ class AhciController:
         request.origin = self.request_origin
         buffer.lba = request.lba
         buffer.sector_count = request.sector_count
-        yield from self.disk.execute(request)
+        self.disk.start(request, done, _SLOT_LANES[slot])
+
+    def _slot_done(self, slot: int, _event_or_request) -> None:
         self._complete_slot(slot)
 
     def _command_header(self, slot: int) -> CommandHeader:

@@ -14,7 +14,7 @@ import math
 
 from repro import params
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Request, Resource
 from repro.storage.blockdev import BlockOp, BlockRequest
 from repro.util.intervalmap import IntervalMap
 
@@ -56,6 +56,10 @@ class Disk:
         # all the dummy-sector restart trick needs).
         self._cache_start = 0
         self._cache_end = 0
+
+        # Callbacks of the per-command machine, bound once.
+        self._on_granted = self._granted
+        self._on_serviced = self._serviced
 
         # Metrics.
         self.requests_served = 0
@@ -104,22 +108,55 @@ class Disk:
         content transfer.  Reads fill ``request.buffer`` from the platter
         contents; writes store the buffer's runs.
         """
+        self._check(request)
+        with _ArmRequest(self.arm, request) as grant, \
+                self.telemetry.profiler.track("disk", request.op.value):
+            yield grant
+            yield self._service(grant)
+            self._complete(grant)
+        return request
+
+    def start(self, request: BlockRequest, done, lane: str | None,
+              parent=None) -> None:
+        """Callback form of :meth:`execute`: ``done(request)`` runs
+        where the generator would have returned.  The profiler frame
+        nests under ``parent`` on the trace lane ``lane``."""
+        self._check(request)
+        grant = _ArmRequest(self.arm, request, done, lane,
+                            self.telemetry.profiler.begin(
+                                "disk", request.op.value, parent))
+        grant.callbacks.append(self._on_granted)
+
+    def _granted(self, grant: "_ArmRequest") -> None:
+        self._service(grant).callbacks.append(self._on_serviced)
+
+    def _serviced(self, timer) -> None:
+        grant = timer._value
+        self._complete(grant)
+        if grant.span is not None:
+            self.telemetry.profiler.end(grant.span, grant.lane)
+        grant.done(grant.io)
+
+    def _check(self, request: BlockRequest) -> None:
         if request.end_lba > self.total_sectors:
             raise ValueError(
                 f"request beyond end of disk: lba={request.lba} "
                 f"n={request.sector_count}")
-        with self.arm.request() as grant, \
-                self.telemetry.profiler.track("disk", request.op.value):
-            yield grant
-            duration = self.service_time(request)
-            cache_hit = self._cache_hit(request)
-            if not cache_hit:
-                self.seek_seconds += self.seek_time(self._head_lba,
-                                                    request.lba)
-            yield self.env.timeout(duration)
-            self._apply(request, cache_hit)
-            self.busy_seconds += duration
-        return request
+
+    def _service(self, grant: "_ArmRequest"):
+        """The arm is ours: price the I/O and time its mechanics."""
+        request = grant.io
+        duration = grant.duration = self.service_time(request)
+        cache_hit = grant.cache_hit = self._cache_hit(request)
+        if not cache_hit:
+            self.seek_seconds += self.seek_time(self._head_lba, request.lba)
+        return self.env.pooled_timeout(duration, grant)
+
+    def _complete(self, grant: "_ArmRequest") -> None:
+        """The mechanics are done: move the data, free the arm."""
+        self._apply(grant.io, grant.cache_hit)
+        self.busy_seconds += grant.duration
+        self.arm.release(grant)
 
     def _apply(self, request: BlockRequest, cache_hit: bool) -> None:
         if request.op is BlockOp.READ:
@@ -158,6 +195,23 @@ class Disk:
 
     def utilization(self, elapsed: float) -> float:
         return self.busy_seconds / elapsed if elapsed > 0 else 0.0
+
+
+class _ArmRequest(Request):
+    """An I/O's claim on the actuator, carrying the I/O through its
+    service (and, from :meth:`Disk.start`, where to report it)."""
+
+    __slots__ = ("io", "done", "lane", "span", "duration", "cache_hit")
+
+    def __init__(self, arm: Resource, io: BlockRequest, done=None,
+                 lane: str | None = None, span=None):
+        self.io = io
+        self.done = done
+        self.lane = lane
+        self.span = span
+        self.duration = 0.0
+        self.cache_hit = False
+        super().__init__(arm)
 
 
 def content_digest(runs) -> str:

@@ -181,7 +181,6 @@ class IdeController:
         self.bm_prdt = 0
 
         self._pending_command: int | None = None
-        self._active_process = None
 
         # Metrics.
         self.commands_executed = 0
@@ -247,12 +246,11 @@ class IdeController:
             self._maybe_execute()
         elif command == CMD_IDENTIFY:
             self.status = STATUS_BSY | STATUS_DRDY
-            self._active_process = self.env.process(
-                self._run_identify(), name="ide-identify")
+            self.env.pooled_timeout(200e-6).callbacks.append(
+                self._identified)
         elif command == CMD_FLUSH_CACHE:
             self.status = STATUS_BSY | STATUS_DRDY
-            self._active_process = self.env.process(
-                self._run_flush(), name="ide-flush")
+            self.env.pooled_timeout(2e-3).callbacks.append(self._flushed)
         else:
             # Unsupported command: error out immediately.
             self.error = 0x04  # ABRT
@@ -264,10 +262,10 @@ class IdeController:
                 and self.bm_command & BM_CMD_START):
             command = self._pending_command
             self._pending_command = None
-            self._active_process = self.env.process(
-                self._run_dma(command), name="ide-dma")
+            self._start_dma(command)
 
-    def _run_dma(self, command: int):
+    def _start_dma(self, command: int) -> None:
+        """Run a DMA command by callbacks, through :meth:`Disk.start`."""
         request = decode_request(self.taskfile, command)
         buffer = self.machine.hostmem.lookup(self.bm_prdt)
         if not isinstance(buffer, SectorBuffer):
@@ -280,21 +278,21 @@ class IdeController:
         request.origin = self.request_origin
         buffer.lba = request.lba
         buffer.sector_count = request.sector_count
-        yield from self.disk.execute(request)
+        self.disk.start(request, self._dma_done, "ide-dma")
+
+    def _dma_done(self, _request) -> None:
         self.commands_executed += 1
         self.status = STATUS_DRDY
         self.bm_status &= ~BM_STATUS_ACTIVE
         self.bm_status |= BM_STATUS_IRQ
         self._raise_irq()
 
-    def _run_identify(self):
-        yield self.env.timeout(200e-6)
+    def _identified(self, _timer) -> None:
         self.commands_executed += 1
         self.status = STATUS_DRDY | STATUS_DRQ
         self._raise_irq()
 
-    def _run_flush(self):
-        yield self.env.timeout(2e-3)
+    def _flushed(self, _timer) -> None:
         self.commands_executed += 1
         self.status = STATUS_DRDY
         self._raise_irq()

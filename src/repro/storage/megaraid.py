@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
@@ -144,24 +145,29 @@ class MegaRaidController:
         if frame.context in self.outstanding:
             raise ValueError(f"context {frame.context} already in flight")
         self.outstanding.add(frame.context)
-        self.env.process(self._run_frame(frame),
-                         name=f"megaraid-ctx{frame.context}")
+        self._start_frame(frame)
 
-    def _run_frame(self, frame: MfiFrame):
+    def _start_frame(self, frame: MfiFrame) -> None:
+        """Run ``frame`` by callbacks: a timer for a flush,
+        :meth:`Disk.start` for a transfer."""
         request = decode_frame(frame)
+        done = partial(self._complete, frame)
         if request is None:
-            yield self.env.timeout(2e-3)  # flush & friends
-        else:
-            buffer = self.machine.hostmem.lookup(frame.buffer_address)
-            if not isinstance(buffer, SectorBuffer):
-                raise TypeError("MFI SGL does not point at a DMA buffer")
-            if buffer.sector_count < request.sector_count:
-                raise ValueError("MFI DMA buffer too small")
-            request.buffer = buffer
-            request.origin = self.request_origin
-            buffer.lba = request.lba
-            buffer.sector_count = request.sector_count
-            yield from self.disk.execute(request)
+            # Flush & friends.
+            self.env.pooled_timeout(2e-3).callbacks.append(done)
+            return
+        buffer = self.machine.hostmem.lookup(frame.buffer_address)
+        if not isinstance(buffer, SectorBuffer):
+            raise TypeError("MFI SGL does not point at a DMA buffer")
+        if buffer.sector_count < request.sector_count:
+            raise ValueError("MFI DMA buffer too small")
+        request.buffer = buffer
+        request.origin = self.request_origin
+        buffer.lba = request.lba
+        buffer.sector_count = request.sector_count
+        self.disk.start(request, done, f"megaraid-ctx{frame.context}")
+
+    def _complete(self, frame: MfiFrame, _event_or_request) -> None:
         self.commands_executed += 1
         self.outstanding.discard(frame.context)
         self._completions.append(frame.context)

@@ -23,7 +23,7 @@ from repro.sim import Environment
 
 MB = 2**20
 #: Payload bytes per frame of a bulk AoE read reply at 9000 MTU
-#: (``AoeServer._serve_read_bulk``: 17 sectors plus the AoE header).
+#: (17 sectors plus the AoE header).
 PER_FRAME = 8740
 FRAME_BYTES = 9000
 
