@@ -64,24 +64,28 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def check_replay(scenario, runs: int = 2) -> ReplayReport:
-    """Run ``scenario(recorder)`` ``runs`` times and compare streams.
+def check_replay(scenario, runs: int = 2,
+                 recorded: tuple = ()) -> ReplayReport:
+    """Run ``scenario(recorder)`` until ``runs`` streams are recorded
+    and compare them.
 
     ``scenario`` must build a **fresh** environment each call, attach
     the recorder to it (``recorder.attach(env)``) before running, and
     share no mutable state across calls — shared state is exactly the
-    bug class this checker exists to expose.
+    bug class this checker exists to expose.  ``recorded`` holds the
+    recorders of runs the caller already made with the same callable;
+    they count toward ``runs``, so a caller that recorded its own run
+    checks that very run against fresh ones.
     """
     if runs < 2:
         raise ValueError("a replay check needs at least 2 runs")
-    digests = []
-    counts = []
-    for _ in range(runs):
+    recorders = list(recorded)
+    while len(recorders) < runs:
         recorder = ReplayRecorder()
         scenario(recorder)
-        digests.append(recorder.digest())
-        counts.append(recorder.events)
-    return ReplayReport(tuple(digests), tuple(counts))
+        recorders.append(recorder)
+    return ReplayReport(tuple(r.digest() for r in recorders),
+                        tuple(r.events for r in recorders))
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ class DeploymentRun:
     telemetry: object
     #: The run's :class:`~repro.analysis.SanitizerSuite` (``sanitize=``).
     sanitizers: object = None
+    #: The :class:`~repro.cloud.WaveScheduler` (``wave_size=``).
+    scheduler: object = None
 
 
 def deployment_scenario(image_factory, node_count: int = 1,
@@ -100,6 +106,7 @@ def deployment_scenario(image_factory, node_count: int = 1,
                         select_policy: str = "round-robin",
                         loss_probability: float = 0.0,
                         wave_size: int | None = None,
+                        seed_fill: float = 0.0,
                         policy=None, wait: bool = True,
                         telemetry_factory=None,
                         fast_lane: bool = True,
@@ -108,7 +115,7 @@ def deployment_scenario(image_factory, node_count: int = 1,
                         method: str = "bmcast",
                         sanitize: bool = False,
                         settle_seconds: float = 1.0):
-    """A canned scenario callable for :func:`check_replay`.
+    """A deployment run as a scenario callable for :func:`check_replay`.
 
     ``image_factory`` is a zero-argument callable returning a fresh
     :class:`~repro.guest.osimage.OsImage` — each run needs its own
@@ -126,7 +133,8 @@ def deployment_scenario(image_factory, node_count: int = 1,
     against one with no option at all.  ``sanitize`` attaches a fresh
     :class:`~repro.analysis.SanitizerSuite` to each run.  With ``wait``
     the run continues to every copy's completion plus
-    ``settle_seconds``.
+    ``settle_seconds``.  ``seed_fill`` holds each wave until the
+    previous one's mean bitmap fill reaches it.
 
     The callable takes an optional :class:`ReplayRecorder` and returns
     the :class:`DeploymentRun`, so a caller can run the scenario once
@@ -156,10 +164,11 @@ def deployment_scenario(image_factory, node_count: int = 1,
         suite = None
         if sanitize:
             suite = options["sanitizers"] = SanitizerSuite(env)
+        scheduler = None if wave_size is None else WaveScheduler(
+            cluster, wave_size=wave_size, seed_fill_fraction=seed_fill)
 
         def run():
-            if wave_size is not None:
-                scheduler = WaveScheduler(cluster, wave_size=wave_size)
+            if scheduler is not None:
                 yield from scheduler.run(method, policy=policy, **options)
             else:
                 yield from cluster.deploy_all(method, policy=policy,
@@ -169,6 +178,6 @@ def deployment_scenario(image_factory, node_count: int = 1,
                     settle_seconds=settle_seconds)
 
         testbed.env.run(until=testbed.env.process(run()))
-        return DeploymentRun(testbed, cluster, telemetry, suite)
+        return DeploymentRun(testbed, cluster, telemetry, suite, scheduler)
 
     return scenario

@@ -20,11 +20,13 @@ so a tick never blocks on a slow node; capacity in flight is visible
 to the policy through the observation's ``deploying``/``reclaiming``
 counts.  Every decision, admission, and completion is appended to
 in-order logs, and the whole run is deterministic — the CLI's
-``--replay-check`` executes it twice and compares event digests.
+``--replay-check`` runs :func:`elasticity_scenario` a second time and
+compares event digests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 
 from repro.ctl.lifecycle import NodePool
@@ -261,30 +263,55 @@ class ElasticController:
         }
 
 
-# -- canned scenario for replay checks ---------------------------------------
+# -- the elastic run as a replayable scenario ---------------------------------
+
+@dataclass(frozen=True)
+class ElasticRun:
+    """What one run of an :func:`elasticity_scenario` built."""
+
+    controller: ElasticController
+    telemetry: object
+    #: The run's sanitizer suite (``sanitizer_factory=``).
+    sanitizers: object = None
+
 
 def elasticity_scenario(image_factory, node_count: int = 6,
                         server_count: int = 1, p2p: bool = True,
                         policy_name: str = "reactive",
                         placement_name: str = "cache-aware",
                         demand_name: str = "flash-crowd",
+                        demand_trace: str | None = None,
                         demand_seed: int = 20150314,
                         duration: float = 1800.0, tick: float = 15.0,
                         vmxoff_mode: str = "resident",
+                        preserve_on_reclaim: bool = True,
+                        fluid: bool = False,
                         telemetry_factory=None,
+                        sanitizer_factory=None,
                         fast_lane: bool = True):
-    """A canned autoscaling run for :func:`~repro.analysis.replay.
-    check_replay` — fresh environment and testbed per call, per the
-    checker's contract.  Exercises grow -> shrink -> grow so the
+    """One autoscaling run as a scenario callable — fresh environment
+    and testbed per call, per :func:`~repro.analysis.replay.
+    check_replay`'s contract.  Exercises grow -> shrink -> grow so the
     reclaim path's determinism is part of the digest.
+
+    ``demand_trace`` names a recorded request-trace file that replaces
+    the ``demand_name`` model.  ``fluid`` opts every deployment into
+    the fluid-flow fast path.  ``telemetry_factory`` and
+    ``sanitizer_factory`` (each ``env -> object``) arm telemetry and a
+    sanitizer suite for each run.
+
+    The callable takes an optional recorder and returns the
+    :class:`ElasticRun`, so a caller can run the scenario once for its
+    own use and hand the same callable to ``check_replay`` — the
+    replay then checks the very run it was given.
     """
     from repro.cloud import build_testbed
-    from repro.ctl.demand import DEMANDS
+    from repro.ctl.demand import DEMANDS, TraceDemand, load_trace
     from repro.ctl.placement import PLACEMENTS
     from repro.ctl.policy import POLICIES
     from repro.sim import Environment
 
-    def scenario(recorder) -> None:
+    def scenario(recorder=None) -> ElasticRun:
         env = Environment(fast_lane=fast_lane)
         telemetry = NULL_TELEMETRY if telemetry_factory is None \
             else telemetry_factory(env)
@@ -292,14 +319,25 @@ def elasticity_scenario(image_factory, node_count: int = 6,
                                 server_count=server_count, p2p=p2p,
                                 image=image_factory(), env=env,
                                 telemetry=telemetry)
-        recorder.attach(env)
+        if recorder is not None:
+            recorder.attach(env)
+        options = {"fluid": True} if fluid else {}
+        suite = None
+        if sanitizer_factory is not None:
+            suite = options["sanitizers"] = sanitizer_factory(env)
         pool = NodePool(testbed, vmxoff_mode=vmxoff_mode,
-                        telemetry=telemetry)
+                        deploy_options=options, telemetry=telemetry)
+        if demand_trace is not None:
+            demand = TraceDemand(load_trace(demand_trace),
+                                 seed=demand_seed)
+        else:
+            demand = DEMANDS[demand_name](seed=demand_seed)
         controller = ElasticController(
-            pool, DEMANDS[demand_name](seed=demand_seed),
-            POLICIES[policy_name](), PLACEMENTS[placement_name](),
-            tick=tick, telemetry=telemetry)
+            pool, demand, POLICIES[policy_name](),
+            PLACEMENTS[placement_name](), tick=tick,
+            preserve_on_reclaim=preserve_on_reclaim, telemetry=telemetry)
         env.run(until=env.process(controller.run(duration),
                                   name="ctl-loop"))
+        return ElasticRun(controller, telemetry, suite)
 
     return scenario

@@ -90,29 +90,22 @@ class SweepSpec:
 
 def _run_ctl_point(params: dict, fixed: dict, seed: int) -> dict:
     """One elastic-control-plane run; returns the numeric report."""
-    from repro.cloud import build_testbed
-    from repro.ctl import (DEMANDS, PLACEMENTS, POLICIES,
-                           ElasticController, NodePool)
+    from repro.ctl import elasticity_scenario
     from repro.guest.osimage import OsImage
 
     image_mb = int(fixed.get("image_mb", 64))
-    image = OsImage(size_bytes=image_mb * MB,
-                    boot_read_bytes=min(16 * MB, image_mb * MB // 4),
-                    boot_think_seconds=3.0)
-    testbed = build_testbed(node_count=int(params["nodes"]),
-                            server_count=1, p2p=True, image=image)
-    pool = NodePool(testbed, vmxoff_mode=fixed.get("vmxoff_mode",
-                                                   "resident"))
-    demand = DEMANDS[params["demand"]](seed=seed)
-    controller = ElasticController(
-        pool, demand, POLICIES[params["policy"]](),
-        PLACEMENTS[fixed.get("placement", "cache-aware")](),
-        tick=float(fixed.get("tick", 15.0)))
-    env = testbed.env
-    env.run(until=env.process(
-        controller.run(float(fixed.get("duration", 900.0))),
-        name="ctl-loop"))
-    report = controller.report()
+    scenario = elasticity_scenario(
+        lambda: OsImage(size_bytes=image_mb * MB,
+                        boot_read_bytes=min(16 * MB, image_mb * MB // 4),
+                        boot_think_seconds=3.0),
+        node_count=int(params["nodes"]), server_count=1, p2p=True,
+        policy_name=params["policy"],
+        placement_name=fixed.get("placement", "cache-aware"),
+        demand_name=params["demand"], demand_seed=seed,
+        duration=float(fixed.get("duration", 900.0)),
+        tick=float(fixed.get("tick", 15.0)),
+        vmxoff_mode=fixed.get("vmxoff_mode", "resident"))
+    report = scenario().controller.report()
     report.pop("fleet", None)
     return {name: value for name, value in sorted(report.items())
             if isinstance(value, (int, float))}
@@ -125,22 +118,19 @@ def _run_moderation_point(params: dict, fixed: dict, seed: int) -> dict:
     ``seed`` is unused — it is accepted so every kind has the same
     worker signature and seed bookkeeping.
     """
+    from repro.analysis import deployment_scenario
     from repro.apps.fio import FioBenchmark
-    from repro.cloud.provisioner import Provisioner
-    from repro.cloud.scenario import build_testbed
     from repro.guest.osimage import OsImage
     from repro.vmm.moderation import interval_sweep_policy
 
     image_mb = int(fixed.get("image_mb", 2048))
-    image = OsImage(size_bytes=image_mb * MB,
-                    boot_read_bytes=min(16 * MB, image_mb * MB // 4))
-    testbed = build_testbed(image=image)
-    provisioner = Provisioner(testbed)
-    env = testbed.env
-    interval = float(params["write_interval"])
-    instance = env.run(until=env.process(provisioner.deploy(
-        "bmcast", skip_firmware=True,
-        policy=interval_sweep_policy(interval))))
+    run = deployment_scenario(
+        lambda: OsImage(size_bytes=image_mb * MB,
+                        boot_read_bytes=min(16 * MB, image_mb * MB // 4)),
+        policy=interval_sweep_policy(float(params["write_interval"])),
+        wait=False)()
+    env = run.testbed.env
+    instance = run.cluster.instances[0]
     vmm = instance.platform
     fio = FioBenchmark(instance)
     fio.TOTAL_BYTES = int(fixed.get("fio_mb", 128)) * MB

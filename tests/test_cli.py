@@ -121,3 +121,113 @@ def test_scaleout_sanitized(capsys):
                  "--sanitize"]) == 0
     out = capsys.readouterr().out
     assert "sanitizers: clean" in out
+
+
+def _events(out):
+    printed = int(re.search(r"simulated events: (\d+)", out).group(1))
+    replayed = int(re.search(r"runs identical \((\d+) events",
+                             out).group(1))
+    return printed, replayed
+
+
+def test_ctl_replay_check_replays_the_printed_run(capsys):
+    # --no-preserve reaches the replayed scenario: a preserve-on-reclaim
+    # replay would process a different event count.
+    assert main(["ctl", "--nodes", "6", "--demand", "flash-crowd",
+                 "--duration", "1800", "--image-gb", "0.0625", "--p2p",
+                 "--no-preserve", "--replay-check"]) == 0
+    printed, replayed = _events(capsys.readouterr().out)
+    assert replayed == printed
+
+
+def test_ctl_replay_check_replays_a_demand_trace(tmp_path, capsys):
+    trace = tmp_path / "demand.json"
+    common = ["--nodes", "4", "--duration", "1200", "--image-gb",
+              "0.0625", "--p2p"]
+    assert main(["ctl", "--demand", "step", "--dump-demand", str(trace),
+                 *common]) == 0
+    capsys.readouterr()
+    assert main(["ctl", "--demand-trace", str(trace), "--replay-check",
+                 *common]) == 0
+    printed, replayed = _events(capsys.readouterr().out)
+    assert replayed == printed
+
+
+def _ready_and_end(out):
+    ready = re.search(r"instance ready after ([\d.]+)s", out).group(1)
+    end = re.search(r"deployment finished at t=([\d.]+)s", out)
+    return ready, end and end.group(1)
+
+
+def test_metrics_trace_profile_are_modes_of_the_deploy_run(tmp_path,
+                                                           capsys):
+    image = ["--image-gb", "0.0625"]
+    assert main(["deploy", "--wait", *image]) == 0
+    deployed = _ready_and_end(capsys.readouterr().out)
+    assert deployed[1] is not None
+    assert main(["trace", "--out", str(tmp_path / "t.json"), *image]) == 0
+    assert _ready_and_end(capsys.readouterr().out) == deployed
+    assert main(["profile", *image]) == 0
+    assert _ready_and_end(capsys.readouterr().out) == deployed
+
+    assert main(["deploy", *image]) == 0
+    deployed = _ready_and_end(capsys.readouterr().out)
+    assert main(["metrics", *image]) == 0
+    assert _ready_and_end(capsys.readouterr().out) == deployed
+
+
+#: Each command's parsed defaults, recorded before the flag
+#: declarations were shared across commands.
+DEFAULTS = {
+    "deploy": {
+        "cold": False, "command": "deploy", "controller": "ahci",
+        "fluid": False, "full_speed": False, "image_gb": 4.0,
+        "method": "bmcast", "metrics_out": None, "p2p": False,
+        "prefetch": False, "replay_check": False, "replicas": 1,
+        "sanitize": False, "select_policy": "round-robin",
+        "trace": False, "trace_out": None, "wait": False},
+    "scaleout": {
+        "command": "scaleout", "fluid": False, "full_speed": False,
+        "image_gb": 0.5, "nodes": 8, "p2p": False, "replicas": 2,
+        "sanitize": False, "seed_fill": 0.25,
+        "select_policy": "least-outstanding", "trace_out": None,
+        "wait": False, "wave_size": 4},
+    "ctl": {
+        "command": "ctl", "demand": "flash-crowd", "demand_trace": None,
+        "dump_demand": None, "duration": 3600.0, "fluid": False,
+        "image_gb": 0.25, "metrics_out": None, "no_preserve": False,
+        "nodes": 8, "p2p": False, "placement": "cache-aware",
+        "policy": "reactive", "replay_check": False, "replicas": 1,
+        "sanitize": False, "seed": 20150314, "tick": 15.0,
+        "trace_out": None, "vmxoff_mode": "resident"},
+    "compare": {
+        "command": "compare", "image_gb": 4.0, "metrics_out": None,
+        "trace_out": None},
+    "sweep": {
+        "command": "sweep", "demands": "flash-crowd", "duration": 900.0,
+        "image_gb": None, "intervals": "1.0,0.1,0.01,0.001,0.0",
+        "jobs": 1, "kind": "moderation", "node_counts": "6", "out": None,
+        "policies": "reactive,headroom", "seed": 20150314},
+    "metrics": {
+        "command": "metrics", "controller": "ahci", "image_gb": 1.0,
+        "method": "bmcast", "metrics_out": None, "wait": False},
+    "trace": {
+        "command": "trace", "controller": "ahci", "folded_out": None,
+        "image_gb": 1.0, "method": "bmcast", "out": "trace.json",
+        "wait": True},
+    "profile": {
+        "anchor": None, "command": "profile", "controller": "ahci",
+        "image_gb": 1.0, "method": "bmcast", "out": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_command_defaults_unchanged(command):
+    from repro.cli import _build_parser
+    assert vars(_build_parser().parse_args([command])) \
+        == DEFAULTS[command]
+
+
+def test_check_forwards_to_simcheck(capsys):
+    assert main(["check", "--list-checks"]) == 0
+    assert "CHECK052" in capsys.readouterr().out
