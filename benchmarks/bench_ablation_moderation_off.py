@@ -10,7 +10,7 @@ import pytest
 
 from _common import deploy_instances, emit, once, small_image
 from repro.apps.fio import FioBenchmark
-from repro.metrics.report import format_table
+from repro.obs import format_table
 from repro.vmm.moderation import FULL_SPEED, ModerationPolicy
 
 

@@ -10,7 +10,7 @@ redirect latency.
 import pytest
 
 from _common import deploy_instances, emit, once
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 
 def boot_metrics(has_preemption_timer: bool):

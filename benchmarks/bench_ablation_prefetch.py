@@ -12,7 +12,7 @@ import pytest
 from _common import emit, once
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 
 def boot_with(prefetch: bool):

@@ -11,7 +11,7 @@ import pytest
 from _common import emit, once, small_image
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
-from repro.metrics.report import format_table
+from repro.obs import format_table
 from repro.vmm.moderation import FULL_SPEED
 
 IMAGE_MB = 1024

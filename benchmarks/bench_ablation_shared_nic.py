@@ -14,9 +14,9 @@ import pytest
 from _common import emit, once, small_image
 from repro.cloud.scenario import build_testbed
 from repro.guest.driver_e1000 import E1000Driver
-from repro.metrics.report import format_table
 from repro.net.e1000 import E1000Nic
 from repro.net.nic import Nic
+from repro.obs import format_table
 from repro.sim import Interrupt
 from repro.vmm.bmcast import BmcastVmm
 from repro.vmm.mediator_nic import NicMediator, SharedNicPort

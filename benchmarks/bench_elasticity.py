@@ -31,7 +31,7 @@ from repro.cloud import build_testbed
 from repro.ctl import (DEMANDS, PLACEMENTS, POLICIES, ElasticController,
                        NodePool, image_block_set, percentile)
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 

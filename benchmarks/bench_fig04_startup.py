@@ -10,7 +10,7 @@ initialization) and 3.5x faster including it.
 import os
 
 from _common import deploy_instances, emit, once, small_image
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 #: Quick mode (CI smoke): a small image instead of the paper's 32 GB,
 #: so absolute times shift and the shape assertions are skipped — the

@@ -14,7 +14,7 @@ from _common import deploy_instances, emit, once, run
 from repro.apps.kvstore import CASSANDRA, MEMCACHED, KvStoreServer
 from repro.apps.ycsb import READ_HEAVY, WRITE_HEAVY, YcsbBenchmark
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 #: Sized so the deploy phase lasts minutes (like the paper's 16-17) but
 #: the bench stays tractable: 8 GB at the same ~45 MB/s copy rate.

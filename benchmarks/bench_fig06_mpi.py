@@ -7,7 +7,7 @@ Allgather latency reaches 235% of bare metal, Allreduce +35%.
 
 from _common import deploy_instances, emit, once, run, small_image
 from repro.apps.mpi import COLLECTIVES, MpiCluster
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 NODES = 10
 MESSAGE_BYTES = 1024

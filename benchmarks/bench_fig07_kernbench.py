@@ -10,7 +10,7 @@ import pytest
 
 from _common import deploy_instances, deploy_to_devirt, emit, once, run
 from repro.apps.kernbench import KernbenchRun
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 PAPER_RATIOS = {
     "baremetal": 1.0,

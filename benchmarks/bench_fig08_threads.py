@@ -10,7 +10,7 @@ import pytest
 
 from _common import deploy_instances, emit, once, run
 from repro.apps.sysbench import ThreadBenchmark
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 THREAD_COUNTS = (1, 2, 4, 8, 12, 16, 20, 24)
 

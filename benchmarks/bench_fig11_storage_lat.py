@@ -10,7 +10,7 @@ import pytest
 
 from _common import deploy_instances, deploy_to_devirt, emit, once, run
 from repro.apps.fio import IopingBenchmark
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 
 def run_figure():

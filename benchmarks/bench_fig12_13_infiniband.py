@@ -11,7 +11,7 @@ import pytest
 from _common import deploy_instances, deploy_to_devirt, emit, once, \
     run, small_image
 from repro.apps.perftest import RdmaPerfTest
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 
 def run_figure():

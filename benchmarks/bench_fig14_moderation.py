@@ -13,7 +13,7 @@ import pytest
 from _common import deploy_instances, emit, once
 from repro import params
 from repro.apps.fio import FioBenchmark
-from repro.metrics.report import format_table
+from repro.obs import format_table
 from repro.vmm.moderation import interval_sweep_policy
 
 INTERVALS = (1.0, 0.1, 0.01, 1e-3, 1e-6, 0.0)

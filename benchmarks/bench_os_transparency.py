@@ -15,7 +15,7 @@ from repro.baselines.os_streaming import OsNotSupportedError
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
 from repro.guest.osimage import centos_image, ubuntu_image, windows_image
-from repro.metrics.report import format_table
+from repro.obs import format_table
 from repro.vmm.moderation import FULL_SPEED
 
 MB = 2**20

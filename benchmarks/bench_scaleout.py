@@ -24,7 +24,7 @@ import os
 from _common import MB, emit, once
 from repro.cloud import Cluster, WaveScheduler, build_testbed
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 from repro.vmm.moderation import FULL_SPEED
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"

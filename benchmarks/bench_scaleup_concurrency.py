@@ -13,7 +13,7 @@ from _common import emit, once
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 MB = 2**20
 

@@ -12,7 +12,7 @@ from repro import Provisioner, build_testbed
 from repro.baselines.os_streaming import OsNotSupportedError
 from repro.cloud.provisioner import METHODS
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 #: 4-GB image keeps the example fast; switch to OsImage() for the
 #: paper's full 32-GB run.

@@ -29,7 +29,7 @@ from repro.cloud import Cluster, WaveScheduler
 from repro.ctl import (ElasticController, FlashCrowdDemand, NodePool,
                        CacheAwarePlacement, ReactivePolicy)
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 #: Shrunk image so the example runs in seconds (same machinery).
 IMAGE = dict(size_bytes=4 * 2**30, boot_read_bytes=24 * 2**20,

@@ -12,7 +12,7 @@ Run:  python examples/hpc_cluster.py
 from repro import Provisioner, build_testbed
 from repro.apps.mpi import COLLECTIVES, MpiCluster
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 NODES = 10
 

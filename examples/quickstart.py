@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro import Provisioner, build_testbed
 from repro.hw.cpu import VmxMode
-from repro.metrics.report import format_table
+from repro.obs import format_table
 
 
 def main():

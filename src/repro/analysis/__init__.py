@@ -9,7 +9,7 @@ Three layers:
 * **simcheck** (:mod:`repro.analysis.simcheck`) — whole-program
   static analysis layered above simlint: call-graph determinism
   taint, process discipline, shared-state race candidates, FSM model
-  extraction, and import layering.  Run it as ``repro check`` or
+  extraction, and import cycles.  Run it as ``repro check`` or
   ``python -m repro.analysis --check``.
 * **runtime sanitizers** (:mod:`repro.analysis.sanitizers` and
   friends) — opt-in checkers attached to a live deployment:

@@ -204,7 +204,7 @@ class LayeringRule(Rule):
     RANKS = {
         "params": 0, "util": 0,
         "sim": 1,
-        "obs": 2, "metrics": 2,
+        "obs": 2,
         # net includes the fluid-flow solver (repro.net.flow), which
         # must stay at device-model rank: it may import sim/obs/params
         # only, never the AoE or VMM layers that drive it.

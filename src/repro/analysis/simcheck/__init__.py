@@ -5,7 +5,7 @@ parses the entire tree into a :class:`~repro.analysis.simcheck.model.
 ProjectModel` — call graph, process-function closure, attribute-type
 tables — and runs five interprocedural passes over it: determinism
 taint, process discipline, shared-state race candidates, FSM model
-extraction, and import layering.  ``repro check`` is the CLI.
+extraction, and import cycles.  ``repro check`` is the CLI.
 """
 
 from repro.analysis.simcheck.baseline import Baseline, BaselineEntry

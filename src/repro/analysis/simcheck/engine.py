@@ -22,7 +22,6 @@ CHECK033              error     busy FSM state without a recovery edge
 CHECK034              error     FSM spec malformed / extraction failed
 CHECK050              error     import cycle among project modules
 CHECK051              warning   package missing from SIM005's rank table
-CHECK052              error     whole-program layering violation
 ====================  ========  ==============================================
 
 Suppression uses simlint's grammar under the ``simcheck`` prefix
@@ -88,9 +87,6 @@ CATALOG: dict = {
                  "process generator yields a plain constant"),
     "CHECK050": (9, SEVERITY_ERROR,
                  "import cycle among project modules"),
-    "CHECK052": (10, SEVERITY_ERROR,
-                 "whole-program layering violation (SIM005 "
-                 "cross-check)"),
     "CHECK020": (11, SEVERITY_WARNING,
                  "shared attribute written by 2+ process functions "
                  "without claim protocol"),
@@ -276,7 +272,7 @@ def main(argv=None) -> int:
         prog="simcheck",
         description="Whole-program static analysis for the BMcast "
         "simulator: determinism taint, process discipline, race "
-        "candidates, FSM spec checking, import layering.")
+        "candidates, FSM spec checking, import cycles.")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories (default: src/repro)")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,

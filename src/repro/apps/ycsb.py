@@ -9,7 +9,7 @@ de-virtualization.
 from __future__ import annotations
 
 from repro.apps.kvstore import KvStoreServer
-from repro.metrics.timeseries import TimeSeries
+from repro.obs import TimeSeries
 
 
 #: The paper's two workload mixes.

@@ -22,7 +22,7 @@ Commands:
 * ``lint``      — run simlint (repro.analysis) over the source tree.
 * ``check``     — run simcheck, the whole-program static analysis
   (call-graph determinism taint, process discipline, race candidates,
-  FSM spec checking, import layering).
+  FSM spec checking, import cycles).
 * ``info``      — the calibrated testbed constants.
 
 Every command that simulates builds its run through one of two
@@ -51,8 +51,7 @@ from repro.ctl.placement import PLACEMENTS as CTL_PLACEMENTS
 from repro.ctl.policy import POLICIES as CTL_POLICIES
 from repro.dist.selector import POLICIES
 from repro.guest.osimage import OsImage
-from repro.metrics.report import format_table
-from repro.obs import Telemetry
+from repro.obs import Telemetry, format_table
 
 #: Every flag more than one command takes, declared once; a command
 #: picks its flags by name and sets its own defaults.
@@ -130,8 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="include the first firmware initialization")
     deploy.add_argument("--prefetch", action="store_true",
                         help="prefetch the boot working set (BMcast)")
-    deploy.add_argument("--trace", action="store_true",
-                        help="record and print the VMM's event trace")
 
     scaleout = command(
         "scaleout", "deploy a fleet in waves over the fabric", "nodes",
@@ -309,8 +306,6 @@ def _deploy(args):
     options = {"skip_firmware": not getattr(args, "cold", False)}
     if getattr(args, "prefetch", False) and bmcast:
         options["prefetch_lbas"] = _image(args.image_gb).boot_lbas()
-    if getattr(args, "trace", False) and bmcast:
-        options["trace"] = True
     if getattr(args, "fluid", False):
         options["fluid"] = True
     # profile always waits; --wait runs to the copy's completion and
@@ -344,9 +339,6 @@ def _deploy(args):
         for key, value in platform.summary().items():
             print(f"  {key}: {value}")
     print(f"simulated events: {env.events_processed}")
-    if options.get("trace"):
-        print("\nlast trace events:")
-        print(platform.tracer.dump(limit=20))
     return run, _finish(args, run, scenario, recorder,
                         f"deploy:{args.method}")
 

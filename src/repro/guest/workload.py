@@ -9,7 +9,7 @@ the instance storage facade.
 from __future__ import annotations
 
 from repro import params
-from repro.metrics.timeseries import TimeSeries
+from repro.obs import TimeSeries
 from repro.util.rng import make_rng
 
 

@@ -20,6 +20,7 @@ from repro.obs.causal import (
     classify_actor,
 )
 from repro.obs.export import (
+    format_table,
     telemetry_summary,
     telemetry_to_dict,
     telemetry_to_prometheus,
@@ -39,6 +40,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
     Series,
+    TimeSeries,
 )
 from repro.obs.spans import (
     AMBIENT,
@@ -63,8 +65,8 @@ __all__ = [
     "NullSpanTracer", "NullTelemetry", "NULL_CAUSAL", "NULL_PROFILER",
     "NULL_PROVENANCE", "NULL_REGISTRY", "NULL_TELEMETRY", "NULL_TRACER",
     "Series", "SimProfiler", "Span", "SpanTracer", "Telemetry",
-    "chrome_trace_document", "classify_actor", "folded_stacks",
-    "format_profile", "profile_report", "telemetry_summary",
-    "telemetry_to_dict", "telemetry_to_prometheus", "write_chrome_trace",
-    "write_json",
+    "TimeSeries", "chrome_trace_document", "classify_actor",
+    "folded_stacks", "format_profile", "format_table", "profile_report",
+    "telemetry_summary", "telemetry_to_dict", "telemetry_to_prometheus",
+    "write_chrome_trace", "write_json",
 ]

@@ -2,14 +2,13 @@
 
 The JSON document is the machine-readable record a bench or CI run
 archives; the Prometheus format is what a scrape endpoint would serve;
-the summary is what ``python -m repro metrics`` prints for humans.
+the summary is what ``python -m repro metrics`` prints for humans, in
+the same :func:`format_table` tables the benches print their figures in.
 """
 
 from __future__ import annotations
 
 import json
-
-from repro.metrics.report import format_table
 
 
 def telemetry_to_dict(telemetry) -> dict:
@@ -160,20 +159,80 @@ def _number(value: float) -> str:
 # -- human summary -------------------------------------------------------------------
 
 
+def format_table(headers: list, rows: list, title: str = "") -> str:
+    """Monospace table with right-aligned numeric columns."""
+    columns = len(headers)
+    rendered_rows = []
+    for row in rows:
+        if len(row) != columns:
+            raise ValueError("row width does not match headers")
+        rendered_rows.append([_render(cell) for cell in row])
+    widths = [
+        max(len(str(headers[index])),
+            *(len(row[index]) for row in rendered_rows)) if rendered_rows
+        else len(str(headers[index]))
+        for index in range(columns)
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append("  ".join(
+        str(header).ljust(widths[index])
+        for index, header in enumerate(headers)))
+    lines.append("  ".join("-" * width for width in widths))
+    for row in rendered_rows:
+        lines.append("  ".join(
+            cell.rjust(widths[index]) if _is_numeric(cell)
+            else cell.ljust(widths[index])
+            for index, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def _render(cell) -> str:
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        if abs(cell) >= 100:
+            return f"{cell:.0f}"
+        if abs(cell) >= 1:
+            return f"{cell:.2f}"
+        return f"{cell:.4f}"
+    return str(cell)
+
+
+def _is_numeric(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
 def telemetry_summary(telemetry, span_limit: int = 40) -> str:
-    """The ``repro metrics`` report: phases, counters, percentiles."""
+    """The ``repro metrics`` report: phases, counters, percentiles.
+
+    The span tree always lists the structural spans (roots and their
+    direct children: deploys and their phases); deeper spans fill the
+    rows left under ``span_limit`` in tree order.
+    """
     sections: list[str] = []
     now = telemetry.env.now
 
-    span_rows = []
+    spans = []
     for span in telemetry.tracer.walk():
-        if len(span_rows) >= span_limit:
-            break
         depth = 0
         parent = span.parent
         while parent is not None:
             depth += 1
             parent = parent.parent
+        spans.append((span, depth))
+    room = span_limit - sum(depth <= 1 for _, depth in spans)
+    span_rows = []
+    for span, depth in spans:
+        if depth > 1:
+            if room <= 0:
+                continue
+            room -= 1
         end = span.end if span.end is not None else now
         span_rows.append(["  " * depth + span.name,
                           round(span.start, 3), round(end, 3),

@@ -16,8 +16,7 @@ call per event.
 from __future__ import annotations
 
 import math
-
-from repro.metrics.timeseries import TimeSeries
+from dataclasses import dataclass, field
 
 
 class Counter:
@@ -183,6 +182,88 @@ class Histogram:
     def __repr__(self):
         return f"<Histogram {self.name}{dict(self.labels)} " \
                f"n={self.count}>"
+
+
+@dataclass
+class TimeSeries:
+    """Samples of one metric over simulated time."""
+
+    name: str
+    unit: str = ""
+    samples: list = field(default_factory=list)  # (time, value)
+
+    def record(self, time: float, value: float) -> None:
+        self.samples.append((time, value))
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def values(self) -> list:
+        return [value for _, value in self.samples]
+
+    def mean(self) -> float:
+        values = self.values()
+        if not values:
+            raise ValueError(f"no samples in series {self.name!r}")
+        return sum(values) / len(values)
+
+    def time_weighted_mean(self, until: float | None = None) -> float:
+        """Mean weighted by how long each sample was in effect.
+
+        Each sample's value is held from its timestamp until the next
+        sample (or ``until``, defaulting to the last timestamp), so a
+        burst of rapid samples no longer dominates long steady
+        stretches the way the arithmetic :meth:`mean` lets it.
+        """
+        if not self.samples:
+            raise ValueError(f"no samples in series {self.name!r}")
+        if len(self.samples) == 1:
+            return self.samples[0][1]
+        end = self.samples[-1][0] if until is None else until
+        weighted = 0.0
+        total = 0.0
+        for (time, value), (next_time, _) in zip(self.samples,
+                                                 self.samples[1:]):
+            span = next_time - time
+            weighted += value * span
+            total += span
+        tail = end - self.samples[-1][0]
+        if tail > 0:
+            weighted += self.samples[-1][1] * tail
+            total += tail
+        if total <= 0:
+            # All samples share one timestamp: fall back to the mean.
+            return self.mean()
+        return weighted / total
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-quantile (``q`` in [0, 1]), linearly interpolated."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("q must be in [0, 1]")
+        values = sorted(self.values())
+        if not values:
+            raise ValueError(f"no samples in series {self.name!r}")
+        if len(values) == 1:
+            return values[0]
+        position = q * (len(values) - 1)
+        low = int(position)
+        high = min(low + 1, len(values) - 1)
+        fraction = position - low
+        return values[low] + (values[high] - values[low]) * fraction
+
+    def min(self) -> float:
+        return min(self.values())
+
+    def max(self) -> float:
+        return max(self.values())
+
+    def mean_between(self, start: float, end: float) -> float:
+        window = [value for time, value in self.samples
+                  if start <= time < end]
+        if not window:
+            raise ValueError(
+                f"no samples in [{start}, {end}) of {self.name!r}")
+        return sum(window) / len(window)
 
 
 class Series:

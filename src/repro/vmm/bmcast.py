@@ -20,7 +20,6 @@ from repro import params
 from repro.aoe.client import AoeInitiator
 from repro.hw.cpu import ExitReason
 from repro.hw.platform import PlatformCondition
-from repro.metrics.eventlog import NULL_LOG, EventLog
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment
 from repro.vmm.bitmap import BlockBitmap
@@ -66,7 +65,6 @@ class BmcastVmm:
                  release_memory: bool = False,
                  prefetch_lbas=None,
                  extra_mediators=(),
-                 trace: bool = False,
                  fabric=None,
                  peer_nic=None,
                  fluid: bool = False,
@@ -111,14 +109,11 @@ class BmcastVmm:
                                       poll_interval=poll_interval,
                                       telemetry=telemetry, **rto_kwargs)
         self.bitmap = BlockBitmap(image_sectors)
-        #: Structured event log (opt-in; see repro.metrics.eventlog).
-        self.tracer = EventLog(env) if trace else NULL_LOG
         self.deployment = DeploymentContext(
             env, self.bitmap, self.initiator,
             poll_interval=poll_interval,
             protected_lba=image_sectors + 8,
             protected_sectors=64,
-            tracer=self.tracer,
             telemetry=telemetry,
         )
         #: Distribution fabric (repro.dist): route fetches through a
@@ -276,7 +271,6 @@ class BmcastVmm:
     def _enter_phase(self, phase: str) -> None:
         self.phase = phase
         self.phase_log.append((self.env.now, phase))
-        self.tracer.log("phase", f"entered {phase}")
         # One phase span open at a time; new work (AoE round-trips,
         # mediated commands, the copier) attaches to the current phase.
         spans = self.telemetry.tracer

@@ -349,11 +349,6 @@ class BackgroundCopier:
         self._m_progress.set(bitmap.filled_count
                              / bitmap.block_count)
         self._m_throughput.record(self.env.now, self.write_rate())
-        if self.blocks_filled % 256 == 0 or bitmap.complete:
-            self.deployment.tracer.log(
-                "copy", "background copy progress",
-                filled=bitmap.filled_count,
-                total=bitmap.block_count)
 
     def _write_run(self, first_block: int, block_count: int, runs: list):
         """Land a coalesced run with one disk transaction.
@@ -414,11 +409,6 @@ class BackgroundCopier:
                 self._m_progress.set(bitmap.filled_count
                                      / bitmap.block_count)
                 self._m_throughput.record(self.env.now, self.write_rate())
-                if self.blocks_filled % 256 == 0 or bitmap.complete:
-                    self.deployment.tracer.log(
-                        "copy", "background copy progress",
-                        filled=bitmap.filled_count,
-                        total=bitmap.block_count)
 
     def _do_writeback(self, lba: int, sector_count: int, runs: list):
         """Persist data fetched by copy-on-read.

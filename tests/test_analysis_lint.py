@@ -150,6 +150,16 @@ def test_from_repro_import_package_detected():
     assert rules_of(results) == ["SIM005"]
 
 
+def test_function_level_upward_import_detected():
+    # A deferred import is still a dependency: SIM005 checks it too.
+    results = findings("""
+        def late():
+            import repro.ctl.widget
+            return repro.ctl.widget
+    """, module="repro.sim.clock")
+    assert rules_of(results) == ["SIM005"]
+
+
 # -- SIM006: blocking primitives ---------------------------------------------
 
 def test_time_sleep_detected():

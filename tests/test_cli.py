@@ -185,7 +185,7 @@ DEFAULTS = {
         "method": "bmcast", "metrics_out": None, "p2p": False,
         "prefetch": False, "replay_check": False, "replicas": 1,
         "sanitize": False, "select_policy": "round-robin",
-        "trace": False, "trace_out": None, "wait": False},
+        "trace_out": None, "wait": False},
     "scaleout": {
         "command": "scaleout", "fluid": False, "full_speed": False,
         "image_gb": 0.5, "nodes": 8, "p2p": False, "replicas": 2,
@@ -230,4 +230,4 @@ def test_command_defaults_unchanged(command):
 
 def test_check_forwards_to_simcheck(capsys):
     assert main(["check", "--list-checks"]) == 0
-    assert "CHECK052" in capsys.readouterr().out
+    assert "CHECK050" in capsys.readouterr().out

@@ -7,8 +7,7 @@ from repro.aoe.server import ImageStore
 from repro.cloud.instance import StartupTimeline
 from repro.guest.osimage import OsImage
 from repro.hw.hostmem import HostMemory, HostMemoryError
-from repro.metrics.report import format_ratio, format_table
-from repro.metrics.timeseries import TimeSeries
+from repro.obs import TimeSeries, format_table
 from repro.sim import Environment
 from repro.storage.blockdev import BlockRequest, BlockOp, coalesce_runs
 from repro.util.intervalmap import IntervalMap
@@ -27,7 +26,6 @@ def test_timeseries_statistics():
     assert series.min() == 10.0
     assert series.max() == 30.0
     assert series.values() == [10.0, 20.0, 30.0]
-    assert series.times() == [0, 10, 20]
 
 
 def test_timeseries_mean_between():
@@ -42,16 +40,6 @@ def test_timeseries_mean_between():
 def test_timeseries_empty_mean_rejected():
     with pytest.raises(ValueError):
         TimeSeries("empty").mean()
-
-
-def test_timeseries_normalized():
-    series = TimeSeries("x")
-    series.record(0, 50.0)
-    series.record(1, 100.0)
-    ratio = series.normalized_to(100.0)
-    assert ratio.values() == [0.5, 1.0]
-    with pytest.raises(ValueError):
-        series.normalized_to(0.0)
 
 
 # -- report formatting -----------------------------------------------------------
@@ -76,11 +64,6 @@ def test_format_table_row_width_mismatch():
 def test_format_table_empty_rows():
     text = format_table(["a", "b"], [])
     assert "a" in text
-
-
-def test_format_ratio():
-    assert format_ratio(94.8, 100.0) == "0.948x"
-    assert format_ratio(1.0, 0.0) == "n/a"
 
 
 # -- HostMemory -------------------------------------------------------------------

@@ -8,9 +8,8 @@ from repro.cli import main
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
 from repro.guest.osimage import OsImage
-from repro.metrics.timeseries import TimeSeries
 from repro.obs import (NULL_REGISTRY, NULL_TELEMETRY, NULL_TRACER,
-                       MetricsRegistry, SpanTracer, Telemetry,
+                       MetricsRegistry, SpanTracer, Telemetry, TimeSeries,
                        telemetry_to_dict, telemetry_to_prometheus)
 from repro.sim import Environment
 
@@ -306,13 +305,17 @@ def test_telemetry_does_not_perturb_the_timeline():
 def test_deploy_records_phase_tree_and_instruments():
     _, instance = _deploy_bmcast(Telemetry(Environment()))
     telemetry = instance.platform.telemetry
-    phases = {span.name for span in telemetry.tracer.walk()
-              if span.name.startswith("phase:")}
-    assert {"phase:initialization", "phase:deployment",
-            "phase:devirtualization", "phase:baremetal"} <= phases
-    rtt = telemetry.registry.histogram("aoe_request_seconds", op="read")
+    phases = [span.name for span in telemetry.tracer.walk()
+              if span.name.startswith("phase:")]
+    assert phases == ["phase:initialization", "phase:deployment",
+                      "phase:devirtualization", "phase:baremetal"]
+    registry = telemetry.registry
+    rtt = registry.histogram("aoe_request_seconds", op="read")
     assert rtt.count > 0
     assert rtt.summary()["p50"] > 0
+    assert registry.get("mediator_redirected_reads_total",
+                        controller="ahci").value > 0
+    assert registry.get("copy_progress_ratio").value == 1.0
 
 
 # -- CLI acceptance ---------------------------------------------------------
@@ -347,6 +350,16 @@ def test_cli_metrics_out_prometheus(tmp_path, capsys):
     text = out_file.read_text()
     assert "# TYPE" in text
     assert "deploy_span" not in text  # spans are JSON-only
+
+
+def test_cli_metrics_lists_every_phase(capsys):
+    # Thousands of deeper spans must not crowd the late phases out of
+    # the span tree's row limit.
+    assert main(["metrics", "--image-gb", "0.0625", "--wait"]) == 0
+    rows = capsys.readouterr().out.split("Deployment span tree")[1]
+    for phase in ("initialization", "deployment", "devirtualization",
+                  "baremetal"):
+        assert f"  phase:{phase} " in rows
 
 
 def test_cli_metrics_subcommand(capsys):

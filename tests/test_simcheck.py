@@ -471,23 +471,6 @@ def test_deferred_import_breaks_the_cycle(tmp_path):
     assert "CHECK050" not in codes_of(report)
 
 
-def test_layering_violation_flagged(tmp_path):
-    # sim (rank 1) depending on ctl (rank 8) inverts the layering.
-    report = check_tree(tmp_path, {
-        "sim/clock.py": "import repro.ctl.widget\n",
-        "ctl/widget.py": "VALUE = 1\n",
-    })
-    assert "CHECK052" in codes_of(report)
-
-
-def test_downward_dependency_is_clean(tmp_path):
-    report = check_tree(tmp_path, {
-        "ctl/widget.py": "import repro.sim.clock\n",
-        "sim/clock.py": "VALUE = 1\n",
-    })
-    assert "CHECK052" not in codes_of(report)
-
-
 def test_unranked_package_flagged(tmp_path):
     report = check_tree(tmp_path, {"mystery/thing.py": "VALUE = 1\n"})
     assert "CHECK051" in codes_of(report)
