@@ -3,7 +3,9 @@
 Each bench builds the paper's testbed, deploys instances, runs the
 figure's workload, prints the same rows/series the paper plots, and
 asserts the *shape* (who wins, by roughly what factor).  Results are also
-appended to ``benchmarks/results/`` so EXPERIMENTS.md can cite them.
+written to ``benchmarks/results/`` so EXPERIMENTS.md can cite them.  The
+benches reproduce figures; the simulator's own speed is measured by
+perfbench (``perfbench/README.md``, bounds in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ from repro.guest.osimage import OsImage
 from repro.vmm.moderation import FULL_SPEED
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Regression-tracking records live at the repo root (``BENCH_*.json``)
-#: so CI can diff them across runs without digging into results/.
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MB = 2**20
 GB = 2**30
@@ -75,23 +73,14 @@ def run(env, generator):
     return env.run(until=env.process(generator))
 
 
-def emit(name: str, text: str, data=None, figures=None) -> None:
+def emit(name: str, text: str, data=None) -> None:
     """Print a figure's table and persist it under results/.
 
-    ``data`` (any JSON-serializable structure — typically the rows the
-    table was built from) is additionally written to ``{name}.json`` so
-    downstream tooling can consume results without screen-scraping the
-    text tables.
-
-    ``figures`` is a flat ``{metric_name: number}`` dict of the bench's
-    headline figures.  Most are *simulated-time* figures (ready seconds,
-    hit ratios), deterministic for a given commit; the benches that
-    measure the simulator itself (``bench_kernel``, ``bench_fleet``)
-    also record wall-clock seconds and rates, each a median of repeated
-    runs, which depend on the machine.  When given, a record is appended
-    to ``BENCH_{name}.json`` at the repo root;
-    ``benchmarks/check_regression.py`` compares the last two records and
-    fails CI on a >10% regression (>25% for the wall-clock families).
+    The table goes to ``{name}.txt``.  ``data`` (any JSON-serializable
+    structure — typically the rows the table was built from) is also
+    written to ``{name}.json`` so downstream tooling can consume results
+    without screen-scraping the text tables.  Nothing is written outside
+    ``benchmarks/results/``.
     """
     print()
     print(text)
@@ -101,34 +90,6 @@ def emit(name: str, text: str, data=None, figures=None) -> None:
         (RESULTS_DIR / f"{name}.json").write_text(
             json.dumps(data, indent=2, sort_keys=True, default=str)
             + "\n")
-    if figures is not None:
-        _append_bench_record(name, figures)
-
-
-def _append_bench_record(name: str, figures: dict) -> None:
-    """Append one normalized record to ``BENCH_{name}.json``.
-
-    The file holds a JSON list of ``{"run": n, "figures": {...}}``
-    records in append order.  Only deterministic simulated-time metrics
-    belong here: two runs of the same code must produce byte-identical
-    figures, so any drift between records is a real code change.
-    """
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    records = []
-    if path.exists():
-        try:
-            records = json.loads(path.read_text())
-        except (ValueError, OSError):
-            records = []
-        if not isinstance(records, list):
-            records = []
-    records.append({
-        "run": len(records),
-        "figures": {key: round(float(value), 6)
-                    for key, value in sorted(figures.items())},
-    })
-    path.write_text(json.dumps(records, indent=2, sort_keys=True)
-                    + "\n")
 
 
 def once(benchmark, function):

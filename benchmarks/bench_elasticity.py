@@ -150,17 +150,6 @@ def test_elasticity(benchmark):
              "policies": policies,
              "placements": {name: round(p95, 3)
                             for name, p95 in placements.items()},
-         },
-         figures={
-             **{f"{name}_slo_attainment": report["slo_attainment"]
-                for name, report in policies.items()},
-             **{f"{name}_wasted_node_seconds":
-                report["wasted_node_seconds"]
-                for name, report in policies.items()},
-             **{f"{name}_ttr_p95_seconds": report["ttr_p95_seconds"]
-                for name, report in policies.items()},
-             "round_robin_wave_p95_seconds": placements["round-robin"],
-             "cache_aware_wave_p95_seconds": placements["cache-aware"],
          })
 
     if QUICK:

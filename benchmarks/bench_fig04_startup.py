@@ -62,9 +62,7 @@ def test_fig04_startup_time(benchmark):
             "paper_seconds": PAPER_SECONDS[method],
             "segments": [[label, round(seconds, 3)] for label, seconds
                          in timelines[method].segments],
-        } for method in METHODS},
-        figures={f"{method}_ready_seconds": measured[method]
-                 for method in METHODS})
+        } for method in METHODS})
     if QUICK:
         return  # shrunken image: paper-shape bands do not apply
     # Shape assertions (the paper's claims):

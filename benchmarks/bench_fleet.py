@@ -162,8 +162,7 @@ def test_fleet(benchmark):
         f" packet / {figures['fleet_fluid_complete_seconds']:.2f}s fluid"
         f" ({complete_diff:+.2%})",
     ]
-    emit("fleet", "\n".join(lines), data={"packet": packet, "fluid": fluid},
-         figures=figures)
+    emit("fleet", "\n".join(lines), data={"packet": packet, "fluid": fluid})
 
     # Steady state: a retransmission in either run means the scenario
     # is not measuring what it claims (and would demote fluid mode).

@@ -110,14 +110,6 @@ def test_scaleout_fabric(benchmark):
             "last_wave_hit_ratio": {
                 str(k): round(v, 4) for k, v in
                 results["last_wave_hit_ratio"].items()},
-        },
-        figures={
-            **{f"baseline_{count}_seconds": results["baseline"][count]
-               for count in NODE_COUNTS},
-            **{f"fabric_{count}_seconds": results["fabric"][count]
-               for count in NODE_COUNTS},
-            "last_wave_peer_hit_ratio":
-                results["last_wave_hit_ratio"][NODE_COUNTS[-1]],
         })
 
     if QUICK:

@@ -26,10 +26,6 @@ class RttEstimator:
         return self._srtt
 
     @property
-    def rttvar(self) -> float:
-        return self._rttvar
-
-    @property
     def rto(self) -> float:
         """Retransmission timeout: SRTT + 4 * RTTVAR, floored."""
         return max(self.min_rto, self._srtt + 4.0 * self._rttvar)

@@ -76,9 +76,10 @@ class StreamingOsInstance:
                 start, count = bitmap.block_range(block)
                 runs = yield from self.initiator.read_blocks(start, count,
                                                              bulk=True)
-                delay = self.policy.next_delay_simple()
-                if delay:
-                    yield self.env.timeout(delay)
+                # No guest-I/O telemetry in the in-kernel driver: it
+                # paces with the fixed write interval only.
+                if self.policy.write_interval:
+                    yield self.env.timeout(self.policy.write_interval)
                 for run_start, run_count in bitmap.writable_runs(block):
                     request = BlockRequest(BlockOp.WRITE, run_start,
                                            run_count, origin="streaming")

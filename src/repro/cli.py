@@ -467,6 +467,7 @@ def cmd_ctl(args) -> int:
 
 def cmd_compare(args) -> int:
     from repro.analysis import deployment_scenario
+    from repro.baselines import OsNotSupportedError
     rows = []
     exports = []
     for method in METHODS:
@@ -476,7 +477,7 @@ def cmd_compare(args) -> int:
             deploy_options={"skip_firmware": True})
         try:
             run = scenario()
-        except Exception as error:  # e.g. unsupported OS for streaming
+        except OsNotSupportedError as error:
             rows.append([method, "-", str(error)])
             continue
         timeline = run.cluster.instances[0].timeline

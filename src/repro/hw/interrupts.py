@@ -96,9 +96,6 @@ class InterruptController:
         self._check_line(line)
         self._pending.discard(line)
 
-    def is_masked(self, line: int) -> bool:
-        return line in self._masked
-
     def is_pending(self, line: int) -> bool:
         return line in self._pending
 

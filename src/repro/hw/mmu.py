@@ -106,9 +106,6 @@ class NestedPageTable:
         self._trap_ranges.append(trap)
         return trap
 
-    def remove_trap_range(self, trap: TrapRange) -> None:
-        self._trap_ranges.remove(trap)
-
     def protect(self, start: int, length: int, tag: str = "vmm") -> TrapRange:
         """Make ``[start, start+length)`` inaccessible to the guest."""
         region = TrapRange(start, length, tag)

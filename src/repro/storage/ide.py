@@ -10,7 +10,6 @@ and distinguishes command / status / data phases exactly as the paper's
 
 from __future__ import annotations
 
-from repro import params
 from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.disk import Disk
@@ -305,7 +304,3 @@ class IdeController:
     # -- identification for scenario plumbing --------------------------------------
 
     kind = "ide"
-
-    @property
-    def sector_bytes(self) -> int:
-        return params.SECTOR_BYTES

@@ -280,15 +280,6 @@ class BmcastVmm:
                                        parent=self._span_parent)
         spans.ambient = self._phase_span
 
-    def phase_at(self, time: float) -> str:
-        current = self.phase_log[0][1]
-        for stamp, phase in self.phase_log:
-            if stamp <= time:
-                current = phase
-            else:
-                break
-        return current
-
     # -- initialization phase ---------------------------------------------------------------
 
     def boot(self):

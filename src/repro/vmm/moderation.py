@@ -25,19 +25,8 @@ class ModerationPolicy:
     write_interval: float = params.MODERATION_WRITE_INTERVAL_SECONDS
     suspend_interval: float = params.MODERATION_SUSPEND_INTERVAL_SECONDS
 
-    def next_delay(self, deployment: DeploymentContext) -> float:
-        """Seconds to wait before the copier's next block write."""
-        if deployment.guest_io_frequency() > self.guest_io_threshold:
-            return self.suspend_interval
-        return self.write_interval
-
     def is_suspended(self, deployment: DeploymentContext) -> bool:
         return deployment.guest_io_frequency() > self.guest_io_threshold
-
-    def next_delay_simple(self) -> float:
-        """Pacing without guest-I/O telemetry (used by the OS-streaming
-        baseline, whose in-kernel driver only has a fixed interval)."""
-        return self.write_interval
 
 
 #: Full-speed policy (the right end of Figure 14's sweep): no pacing.

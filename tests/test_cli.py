@@ -58,6 +58,17 @@ def test_compare(capsys):
         assert method in out
 
 
+def test_compare_surfaces_deploy_crash(monkeypatch):
+    from repro.cloud.provisioner import Provisioner
+
+    def crash(self, *args, **kwargs):
+        raise RuntimeError("injected deploy crash")
+
+    monkeypatch.setattr(Provisioner, "_deploy_network_boot", crash)
+    with pytest.raises(RuntimeError, match="injected deploy crash"):
+        main(["compare", "--image-gb", "0.0625"])
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
