@@ -6,6 +6,11 @@ protocol extensions: fragmentation/reassembly keyed on the tag field, and
 a retransmission timer (RTO from an EWMA RTT estimate) to tolerate frame
 loss.  Completion detection is quantized to the VMM's polling interval,
 because the VMM has no interrupts of its own (paper 3.2/4.1).
+
+Each exchange runs as a callback machine (``_Transaction``): the NIC
+hands every received frame straight to the client (``Nic.listen``), the
+reply completes its exchange in that step, and the caller's process
+wakes once, at the poll tick after the reply.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from repro.aoe.protocol import (
 from repro.aoe.rtt import RttEstimator
 from repro.net.nic import Nic
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment, Event, Interrupt
+from repro.sim import Environment, Event
 
 
 class AoeTimeoutError(Exception):
@@ -41,20 +46,190 @@ class AoeNakError(Exception):
 
 
 class _Transaction:
-    __slots__ = ("command", "target", "protocol", "done", "reassembly",
-                 "sent_at", "last_activity", "retries", "nak")
+    """One AoE exchange run by callbacks: the command on the wire (a
+    write's data fragments first), the RTO timer, the reply, then the
+    caller's wake-up at the next VMM poll tick.
 
-    def __init__(self, env: Environment, command: AoeCommand,
+    The caller's process waits on ``done`` alone: it fires once, at the
+    poll tick after the reply (or at once with the NAK or timeout
+    error), so the exchange schedules nothing between the reply and
+    that tick.
+    """
+
+    __slots__ = ("client", "command", "target", "protocol", "rtt", "done",
+                 "reassembly", "started", "sent_at", "last_activity",
+                 "retries", "nak", "timer", "outbox", "sending", "replied",
+                 "finished", "span", "frame", "lane")
+
+    def __init__(self, client: "AoeInitiator", command: AoeCommand,
                  target: str, protocol: str):
+        env = client.env
+        self.client = client
         self.command = command
         self.target = target
         self.protocol = protocol
+        self.rtt = client.estimator_for(target)
         self.done = Event(env)
         self.reassembly = ReassemblyBuffer(command.tag)
+        self.started = env.now
         self.sent_at = env.now
         self.last_activity = env.now
         self.retries = 0
         self.nak: AoeNak | None = None
+        #: The pending RTO timer, if armed.
+        self.timer = None
+        #: Payloads of the send in progress, next one first.
+        self.outbox: list = []
+        #: True while a send is on the wire; a reply meanwhile finishes
+        #: the exchange once the send has left.
+        self.sending = False
+        self.replied = False
+        self.finished = False
+        telemetry = client.telemetry
+        self.span = telemetry.tracer.start(
+            f"aoe-{command.op}", lba=command.lba,
+            sectors=command.sector_count, target=target)
+        profiler = telemetry.profiler
+        parent, self.lane = profiler.here()
+        self.frame = profiler.begin("aoe-client", f"aoe-{command.op}",
+                                    parent)
+
+    # -- the send ----------------------------------------------------------
+
+    def send(self) -> None:
+        command = self.command
+        client = self.client
+        if client.observers:
+            fields = {"retries": self.retries} if self.retries else {}
+            client._emit("send", tag=command.tag, op=command.op,
+                         lba=command.lba,
+                         sector_count=command.sector_count,
+                         target=self.target, retransmit=self.retries > 0,
+                         **fields)
+        if command.op == "write":
+            # Data fragments travel first, then the command completes
+            # the exchange (wire cost of the payload is paid here).
+            self.outbox = split_write_payload(
+                command.tag, command.lba, command.sector_count,
+                list(command.payload_runs), client.nic.switch.mtu)
+        self.outbox.append(command)
+        self.sending = True
+        self._next()
+
+    def _next(self) -> None:
+        payload = self.outbox.pop(0)
+        size = payload.frame_bytes() if payload is self.command \
+            else payload.payload_bytes
+        self.client.nic.start_send(self.target, payload, size,
+                                   self.protocol, self._sent, self.frame,
+                                   self.lane)
+
+    def _sent(self, _delivered) -> None:
+        if self.finished:
+            return  # the caller was torn down meanwhile
+        if self.outbox:
+            self._next()
+            return
+        self.sending = False
+        if self.replied:
+            self._finish()
+        elif not self.command.fluid:
+            # The fluid data leg is priced analytically and cannot lose
+            # frames, so the RTO would only inject spurious duplicates (a
+            # fluid flow routinely outlives the bulk RTO).  A NAK still
+            # resolves the exchange.
+            self._arm()
+
+    # -- the RTO -----------------------------------------------------------
+
+    def _arm(self) -> None:
+        # Plain (never pooled): the timer is retained and cancelled.
+        timer = self.timer = self.client.env.timeout(self.rtt.rto)
+        timer.callbacks.append(self._expired)
+
+    def _expired(self, _timer) -> None:
+        self.timer = None
+        client = self.client
+        env = client.env
+        rtt = self.rtt
+        # Fragments still trickling in: the reply is in flight, extend
+        # rather than retransmit.
+        if (env.now - self.last_activity) < rtt.rto:
+            self._arm()
+            return
+        self.retries += 1
+        command = self.command
+        if self.retries > client.MAX_RETRIES:
+            client._m_timeouts.inc()
+            if client.observers:
+                client._emit("timeout", tag=command.tag, target=self.target)
+            self._close()
+            self.done.fail(AoeTimeoutError(
+                f"AoE tag {command.tag} gave up after "
+                f"{client.MAX_RETRIES} retries"))
+            return
+        client.retransmissions += 1
+        client._m_retransmissions.inc()
+        # Back off the estimator on loss (Karn-style doubling).
+        rtt.back_off()
+        self.sent_at = env.now
+        self.send()
+
+    # -- the reply ---------------------------------------------------------
+
+    def reply(self) -> None:
+        """The reply is complete (or refused): finish now, or once the
+        send in progress has left."""
+        self.replied = True
+        if not self.sending:
+            self._finish()
+
+    def _finish(self) -> None:
+        client = self.client
+        command = self.command
+        self._close()
+        if self.nak is not None:
+            if client.observers:
+                client._emit("nak", tag=command.tag, target=self.target,
+                             lba=command.lba,
+                             sector_count=command.sector_count,
+                             reason=self.nak.reason)
+            self.done.fail(AoeNakError(command.tag, self.target,
+                                       self.nak.reason))
+            return
+        if client.observers:
+            client._emit("complete", tag=command.tag, target=self.target,
+                         retries=self.retries)
+        env = client.env
+        client._m_rtt[command.op].observe(env.now - self.started)
+        payload_bytes = command.sector_count * 512
+        if command.op == "read":
+            client.reads_completed += 1
+            client.bytes_received += payload_bytes
+            client._m_rx_bytes.inc(payload_bytes)
+        else:
+            client.writes_completed += 1
+            client._m_tx_bytes.inc(payload_bytes)
+        # Completion is observed at the next VMM polling tick.
+        self.done.succeed(delay=client.poll_interval / 2.0
+                          if client.poll_interval > 0 else 0.0)
+
+    def _close(self) -> None:
+        """Retire the exchange: no timer, no pending entry, no spans."""
+        self.finished = True
+        timer = self.timer
+        if timer is not None:
+            # Only while pending: a cancel on a processed event would
+            # mark its *next* occurrence.
+            if timer.callbacks is not None:
+                self.client.env.cancel(timer)
+            self.timer = None
+        client = self.client
+        client._pending.pop(self.command.tag, None)
+        telemetry = client.telemetry
+        if self.frame is not None:
+            telemetry.profiler.end(self.frame, self.lane)
+        telemetry.tracer.end(self.span, retries=self.retries)
 
 
 class AoeInitiator:
@@ -91,7 +266,7 @@ class AoeInitiator:
         #: path's warm peers made this mix the common case).
         self._rtts: dict[str, RttEstimator] = {server: self.rtt}
         self.min_rto = min_rto
-        self._dispatcher = None
+        self._receiver = self._receive  # bound once: stop() compares it
         # Metrics.
         self.reads_completed = 0
         self.writes_completed = 0
@@ -120,17 +295,15 @@ class AoeInitiator:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start(self):
-        """Spawn the receive dispatcher; returns the process."""
-        if self._dispatcher is None:
-            self._dispatcher = self.env.process(self._dispatch(),
-                                                name="aoe-dispatch")
-        return self._dispatcher
+    def start(self) -> None:
+        """Take the NIC's received frames: each reply reaches its
+        exchange in the step that delivers it (see ``Nic.listen``)."""
+        self.nic.listen(self._receiver)
 
     def stop(self) -> None:
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("stop")
-        self._dispatcher = None
+        """Leave received frames in the NIC's ring until :meth:`start`."""
+        if self.nic.receiver is self._receiver:
+            self.nic.listen(None)
 
     @property
     def rto(self) -> float:
@@ -170,12 +343,7 @@ class AoeInitiator:
         command = AoeCommand(next(self._tags), "read", lba, sector_count,
                              bulk=bulk, fluid=fluid)
         transaction = yield from self._transact(command, target, protocol)
-        self.reads_completed += 1
-        runs = transaction.reassembly.assemble()
-        self.bytes_received += sector_count * 512
-        self._m_rx_bytes.inc(sector_count * 512)
-        yield from self._poll_quantize()
-        return runs
+        return transaction.reassembly.assemble()
 
     def write_blocks(self, lba: int, sector_count: int, runs: list,
                      target: str | None = None):
@@ -183,9 +351,6 @@ class AoeInitiator:
         command = AoeCommand(next(self._tags), "write", lba, sector_count,
                              payload_runs=tuple(runs))
         yield from self._transact(command, target, "aoe")
-        self.writes_completed += 1
-        self._m_tx_bytes.inc(sector_count * 512)
-        yield from self._poll_quantize()
 
     # -- transaction engine ------------------------------------------------------------
 
@@ -195,138 +360,48 @@ class AoeInitiator:
 
     def _transact(self, command: AoeCommand, target: str | None = None,
                   protocol: str = "aoe"):
-        if self._dispatcher is None:
+        """Generator: run one exchange; returns it at the poll tick after
+        its reply."""
+        if self.nic.receiver is not self._receiver:
             self.start()
-        transaction = _Transaction(self.env, command,
-                                   target or self.server, protocol)
+        transaction = _Transaction(self, command, target or self.server,
+                                   protocol)
         self._pending[command.tag] = transaction
-        started = self.env.now
-        span = self.telemetry.tracer.start(
-            f"aoe-{command.op}", lba=command.lba,
-            sectors=command.sector_count, target=transaction.target)
+        transaction.send()
         try:
-            with self.telemetry.profiler.track("aoe-client",
-                                               f"aoe-{command.op}"):
-                yield from self._transact_inner(transaction)
+            yield transaction.done
         finally:
-            self._pending.pop(command.tag, None)
-            self.telemetry.tracer.end(span, retries=transaction.retries)
-        if transaction.nak is not None:
-            if self.observers:
-                self._emit("nak", tag=command.tag,
-                           target=transaction.target, lba=command.lba,
-                           sector_count=command.sector_count,
-                           reason=transaction.nak.reason)
-            raise AoeNakError(command.tag, transaction.target,
-                              transaction.nak.reason)
-        if self.observers:
-            self._emit("complete", tag=command.tag,
-                       target=transaction.target,
-                       retries=transaction.retries)
-        self._m_rtt[command.op].observe(self.env.now - started)
+            if not transaction.finished:
+                # The caller was torn down mid-exchange: drop the timer
+                # so no retransmission outlives it.
+                transaction._close()
         return transaction
 
-    def _transact_inner(self, transaction: _Transaction):
-        command = transaction.command
-        if self.observers:
-            self._emit("send", tag=command.tag, op=command.op,
-                       lba=command.lba,
-                       sector_count=command.sector_count,
-                       target=transaction.target, retransmit=False)
-        yield from self._send_command(transaction)
-        if command.fluid:
-            # The fluid data leg is priced analytically and cannot lose
-            # frames, so the RTO/retransmit machinery below would only
-            # inject spurious duplicates (a fluid flow routinely outlives
-            # the bulk RTO).  Any NAK still resolves the transaction and
-            # is surfaced by _transact as usual.
-            yield transaction.done
-            return
-        rtt = self.estimator_for(transaction.target)
-        while not transaction.done.triggered:
-            timer = self.env.timeout(rtt.rto, value="timeout")
-            outcome = yield self.env.any_of([transaction.done, timer])
-            if transaction.done in outcome:
-                # Drop the spent RTO timer rather than let it fire later
-                # as a dead event.  Only while it is still pending: a
-                # cancel on a processed event would mark its *next*
-                # occurrence.
-                if timer.callbacks is not None:
-                    self.env.cancel(timer)
-                break
-            # Fragments still trickling in: the reply is in flight,
-            # extend rather than retransmit.
-            if (self.env.now - transaction.last_activity) < rtt.rto:
-                continue
-            transaction.retries += 1
-            if transaction.retries > self.MAX_RETRIES:
-                self._m_timeouts.inc()
-                if self.observers:
-                    self._emit("timeout", tag=command.tag,
-                               target=transaction.target)
-                raise AoeTimeoutError(
-                    f"AoE tag {command.tag} gave up after "
-                    f"{self.MAX_RETRIES} retries")
-            self.retransmissions += 1
-            self._m_retransmissions.inc()
-            # Back off the estimator on loss (Karn-style doubling).
-            rtt.back_off()
-            transaction.sent_at = self.env.now
-            if self.observers:
-                self._emit("send", tag=command.tag, op=command.op,
-                           lba=command.lba,
-                           sector_count=command.sector_count,
-                           target=transaction.target,
-                           retransmit=True,
-                           retries=transaction.retries)
-            yield from self._send_command(transaction)
-
-    def _send_command(self, transaction: _Transaction):
-        command = transaction.command
-        if command.op == "write":
-            # Data fragments travel first, then the command completes the
-            # exchange (wire cost of the payload is paid here).
-            fragments = split_write_payload(
-                command.tag, command.lba, command.sector_count,
-                list(command.payload_runs), self.nic.switch.mtu)
-            for fragment in fragments:
-                yield from self.nic.send(transaction.target, fragment,
-                                         fragment.payload_bytes,
-                                         protocol=transaction.protocol)
-        yield from self.nic.send(transaction.target, command,
-                                 command.frame_bytes(),
-                                 protocol=transaction.protocol)
-
-    def _dispatch(self):
-        try:
-            while True:
-                frame = yield from self.nic.recv()
-                payload = frame.payload
-                if isinstance(payload, AoeDataFragment):
-                    self._on_fragment(payload)
-                elif isinstance(payload, AoeAck):
-                    self._on_ack(payload)
-                elif isinstance(payload, AoeNak):
-                    self._on_nak(payload)
-        except Interrupt:
-            return
+    def _receive(self, frame) -> None:
+        payload = frame.payload
+        if isinstance(payload, AoeDataFragment):
+            self._on_fragment(payload)
+        elif isinstance(payload, AoeAck):
+            self._on_ack(payload)
+        elif isinstance(payload, AoeNak):
+            self._on_nak(payload)
 
     def _on_fragment(self, fragment: AoeDataFragment) -> None:
         transaction = self._pending.get(fragment.tag)
-        if transaction is None or transaction.done.triggered:
+        if transaction is None or transaction.replied:
             return  # stale retransmission
         transaction.last_activity = self.env.now
         transaction.reassembly.add(fragment)
         if transaction.reassembly.complete:
             self._sample_rtt(transaction)
-            transaction.done.succeed()
+            transaction.reply()
 
     def _on_ack(self, ack: AoeAck) -> None:
         transaction = self._pending.get(ack.tag)
-        if transaction is None or transaction.done.triggered:
+        if transaction is None or transaction.replied:
             return
         self._sample_rtt(transaction)
-        transaction.done.succeed()
+        transaction.reply()
 
     def _sample_rtt(self, transaction: _Transaction) -> None:
         """Karn's algorithm: a reply to a retransmitted command is
@@ -348,15 +423,7 @@ class AoeInitiator:
 
     def _on_nak(self, nak: AoeNak) -> None:
         transaction = self._pending.get(nak.tag)
-        if transaction is None or transaction.done.triggered:
+        if transaction is None or transaction.replied:
             return
         transaction.nak = nak
-        transaction.done.succeed()
-
-    def _poll_quantize(self):
-        """Completion is observed at the next VMM polling tick."""
-        # Yield-only, one per AoE operation: safe to pool.
-        if self.poll_interval > 0:
-            yield self.env.pooled_timeout(self.poll_interval / 2.0)
-        else:
-            yield self.env.pooled_timeout(0)
+        transaction.reply()

@@ -18,7 +18,7 @@ from repro.aoe.protocol import (
 )
 from repro.net.nic import Nic
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment, Event, Resource
+from repro.sim import Environment, Resource
 from repro.util.intervalmap import IntervalMap
 
 
@@ -52,13 +52,6 @@ class ImageStore:
     #: readahead keeps in cache (the background copier's bulk fetches).
     STREAMING_SECTORS = 1024
 
-    def read(self, lba: int, sector_count: int):
-        """Generator form of :meth:`start_read`: returns the runs one
-        zero-delay hop after ``done`` would have run."""
-        done = Event(self.env)
-        self.start_read(lba, sector_count, done.succeed)
-        return (yield done)
-
     def start_read(self, lba: int, sector_count: int, done, parent=None,
                    lane: str | None = None) -> None:
         """Fetch runs for ``[lba, lba+sector_count)``: ``done(runs)``.
@@ -84,12 +77,6 @@ class ImageStore:
             done(list(self.contents.runs_in(lba, sector_count)))
 
         self.env.pooled_timeout(base + transfer).callbacks.append(fetched)
-
-    def write(self, lba: int, runs: list):
-        """Generator form of :meth:`start_write`."""
-        done = Event(self.env)
-        self.start_write(lba, runs, done.succeed)
-        yield done
 
     def start_write(self, lba: int, runs: list, done) -> None:
         """Store runs (initiator write path; rarely used): ``done()``."""
@@ -139,7 +126,7 @@ class AoeServer:
         self.telemetry = telemetry
         self.workers = Resource(env, capacity=workers)
         self.worker_count = workers
-        self._process = None
+        self._receiver = self._receive  # bound once: stop() compares it
         # Metrics.
         self.commands_served = 0
         self.fragments_sent = 0
@@ -165,29 +152,23 @@ class AoeServer:
             "aoe_server_queue_wait_seconds",
             help="time a command waited for a free worker")
 
-    def start(self):
-        """Spawn the receive/dispatch loop; returns the process."""
-        if self._process is None:
-            self._process = self.env.process(self._run(), name="aoe-server")
-        return self._process
+    def start(self) -> None:
+        """Take the NIC's received frames: every command starts a serve
+        in the step that delivers it (see ``Nic.listen``)."""
+        self.nic.listen(self._receiver)
 
     def stop(self) -> None:
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt("stop")
-        self._process = None
+        """Leave received frames in the NIC's ring until :meth:`start`
+        (unless another server has taken the NIC over since)."""
+        if self.nic.receiver is self._receiver:
+            self.nic.listen(None)
 
     # -- internals ---------------------------------------------------------------
 
-    def _run(self):
-        from repro.sim import Interrupt
-        try:
-            while True:
-                frame = yield from self.nic.recv()
-                command = frame.payload
-                if isinstance(command, AoeCommand):
-                    _Serve(self, command, frame.src)
-        except Interrupt:
-            return
+    def _receive(self, frame) -> None:
+        command = frame.payload
+        if isinstance(command, AoeCommand):
+            _Serve(self, command, frame.src)
 
     def _serve_read(self, serve: "_Serve") -> None:
         """Fetch a read's runs; ``serve`` replies with them."""
@@ -204,9 +185,9 @@ class _Serve:
     reply (a bulk stream or a train of fragments, each after its
     per-frame CPU time), then the worker back.
 
-    Started in the dispatcher's own step, with no zero-delay hop: the
-    worker request queues on a pool only commands use, in the order
-    the dispatcher receives them.
+    Started in the step that delivers the command, with no zero-delay
+    hop: a free worker is taken in place, otherwise the request queues
+    on a pool only commands use, in the order the commands arrive.
     """
 
     __slots__ = ("server", "command", "reply_to", "arrived", "started",
@@ -226,8 +207,13 @@ class _Serve:
         self.lane = None if span is None else f"aoe-serve-{command.tag}"
         self.fragments = None
         self.index = 0
-        self.grant = server.workers.request()
-        self.grant.callbacks.append(self._granted)
+        workers = server.workers
+        self.grant = workers.take() if env.settled else None
+        if self.grant is None:
+            self.grant = workers.request()
+            self.grant.callbacks.append(self._granted)
+        else:
+            self._granted(None)
 
     def _granted(self, _event) -> None:
         server = self.server

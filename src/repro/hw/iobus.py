@@ -96,9 +96,11 @@ class IoBus:
     def intercept_pio(self, ports, hook) -> None:
         """Install ``hook`` on PIO ``ports``.
 
-        ``hook`` is called as ``yield from hook(access)`` with an
-        :class:`IoAccess`; it runs in VMX root mode after the exit cost has
-        been charged.
+        ``hook(access)`` is called with an :class:`IoAccess` in VMX root
+        mode, after the exit cost has been charged.  It returns None
+        when it handled the access in place, or a generator the bus runs
+        (``yield from``) when handling takes simulated time.  An access
+        handled in place costs no event beyond the exit itself.
         """
         for port in ports:
             if port in self._pio_intercepts:
@@ -110,6 +112,7 @@ class IoBus:
             self._pio_intercepts.pop(port, None)
 
     def intercept_mmio(self, start: int, length: int, hook) -> None:
+        """Install ``hook`` on an MMIO range (see :meth:`intercept_pio`)."""
         self._mmio_intercepts.append((_MmioRegion(start, length, None), hook))
 
     def uninstall_mmio_intercepts(self, hook) -> None:
@@ -190,7 +193,9 @@ class IoBus:
         if cpu.mode is VmxMode.NON_ROOT:
             cost = cpu.vmexit(reason)
             yield self.env.timeout(cost + params.MEDIATOR_HANDLE_SECONDS)
-            yield from hook(access)
+            work = hook(access)
+            if work is not None:
+                yield from work
             if cpu.mode is VmxMode.ROOT:
                 cpu.vmresume()
         else:
@@ -201,7 +206,9 @@ class IoBus:
             cpu.exit_seconds += params.VM_EXIT_SECONDS
             yield self.env.timeout(params.VM_EXIT_SECONDS
                                    + params.MEDIATOR_HANDLE_SECONDS)
-            yield from hook(access)
+            work = hook(access)
+            if work is not None:
+                yield from work
 
     def _pio_device(self, port: int):
         device = self._pio_devices.get(port)

@@ -89,8 +89,8 @@ class EthernetSwitch:
         if name in self._ports:
             raise ValueError(f"port name {name!r} already attached")
         self._ports[name] = nic
-        self._tx_locks[name] = _PortLock(self.env)
-        self._rx_locks[name] = _PortLock(self.env)
+        self._tx_locks[name] = _PortLock(self.env, self)
+        self._rx_locks[name] = _PortLock(self.env, self)
 
     def serialization_time(self, frame: Frame) -> float:
         return frame.wire_bytes * 8.0 / self.rate_bps
@@ -129,9 +129,23 @@ class EthernetSwitch:
     def start_transmit(self, frame: Frame, done) -> None:
         """Callback form of :meth:`transmit`: ``done(delivered)`` runs
         once the frame has left its sender, where the generator would
-        have returned."""
+        have returned.
+
+        A free sending port is taken in place, with no grant event, when
+        nothing else is due at this instant (see ``Environment.settled``;
+        :meth:`_forward` books the receiving one); otherwise it is asked
+        for as the generator does.  While fluid flows exist frames keep
+        the asked-for path, which prices their interleave penalty.
+        """
         self._check_frame(frame)
-        request = _FrameRequest(self._tx_locks[frame.src], frame, done)
+        lock = self._tx_locks[frame.src]
+        if self._flow_network is None and self.env.settled:
+            request = lock.take(
+                _FrameRequest(lock, frame, done, queue=False))
+            if request is not None:
+                self._tx_granted(request)
+                return
+        request = _FrameRequest(lock, frame, done)
         request.callbacks.append(self._on_tx_granted)
 
     def _tx_granted(self, request: "_FrameRequest") -> None:
@@ -159,9 +173,38 @@ class EthernetSwitch:
 
         No zero-delay hop precedes the latency timer: it is scheduled in
         the callback that sees the frame leave its sender.
+
+        When the receiving port is free now, the frame books it from its
+        arrival to its delivery and only the delivery timer runs.  The
+        arrival timer is still queued, but cancelled, so it keeps the
+        place the port request had in the event order: whoever asks for
+        the port before that place is reached was there first, and
+        revives it (see :meth:`_PortLock._do_request`), which puts the
+        frame back on the queued path exactly where it would have been.
         """
-        self.env.pooled_timeout(self.forward_latency,
-                                frame).callbacks.append(self._on_rx_arrived)
+        env = self.env
+        lock = self._rx_locks[frame.dst]
+        if self._flow_network is None:
+            booking = lock.take(_FrameRequest(lock, frame, queue=False))
+            if booking is not None:
+                arrival = env.timeout(self.forward_latency, frame)
+                env.cancel(arrival)
+                booking.arrival = arrival
+                booking.done = env.timeout_at(
+                    env.now + self.forward_latency
+                    + self.serialization_time(frame), booking)
+                booking.done.callbacks.append(self._on_rx_done)
+                lock.booking = booking
+                return
+        env.pooled_timeout(self.forward_latency,
+                           frame).callbacks.append(self._on_rx_arrived)
+
+    def _unbook(self, booking: "_FrameRequest") -> None:
+        """Someone asked for a booked port before the frame arrived:
+        free it, and let the frame ask at its arrival instead."""
+        booking.resource.users.remove(booking)
+        self.env.cancel(booking.done)
+        booking.arrival.callbacks.append(self._on_rx_arrived)
 
     def _rx_arrived(self, timer) -> None:
         frame = timer._value
@@ -177,7 +220,10 @@ class EthernetSwitch:
 
     def _rx_done(self, timer) -> None:
         request = timer._value
-        request.resource.release(request)
+        lock = request.resource
+        if lock.booking is request:
+            lock.booking = None
+        lock.release(request)
         frame = request.frame
         wire_bytes = frame.wire_bytes
         if self._flow_network is not None:
@@ -188,16 +234,6 @@ class EthernetSwitch:
         self._m_frames.inc()
         self._m_bytes.inc(wire_bytes)
         self._ports[frame.dst].deliver(frame)
-
-    def bulk_transfer(self, src: str, dst: str, payload,
-                      payload_bytes: int, per_frame_payload: int,
-                      protocol: str = "aoe"):
-        """Generator form of :meth:`start_bulk_transfer`; the caller
-        resumes one zero-delay hop after ``done`` would have run."""
-        done = Event(self.env)
-        self.start_bulk_transfer(src, dst, payload, payload_bytes,
-                                 per_frame_payload, protocol, done.succeed)
-        yield done
 
     def start_bulk_transfer(self, src: str, dst: str, payload,
                             payload_bytes: int, per_frame_payload: int,
@@ -369,14 +405,16 @@ class EthernetSwitch:
 class _FrameRequest(Request):
     """A packet frame's port-lock request: carries the frame (and, on
     the sending side, the caller's ``done``) through the grant and the
-    serialization timer."""
+    serialization timer.  A receive-side booking carries its cancelled
+    ``arrival`` timer and its delivery timer as ``done``."""
 
-    __slots__ = ("frame", "done")
+    __slots__ = ("frame", "done", "arrival")
 
-    def __init__(self, resource: Resource, frame: Frame, done=None):
+    def __init__(self, resource: Resource, frame: Frame, done=None,
+                 queue: bool = True):
         self.frame = frame
         self.done = done
-        super().__init__(resource)
+        super().__init__(resource, queue)
 
 
 class _Request(Request):
@@ -410,9 +448,23 @@ class _PortLock(Resource):
     #: again after a zero-delay hop.  A side granted the lock meanwhile
     #: takes one chunk, as it would with them queued.
     rejoining = 0
+    #: A frame holding the (receive) lock ahead of its arrival; see
+    #: ``EthernetSwitch._forward``.
+    booking = None
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, switch: "EthernetSwitch"):
         super().__init__(env, capacity=1)
+        self.switch = switch
+
+    def _do_request(self, request: Request) -> None:
+        booking = self.booking
+        if booking is not None:
+            self.booking = None
+            if self.env.revive(booking.arrival):
+                # The booked frame has not reached the port: this
+                # request came first.
+                self.switch._unbook(booking)
+        super()._do_request(request)
 
 
 class _Side:

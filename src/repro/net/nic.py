@@ -2,9 +2,12 @@
 
 The BMcast VMM drives its dedicated NIC with a tiny polling driver (paper
 4.3: the PRO/1000 driver is 718 LOC).  The model keeps the properties that
-matter: a bounded receive ring that drops on overflow, per-NIC transmit
-serialization (via the switch), and both blocking and polling receive
-paths.
+matter: a bounded receive ring that drops on overflow, and per-NIC
+transmit serialization (via the switch).  A frame is received one of two
+ways: a consumer registered with :meth:`Nic.listen` (the AoE initiator
+and target) is handed each frame as it arrives, with no event between
+the delivery and the consumer; otherwise the frame waits in the ring for
+:meth:`Nic.recv` or :meth:`Nic.poll`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ class Nic:
         self.name = name
         self.model = model
         self.rx_ring: Store = Store(env, capacity=rx_ring_size)
+        #: Called with each received frame while set (see :meth:`listen`).
+        self.receiver = None
         self.telemetry = telemetry
         switch.attach(name, self)
         # Metrics.
@@ -106,10 +111,22 @@ class Nic:
 
     # -- receive ----------------------------------------------------------------
 
+    def listen(self, receiver) -> None:
+        """Hand every received frame to ``receiver(frame)`` as it
+        arrives, frames already waiting in the ring first; None puts
+        frames in the ring again."""
+        self.receiver = receiver
+        if receiver is not None:
+            ring = self.rx_ring
+            while ring.items:
+                receiver(ring.try_get())
+
     def deliver(self, frame: Frame) -> None:
-        """Switch-side entry: enqueue into the RX ring, drop on overflow."""
+        """Switch-side entry: hand the frame to the receiver, or enqueue
+        it into the RX ring and drop it on overflow."""
         ring = self.rx_ring
-        if ring.is_full:
+        receiver = self.receiver
+        if receiver is None and ring.is_full:
             self.rx_dropped += 1
             self._m_rx_dropped.inc()
             return
@@ -117,8 +134,11 @@ class Nic:
         self.rx_frames += 1
         self.rx_bytes += wire_bytes
         self._m_rx_bytes.inc(wire_bytes)
-        # Non-blocking: ring has space, the put succeeds immediately.
-        ring.put(frame)
+        if receiver is None:
+            # Non-blocking: ring has space, the put succeeds immediately.
+            ring.put(frame)
+        else:
+            receiver(frame)
         self._m_queue_depth.set(len(ring))
 
     def recv(self):

@@ -103,6 +103,13 @@ class SimProfiler:
         """Close a :meth:`begin` frame now, on the trace lane ``lane``."""
         self._finish(frame, lane)
 
+    def here(self) -> tuple:
+        """``(parent, lane)`` placing a :meth:`begin` frame where a
+        ``track`` in the active process would go: under its innermost
+        frame, on its lane."""
+        stack = self._stack()
+        return (stack[-1] if stack else None), self._process_label()
+
     def _finish(self, frame: _Frame, lane: str) -> None:
         end = self.env.now
         span = end - frame.start
@@ -187,6 +194,9 @@ class NullSimProfiler:
 
     def end(self, frame, lane: str) -> None:
         pass
+
+    def here(self) -> tuple:
+        return None, "kernel"
 
     def current_component(self):
         return None

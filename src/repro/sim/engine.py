@@ -130,6 +130,22 @@ class Environment:
         return (len(self._queue) + len(self._lane_urgent)
                 + len(self._lane_normal))
 
+    @property
+    def settled(self) -> bool:
+        """True when no other entry is queued for the current instant.
+
+        A zero-delay hop scheduled now would then be the next event
+        after the current event's remaining callbacks.  A caller that
+        runs as the last (usually the only) callback of its event may
+        therefore do in place what that hop would have done without
+        moving anything else in the order.  Cancelled entries count as
+        queued (the answer errs towards the hop).
+        """
+        now = self._now
+        queue = self._queue
+        return (not self._lane_normal and not self._lane_urgent
+                and not (queue and queue[0][0] == now))
+
     def __repr__(self):
         return f"<Environment t={self._now:.6f} queued={self.queued}>"
 
@@ -240,6 +256,21 @@ class Environment:
         scheduled occurrence; callers own that bookkeeping.
         """
         self._cancelled.add(event)
+
+    def revive(self, event: Event) -> bool:
+        """Withdraw :meth:`cancel` from ``event``'s queued occurrence.
+
+        True when that occurrence has not surfaced yet: it is processed
+        in its original place in the order after all.  False once the
+        run loop has discarded it.  A cancelled entry costs a queue slot
+        but no event, so a timer that is needed only in some futures
+        can hold its place cancelled and be revived in those.
+        """
+        try:
+            self._cancelled.remove(event)
+        except KeyError:
+            return False
+        return True
 
     def _next_entry(self):
         """(source, entry) of the globally next live queue entry.

@@ -88,13 +88,14 @@ class Event:
             raise SimulationError("event value not yet available")
         return self._value
 
-    def succeed(self, value=None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+    def succeed(self, value=None, delay: float = 0.0) -> "Event":
+        """Trigger the event successfully with ``value``, to be
+        processed ``delay`` seconds from now."""
         if self.triggered:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        self.env.schedule(self, delay=delay)
         return self
 
     def fail(self, exception: BaseException) -> "Event":

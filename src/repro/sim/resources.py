@@ -29,10 +29,11 @@ class Request(Event):
 
     __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource"):
+    def __init__(self, resource: "Resource", queue: bool = True):
         super().__init__(resource.env)
         self.resource = resource
-        resource._do_request(self)
+        if queue:
+            resource._do_request(self)
 
     def __enter__(self):
         return self
@@ -75,6 +76,21 @@ class Resource:
     def request(self) -> Request:
         """Request a slot; the returned event fires once granted."""
         return Request(self)
+
+    def take(self, request: Request | None = None) -> Request | None:
+        """A slot granted in place when one is free, or None.
+
+        Unlike :meth:`request` no grant event is scheduled: the holder
+        carries on in the same step.  ``request`` (made with
+        ``queue=False``) is recorded as the holder; a plain
+        :class:`Request` by default.  Release it as any other grant.
+        """
+        if len(self.users) >= self.capacity:
+            return None
+        if request is None:
+            request = Request(self, queue=False)
+        self.users.append(request)
+        return request
 
     def release(self, request: Request) -> None:
         """Release a previously granted slot (no-op if not held)."""

@@ -70,14 +70,19 @@ class AhciMediator(DeviceMediator):
     # -- the intercept hook -----------------------------------------------------------
 
     def _hook(self, access):
+        """Only a PxCI write takes simulated time (see
+        ``IoBus.intercept_pio``); every other access is handled here."""
         self._m_intercepts.inc()
         offset = access.address - self.controller.abar
-        if access.is_write:
-            yield from self._hook_write(access, offset)
+        if not access.is_write:
+            self._hook_read(access, offset)
+        elif offset == ahci.REG_PXCI:
+            return self._on_command_issue(access, access.value)
         else:
-            yield from self._hook_read(access, offset)
+            self._hook_write(access, offset)
+        return None
 
-    def _hook_write(self, access, offset: int):
+    def _hook_write(self, access, offset: int) -> None:
         value = access.value
         owned = self.mode is MediatorMode.VMM_OWNED
 
@@ -99,12 +104,8 @@ class AhciMediator(DeviceMediator):
                 # does not resurrect an acked completion.
                 access.absorb = True
                 self._saved_pxis &= ~value
-        elif offset == ahci.REG_PXCI:
-            yield from self._on_command_issue(access, value)
-            return
-        yield self.env.timeout(0)
 
-    def _hook_read(self, access, offset: int):
+    def _hook_read(self, access, offset: int) -> None:
         if self.mode is MediatorMode.VMM_OWNED:
             # Emulate the guest's view: its commands appear in flight,
             # the VMM's activity is invisible.
@@ -124,7 +125,6 @@ class AhciMediator(DeviceMediator):
                 access.reply = real | (1 << self._blocked_slot)
             elif offset == ahci.REG_PXTFD:
                 access.reply = 0x50 | ahci.TFD_BSY
-        yield self.env.timeout(0)
 
     # -- guest command handling -------------------------------------------------------------
 

@@ -75,35 +75,31 @@ class IdeMediator(DeviceMediator):
     # -- the intercept hook (runs on every guest access, in root mode) ------------------
 
     def _hook(self, access):
+        """A command write, and a BM start launching a blocked command,
+        take simulated time (see ``IoBus.intercept_pio``); every other
+        access is handled here."""
         self._m_intercepts.inc()
         if access.is_write:
-            yield from self._hook_write(access)
-        else:
-            yield from self._hook_read(access)
+            return self._hook_write(access)
+        self._hook_read(access)
+        return None
 
     def _hook_write(self, access):
         port, value = access.address, access.value
         owned = self.mode is MediatorMode.VMM_OWNED
 
-        if port in ide.TASKFILE_PORTS and port != ide.REG_COMMAND:
+        if port == ide.REG_COMMAND:
+            return self._on_guest_command(access, value)
+
+        if port in ide.TASKFILE_PORTS:
             self.shadow_taskfile.write(port, value)
             if owned:
                 access.absorb = True
-            yield self.env.timeout(0)
-            return
-
-        if port == ide.REG_COMMAND:
-            yield from self._on_guest_command(access, value)
-            return
-
-        if port == ide.BM_PRDT:
+        elif port == ide.BM_PRDT:
             self.shadow_bm_prdt = value
             if owned:
                 access.absorb = True
-            yield self.env.timeout(0)
-            return
-
-        if port == ide.BM_COMMAND:
+        elif port == ide.BM_COMMAND:
             previous = self.shadow_bm_command
             self.shadow_bm_command = value
             if owned:
@@ -113,23 +109,17 @@ class IdeMediator(DeviceMediator):
                     and self._blocked is not None:
                 # The start of a blocked command: absorb and act.
                 access.absorb = True
-                yield from self._launch_blocked()
-            yield self.env.timeout(0)
-            return
-
-        if port == ide.BM_STATUS:
+                return self._launch_blocked()
+        elif port == ide.BM_STATUS:
             if owned:
                 # Apply the guest's write-1-to-clear ack to the saved
                 # view so restore does not resurrect an acked interrupt.
                 access.absorb = True
                 if value & ide.BM_STATUS_IRQ:
                     self._saved_bm_status &= ~ide.BM_STATUS_IRQ
-            yield self.env.timeout(0)
-            return
+        return None
 
-        yield self.env.timeout(0)
-
-    def _hook_read(self, access):
+    def _hook_read(self, access) -> None:
         port = access.address
         if self.mode is MediatorMode.VMM_OWNED:
             # Emulate the state the guest last saw (idle, but with any
@@ -151,7 +141,6 @@ class IdeMediator(DeviceMediator):
                 access.reply = ide.STATUS_BSY | ide.STATUS_DRDY
             elif port == ide.BM_STATUS:
                 access.reply = ide.BM_STATUS_ACTIVE
-        yield self.env.timeout(0)
 
     # -- guest command handling -----------------------------------------------------------
 

@@ -65,23 +65,20 @@ class MegaRaidMediator(DeviceMediator):
     # -- the intercept hook --------------------------------------------------------------
 
     def _hook(self, access):
+        """Only a frame post takes simulated time (see
+        ``IoBus.intercept_pio``); every other access is handled here."""
         self._m_intercepts.inc()
         offset = access.address - self.controller.mmio_base
-        if access.is_write:
-            yield from self._hook_write(access, offset)
-        else:
-            yield from self._hook_read(access, offset)
-
-    def _hook_write(self, access, offset: int):
-        owned = self.mode is MediatorMode.VMM_OWNED
-        if offset == megaraid.REG_INBOUND_QUEUE:
-            yield from self._on_guest_post(access, access.value)
-            return
-        if offset == megaraid.REG_DOORBELL_CLEAR and owned:
+        if not access.is_write:
+            self._hook_read(access, offset)
+        elif offset == megaraid.REG_INBOUND_QUEUE:
+            return self._on_guest_post(access, access.value)
+        elif offset == megaraid.REG_DOORBELL_CLEAR \
+                and self.mode is MediatorMode.VMM_OWNED:
             access.absorb = True
-        yield self.env.timeout(0)
+        return None
 
-    def _hook_read(self, access, offset: int):
+    def _hook_read(self, access, offset: int) -> None:
         if self.mode is MediatorMode.VMM_OWNED:
             if offset == megaraid.REG_STATUS:
                 # Emulate idle firmware, surfacing only guest replies.
@@ -98,7 +95,6 @@ class MegaRaidMediator(DeviceMediator):
             elif offset == megaraid.REG_OUTBOUND_REPLY:
                 access.reply = self._pop_guest_reply()
                 access.absorb = True
-        yield self.env.timeout(0)
 
     def _guest_reply_pending(self) -> bool:
         return any(context < VMM_CONTEXT_BASE

@@ -17,30 +17,34 @@ from __future__ import annotations
 
 from repro.net import e1000
 from repro.net.packet import Frame
-from repro.sim import Environment, Event, Interrupt, Store
+from repro.sim import Environment, Event, Interrupt
 
 
 class SharedNicPort:
-    """The VMM's view of the shared NIC (duck-types the simple Nic)."""
+    """The VMM's view of the shared NIC (duck-types the simple Nic's
+    ``start_send`` and ``listen``)."""
 
     def __init__(self, mediator: "NicMediator"):
         self._mediator = mediator
         self.name = mediator.nic.name
         self.switch = mediator.nic.switch
 
-    def send(self, dst: str, payload, payload_bytes: int,
-             protocol: str = "aoe"):
-        """Generator: transmit through the shadow ring."""
-        return (yield from self._mediator.vmm_send(
-            dst, payload, payload_bytes, protocol))
+    @property
+    def receiver(self):
+        return self._mediator.vmm_receiver
 
-    def recv(self):
-        """Generator: next frame addressed to the VMM."""
-        frame = yield self._mediator.vmm_rx.get()
-        return frame
+    def start_send(self, dst: str, payload, payload_bytes: int,
+                   protocol: str, done, parent=None,
+                   lane: str = "kernel") -> None:
+        """Transmit through the shadow ring: ``done(True)`` once the
+        frame is on the wire."""
+        self._mediator.vmm_start_send(dst, payload, payload_bytes,
+                                      protocol, done)
 
-    def poll(self):
-        return self._mediator.vmm_rx.try_get()
+    def listen(self, receiver) -> None:
+        """Hand every frame addressed to the VMM to ``receiver(frame)``
+        (see ``Nic.listen``)."""
+        self._mediator.vmm_listen(receiver)
 
 
 class _VmmTxItem:
@@ -84,7 +88,10 @@ class NicMediator:
         self._tx_owner: dict[int, tuple] = {}
 
         self._vmm_tx_queue: list[_VmmTxItem] = []
-        self.vmm_rx: Store = Store(env)
+        #: Takes the VMM's received frames while set; they wait in
+        #: ``_vmm_rx`` otherwise.
+        self.vmm_receiver = None
+        self._vmm_rx: list[Frame] = []
 
         self.installed = False
         self._poller = None
@@ -158,14 +165,15 @@ class NicMediator:
 
     # -- the intercept hook -----------------------------------------------------------
 
-    def _hook(self, access):
+    def _hook(self, access) -> None:
+        """Every access is handled in place (see
+        ``IoBus.intercept_pio``)."""
         offset = access.address - self.nic.mmio_base
         access.absorb = True  # the guest never touches the real device
         if access.is_write:
             self._on_guest_write(offset, access.value)
         else:
             access.reply = self._on_guest_read(offset)
-        yield self.env.timeout(0)
 
     def _on_guest_write(self, offset: int, value: int) -> None:
         if offset == e1000.REG_RDBA:
@@ -281,7 +289,7 @@ class NicMediator:
             self._s_tx_reaped = (self._s_tx_reaped + 1) \
                 % len(self._s_tx_ring)
 
-    # -- pumping: shadow RX -> guest ring / VMM store --------------------------------------
+    # -- pumping: shadow RX -> guest ring / VMM receiver -----------------------------------
 
     def _pump_rx(self) -> None:
         ring = self._s_rx_ring
@@ -294,14 +302,23 @@ class NicMediator:
             descriptor.frame = None
             self._s_rx_next = (self._s_rx_next + 1) % size
             recycled = True
-            if frame.protocol == "aoe":
-                self.vmm_rx.put(frame)
-            else:
+            if frame.protocol != "aoe":
                 self._deliver_to_guest(frame)
+            elif self.vmm_receiver is not None:
+                self.vmm_receiver(frame)
+            else:
+                self._vmm_rx.append(frame)
         if recycled:
             nic = self.nic
             new_tail = (self._s_rx_next - 1) % size
             nic.mmio_write(nic.mmio_base + e1000.REG_RDT, new_tail)
+
+    def vmm_listen(self, receiver) -> None:
+        """See :meth:`SharedNicPort.listen`."""
+        self.vmm_receiver = receiver
+        while receiver is not None and self._vmm_rx:
+            receiver(self._vmm_rx.pop(0))
+
 
     def _deliver_to_guest(self, frame: Frame) -> None:
         if not self.g_rdba:
@@ -322,17 +339,22 @@ class NicMediator:
 
     # -- the VMM transmit path ------------------------------------------------------------
 
-    def vmm_send(self, dst: str, payload, payload_bytes: int,
-                 protocol: str = "aoe"):
-        """Generator: send one VMM frame; returns True when on the wire."""
-        address = self.machine.hostmem.allocate(
+    def vmm_start_send(self, dst: str, payload, payload_bytes: int,
+                       protocol: str, done) -> None:
+        """Queue one VMM frame on the shadow ring: ``done(True)`` once
+        the device has put it on the wire."""
+        hostmem = self.machine.hostmem
+        address = hostmem.allocate(
             e1000.TxPayload(dst, payload, payload_bytes, protocol))
         item = _VmmTxItem(self.env, address)
         self._vmm_tx_queue.append(item)
         self._pump_vmm_tx()
-        yield item.done
-        self.machine.hostmem.free(address)
-        return True
+
+        def sent(_event):
+            hostmem.free(address)
+            done(True)
+
+        item.done.callbacks.append(sent)
 
     # -- the polling thread -----------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Packet-mode bulk streams (``EthernetSwitch.bulk_transfer``).
+"""Packet-mode bulk streams (``EthernetSwitch.start_bulk_transfer``).
 
 A bulk AoE reply is priced on a grid of 128 KiB chunks: the sender's
 port is held chunk after chunk, each chunk then crosses the receiver's
@@ -28,6 +28,16 @@ PER_FRAME = 8740
 FRAME_BYTES = 9000
 
 
+def bulk_transfer(switch, src, dst, payload, payload_bytes,
+                  per_frame_payload):
+    """Generator: one bulk stream; returns one zero-delay hop after the
+    receiver holds the payload."""
+    done = switch.env.event()
+    switch.start_bulk_transfer(src, dst, payload, payload_bytes,
+                               per_frame_payload, "aoe", done.succeed)
+    yield done
+
+
 def run(bulks=(), frames=(), fluids=()):
     """Run 1 MiB bulk transfers, single frames and fluid flows on a
     bare switch with ports a, b and c.
@@ -51,7 +61,7 @@ def run(bulks=(), frames=(), fluids=()):
     def bulk(label, src, dst, start):
         if start:
             yield env.timeout(start)
-        yield from switch.bulk_transfer(src, dst, label, MB, PER_FRAME)
+        yield from bulk_transfer(switch, src, dst, label, MB, PER_FRAME)
         finished[label] = env.now
 
     def frame(label, src, dst, start):
@@ -206,7 +216,7 @@ def test_sequential_transfers_leave_no_subscriptions():
 
     def transfers():
         for _ in range(1000):
-            yield from switch.bulk_transfer("a", "b", None, MB, PER_FRAME)
+            yield from bulk_transfer(switch, "a", "b", None, MB, PER_FRAME)
 
     env.run(until=env.process(transfers()))
     locks = [switch._tx_locks[name] for name in "ab"] \

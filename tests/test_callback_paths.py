@@ -7,6 +7,13 @@ no generator.  The instants pinned in ``SCENARIOS`` are the ones the
 process-per-operation code produced; every scenario must reproduce
 them bit for bit with fewer events than that code processed.
 
+``HANDOFF_SCENARIOS`` does the same for the hops dropped after that: a
+received frame handed straight to its AoE consumer, a free port taken
+in place and a free receiving port booked from a frame's arrival to its
+delivery, and an AoE exchange waking its caller once, at the poll tick
+after the reply.  Their instants and event counts are the ones the
+code with those hops produced.
+
 Each scenario returns ``(instants, events)``: ``instants`` maps a label
 to the instant something observable happened (a sender returned, a
 payload reached a port, a command completed), ``events`` is
@@ -14,18 +21,21 @@ payload reached a port, a command completed), ``events`` is
 
 ``HOP_DEVIATIONS`` pins, at today's instants, a same-instant tie the
 dropped kick-start changes.  The tie fuzz runs random switch scenarios
-against the receive leg as a process (``ReferenceSwitch``) and pins
-the seeds whose instants differ.
+against the receive leg as a process (``ReferenceSwitch``), and frame
+trains sent by callbacks against the frame path with every hop
+(``HopSwitch``), and pins the seeds whose instants differ.
 """
 
 import pytest
 
 from repro import params
+from repro.aoe.client import AoeInitiator
 from repro.aoe.protocol import AoeAck, AoeCommand, AoeDataFragment, AoeNak
 from repro.aoe.server import AoeServer, ImageStore
 from repro.dist.peer import PeerChunkService, PeerDirectory
 from repro.hw.machine import Machine, MachineSpec
-from repro.net.link import EthernetSwitch
+from repro.net.e1000 import E1000Nic
+from repro.net.link import EthernetSwitch, LossModel, _FrameRequest
 from repro.net.nic import Nic
 from repro.sim import Environment
 from repro.storage import ahci, ide, megaraid
@@ -33,6 +43,7 @@ from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.disk import Disk
 from repro.util.intervalmap import IntervalMap
 from repro.vmm.bitmap import BlockBitmap
+from repro.vmm.mediator_nic import NicMediator, SharedNicPort
 
 MB = 2**20
 PER_FRAME = 8740
@@ -41,6 +52,16 @@ BLOCK_SECTORS = params.COPY_BLOCK_BYTES // params.SECTOR_BYTES
 
 
 # -- switch -------------------------------------------------------------------
+
+
+def bulk_transfer(switch, src, dst, payload, payload_bytes,
+                  per_frame_payload):
+    """Generator: one bulk stream; returns one zero-delay hop after the
+    receiver holds the payload."""
+    done = switch.env.event()
+    switch.start_bulk_transfer(src, dst, payload, payload_bytes,
+                               per_frame_payload, "aoe", done.succeed)
+    yield done
 
 
 def switch_run(frames=(), bulks=(), ports="abcd"):
@@ -66,7 +87,7 @@ def switch_run(frames=(), bulks=(), ports="abcd"):
     def bulk(label, src, dst, start):
         if start:
             yield env.timeout(start)
-        yield from switch.bulk_transfer(src, dst, label, MB, PER_FRAME)
+        yield from bulk_transfer(switch, src, dst, label, MB, PER_FRAME)
         instants["sent:" + label] = env.now
 
     for op in frames:
@@ -296,6 +317,160 @@ def peer_nak():
     return instants, events
 
 
+# -- frames sent by callbacks -------------------------------------------------
+
+
+def callback_run(frames=(), bulks=(), ports="abcd"):
+    """As :func:`switch_run`, with every frame sent by ``Nic.start_send``
+    and every operation started by a timer's callback."""
+    env = Environment()
+    switch = EthernetSwitch(env)
+    instants = {}
+
+    class RecordingNic(Nic):
+        def deliver(self, frame):
+            instants["arrived:" + frame.payload] = env.now
+            super().deliver(frame)
+
+    nics = {name: RecordingNic(env, switch, name) for name in ports}
+
+    def record(label):
+        def done(_delivered=None):
+            instants["sent:" + label] = env.now
+        return done
+
+    def frame(label, src, dst, start, size):
+        def go(_timer):
+            nics[src].start_send(dst, label, size, "aoe", record(label))
+        env.timeout(start).callbacks.append(go)
+
+    def bulk(label, src, dst, start):
+        def go(_timer):
+            switch.start_bulk_transfer(src, dst, label, MB, PER_FRAME,
+                                       "aoe", record(label))
+        env.timeout(start).callbacks.append(go)
+
+    for op in frames:
+        frame(*op)
+    for op in bulks:
+        bulk(*op)
+    env.run()
+    return instants, env.events_processed
+
+
+def lone_frame():
+    return callback_run(frames=[("f0", "a", "b", 0.0, FRAME_BYTES)])
+
+
+def frames_meet_at_port():
+    # f0 and f1 reach c's receive port at one instant (f0 booked it);
+    # g0 waits behind f0 on a's sending port.
+    return callback_run(frames=[("f0", "a", "c", 0.0, FRAME_BYTES),
+                                ("f1", "b", "c", 0.0, FRAME_BYTES),
+                                ("g0", "a", "c", 0.0, 64)])
+
+
+def frames_meet_bulk_at_boundary():
+    # As switch_frame_crosses_bulk, the frames sent by callbacks.
+    wire = MB + 120 * params.ETH_FRAME_OVERHEAD
+    per_chunk = wire * 8.0 / params.GBE_BITS_PER_SECOND / 8
+    return callback_run(bulks=[("x", "a", "b", 0.0)],
+                        frames=[("f0", "c", "b", 2 * per_chunk,
+                                 FRAME_BYTES),
+                                ("f1", "a", "c", 3 * per_chunk,
+                                 FRAME_BYTES),
+                                ("f2", "d", "b", 2.5e-3, 64)])
+
+
+# -- AoE exchanges --------------------------------------------------------------
+
+
+class DropFirstFragment(LossModel):
+    """Drops the first AoE data fragment put on the wire."""
+
+    def __init__(self):
+        super().__init__(0.0)
+        self.armed = True
+
+    def drops(self, frame):
+        if self.armed and isinstance(frame.payload, AoeDataFragment):
+            self.armed = False
+            self.dropped += 1
+            return True
+        return False
+
+
+def aoe_exchange(ops, shared=False, loss=None):
+    """AoE operations ``(label, start, op, lba, sectors)`` from one
+    initiator to a two-worker target; the initiator's port is a plain
+    ``Nic`` or, with ``shared``, a mediated e1000's ``SharedNicPort``.
+    Records when each operation returned to its caller and the
+    initiator's protocol milestones."""
+    env = Environment()
+    switch = EthernetSwitch(env, loss=loss)
+    contents = IntervalMap()
+    contents.set_range(0, 1 << 16, "img")
+    store = ImageStore(env, contents, 1 << 16, cache_hit_ratio=0.5)
+    server = AoeServer(env, Nic(env, switch, "server"), store, workers=2)
+    server.start()
+    if shared:
+        machine = Machine(env, MachineSpec())
+        device = E1000Nic(env, switch, "vmm", machine,
+                          mmio_base=0xFE00_0000)
+        mediator = NicMediator(env, machine, device)
+        mediator.install()
+        nic = SharedNicPort(mediator)
+    else:
+        nic = Nic(env, switch, "vmm")
+    client = AoeInitiator(env, nic, "server", poll_interval=100e-6)
+    instants = {}
+    milestones = []
+
+    def observe(kind, **_fields):
+        milestones.append(kind)
+        instants[f"{kind}{milestones.count(kind)}"] = env.now
+
+    client.observers.append(observe)
+
+    def run(label, start, op, lba, sectors):
+        if start:
+            yield env.timeout(start)
+        if op == "write":
+            yield from client.write_blocks(lba, sectors,
+                                           [(lba, lba + sectors, "w")])
+        else:
+            runs = yield from client.read_blocks(lba, sectors,
+                                                 bulk=op == "bulk")
+            assert runs == [(lba, lba + sectors, "img")]
+        instants[label] = env.now
+
+    for op in ops:
+        env.process(run(*op))
+    env.run(until=0.5)
+    instants["retransmissions"] = client.retransmissions
+    instants["served"] = server.commands_served
+    instants["srtt"] = client.rtt.srtt
+    return instants, env.events_processed
+
+
+AOE_OPS = [("bulk", 0.0, "bulk", 0, 2048), ("frag", 0.0, "read", 4096, 64),
+           ("write", 1e-3, "write", 8192, 16),
+           ("frag2", 2e-3, "read", 100, 8)]
+
+
+def aoe_over_nic():
+    return aoe_exchange(AOE_OPS)
+
+
+def aoe_over_shared_nic():
+    return aoe_exchange(AOE_OPS, shared=True)
+
+
+def aoe_rto_retransmit():
+    return aoe_exchange([("frag", 0.0, "read", 4096, 64)],
+                        loss=DropFirstFragment())
+
+
 #: name -> (scenario, instants and figures, events the
 #: process-per-operation code processed).
 SCENARIOS = {
@@ -354,6 +529,92 @@ SCENARIOS = {
 }
 
 
+#: name -> (scenario, instants and figures, events the code with a
+#: grant event per port, a ring hand-off per received frame and a
+#: completion event, condition and poll timer per AoE exchange
+#: processed).
+HANDOFF_SCENARIOS = {
+    "lone-frame": (
+        lone_frame,
+        {"sent:f0": 7.2304e-05, "arrived:f0": 0.000164608},
+        7),
+    "frames-meet-at-port": (
+        frames_meet_at_port,
+        {"sent:f0": 7.2304e-05,
+         "sent:f1": 7.2304e-05,
+         "sent:g0": 7.312e-05,
+         "arrived:f0": 0.000164608,
+         "arrived:f1": 0.000236912,
+         "arrived:g0": 0.000237728},
+        21),
+    "frames-meet-bulk-at-boundary": (
+        frames_meet_bulk_at_boundary,
+        {"sent:f0": 0.002178576,
+         "sent:f2": 0.002500816,
+         "arrived:f0": 0.0032317120000000003,
+         "sent:f1": 0.0032317120000000003,
+         "arrived:f2": 0.003232528,
+         "arrived:f1": 0.0033240160000000004,
+         "arrived:x": 0.009551343999999998,
+         "sent:x": 0.009551343999999998},
+        39),
+    "aoe-over-nic": (
+        aoe_over_nic,
+        {"send1": 0.0,
+         "send2": 0.0,
+         "send3": 0.001,
+         "send4": 0.002,
+         "rtt-sample1": 0.0115308,
+         "complete1": 0.0115308,
+         "bulk": 0.0115808,
+         "rtt-sample2": 0.01158464,
+         "complete2": 0.01158464,
+         "frag": 0.01163464,
+         "rtt-sample3": 0.011775639999999999,
+         "complete3": 0.011775639999999999,
+         "frag2": 0.011825639999999998,
+         "rtt-sample4": 0.016562928,
+         "complete4": 0.016562928,
+         "write": 0.016612928000000002,
+         "retransmissions": 0,
+         "served": 4,
+         "srtt": 0.01974339578515625},
+        147),
+    "aoe-over-shared-nic": (
+        aoe_over_shared_nic,
+        {"send1": 0.0,
+         "send2": 0.0,
+         "send3": 0.001,
+         "send4": 0.002,
+         "rtt-sample1": 0.011599999999999985,
+         "rtt-sample2": 0.011599999999999985,
+         "complete1": 0.011599999999999985,
+         "complete2": 0.011599999999999985,
+         "bulk": 0.011649999999999985,
+         "frag": 0.011649999999999985,
+         "rtt-sample3": 0.011799999999999984,
+         "complete3": 0.011799999999999984,
+         "frag2": 0.011849999999999984,
+         "rtt-sample4": 0.016599999999999955,
+         "complete4": 0.016599999999999955,
+         "write": 0.016649999999999957,
+         "retransmissions": 0,
+         "served": 4,
+         "srtt": 0.01975795898437499},
+        5161),
+    "aoe-rto-retransmit": (
+        aoe_rto_retransmit,
+        {"send1": 0.0,
+         "send2": 0.15000059200000002,
+         "complete1": 0.15622618400000002,
+         "frag": 0.156276184,
+         "retransmissions": 1,
+         "served": 2,
+         "srtt": 0.025},
+        88),
+}
+
+
 #: name -> (scenario, instants and figures, what the process code gave
 #: where it differs).  A same-instant tie the dropped kick-start can
 #: tell apart, pinned so it cannot widen unnoticed.
@@ -398,6 +659,20 @@ def test_fewer_events_than_processes(name):
     assert events < process_events
 
 
+@pytest.mark.parametrize("name", HANDOFF_SCENARIOS)
+def test_handoff_instants_reproduced(name):
+    scenario, expected, _ = HANDOFF_SCENARIOS[name]
+    instants, _ = scenario()
+    assert instants == expected
+
+
+@pytest.mark.parametrize("name", HANDOFF_SCENARIOS)
+def test_fewer_events_than_hops(name):
+    scenario, _, hop_events = HANDOFF_SCENARIOS[name]
+    _, events = scenario()
+    assert events < hop_events
+
+
 # -- same-instant ties on the switch ----------------------------------------
 
 
@@ -423,6 +698,45 @@ class ReferenceSwitch(EthernetSwitch):
         self._m_frames.inc()
         self._m_bytes.inc(wire_bytes)
         self._ports[frame.dst].deliver(frame)
+
+
+class HopSwitch(EthernetSwitch):
+    """A switch whose frames take every hop they used to: a grant event
+    for each port, and the forwarding-latency timer before the
+    receiving port is asked for."""
+
+    def start_transmit(self, frame, done):
+        self._check_frame(frame)
+        request = _FrameRequest(self._tx_locks[frame.src], frame, done)
+        request.callbacks.append(self._on_tx_granted)
+
+    def _forward(self, frame):
+        self.env.pooled_timeout(self.forward_latency,
+                                frame).callbacks.append(self._on_rx_arrived)
+
+
+class CountingSwitch(EthernetSwitch):
+    """Counts the hops its frames skipped: sending ports taken in place
+    (a grant event each), and receiving ports booked and kept to the
+    delivery (a latency timer and a grant event each)."""
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.taken = self.kept = 0
+
+    def start_transmit(self, frame, done):
+        self.taken += (not self._tx_locks[frame.src].users
+                       and self.env.settled)
+        super().start_transmit(frame, done)
+
+    def _forward(self, frame):
+        super()._forward(frame)
+        booking = self._rx_locks[frame.dst].booking
+        self.kept += booking is not None and booking.frame is frame
+
+    def _unbook(self, booking):
+        super()._unbook(booking)
+        self.kept -= 1
 
 
 #: Seeds of the tie fuzz, and the serialization grid its starts snap
@@ -452,7 +766,9 @@ def fuzz_scenario(seed):
     return ports, trains, bulks
 
 
-def fuzz_run(switch_class, ports, trains, bulks):
+def fuzz_run(switch_class, ports, trains, bulks, callbacks=False):
+    """Run a fuzz scenario; trains are sent by generator processes, or
+    with ``callbacks`` by chains of ``Nic.start_send``."""
     env = Environment()
     switch = switch_class(env)
     instants = {}
@@ -471,23 +787,37 @@ def fuzz_run(switch_class, ports, trains, bulks):
             yield from nics[src].send(dst, f"{label}.{index}", size)
         instants["sent:" + label] = env.now
 
+    def callback_train(label, src, dst, start, sizes):
+        def send(index):
+            if index == len(sizes):
+                instants["sent:" + label] = env.now
+                return
+            nics[src].start_send(dst, f"{label}.{index}", sizes[index],
+                                 "aoe", lambda _delivered: send(index + 1))
+        env.timeout(start).callbacks.append(lambda _timer: send(0))
+
     def bulk(label, src, dst, start, size):
         yield env.timeout(start)
-        yield from switch.bulk_transfer(src, dst, label, size, PER_FRAME)
+        yield from bulk_transfer(switch, src, dst, label, size, PER_FRAME)
         instants["sent:" + label] = env.now
 
     for op in trains:
-        env.process(train(*op))
+        if callbacks:
+            callback_train(*op)
+        else:
+            env.process(train(*op))
     for op in bulks:
         env.process(bulk(*op))
     env.run()
-    return instants, env.events_processed
+    return instants, env.events_processed, switch
 
 
 #: Fuzz seeds whose instants differ from the reference receive leg's.
 #: Empty: dropping the kick-start moves the forwarding-latency timer
 #: one hop earlier in its instant, and no scenario has another timer
-#: tied with it whose order could tell.
+#: tied with it whose order could tell.  A booked receiving port keeps
+#: the latency timer's place in the order (cancelled, revived when
+#: somebody else asks for the port first), so it cannot tell either.
 FUZZ_DEVIATIONS = ()
 
 
@@ -495,14 +825,34 @@ def test_tie_fuzz_matches_reference_receive_leg():
     deviating = []
     for seed in FUZZ_SEEDS:
         scenario = fuzz_scenario(seed)
-        got, events = fuzz_run(EthernetSwitch, *scenario)
-        reference, reference_events = fuzz_run(ReferenceSwitch, *scenario)
+        got, events, switch = fuzz_run(CountingSwitch, *scenario)
+        reference, reference_events, _ = fuzz_run(ReferenceSwitch,
+                                                  *scenario)
         if got != reference:
             deviating.append(seed)
-        # Two events fewer per frame; bulk streams are unchanged.
+        # Two events fewer per frame, two more per kept booking; bulk
+        # streams are unchanged.
         frames = sum(len(sizes) for _, _, _, _, sizes in scenario[1])
-        assert events == reference_events - 2 * frames
+        assert events == reference_events - 2 * frames - 2 * switch.kept
     assert tuple(deviating) == FUZZ_DEVIATIONS
+
+
+#: Fuzz seeds whose callback-sent instants differ from ``HopSwitch``'s.
+HOP_FUZZ_DEVIATIONS = ()
+
+
+def test_tie_fuzz_matches_hop_frame_path():
+    deviating = []
+    for seed in FUZZ_SEEDS:
+        scenario = fuzz_scenario(seed)
+        got, events, switch = fuzz_run(CountingSwitch, *scenario,
+                                       callbacks=True)
+        reference, reference_events, _ = fuzz_run(HopSwitch, *scenario,
+                                                  callbacks=True)
+        if got != reference:
+            deviating.append(seed)
+        assert events == reference_events - switch.taken - 2 * switch.kept
+    assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
 
 
 # -- profiler attribution -----------------------------------------------------

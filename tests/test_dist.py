@@ -127,7 +127,7 @@ def test_karn_retransmitted_reply_does_not_feed_estimator():
     from repro.aoe.protocol import AoeAck, AoeCommand
 
     command = AoeCommand(0, "write", 0, 8, payload_runs=((0, 8, "x"),))
-    transaction = _Transaction(env, command, "server", "aoe")
+    transaction = _Transaction(initiator, command, "server", "aoe")
     transaction.retries = 1  # a retransmission happened: ambiguous RTT
     initiator._pending[0] = transaction
     before = (initiator.rtt.srtt, initiator.rtt.samples)
@@ -136,7 +136,8 @@ def test_karn_retransmitted_reply_does_not_feed_estimator():
     assert (initiator.rtt.srtt, initiator.rtt.samples) == before
 
     # The unambiguous twin does feed it.
-    clean = _Transaction(env, AoeCommand(1, "write", 0, 8), "server", "aoe")
+    clean = _Transaction(initiator, AoeCommand(1, "write", 0, 8), "server",
+                         "aoe")
     initiator._pending[1] = clean
     initiator._on_ack(AoeAck(1))
     assert initiator.rtt.samples == before[1] + 1

@@ -148,11 +148,14 @@ def test_fluid_transfer_accounts_like_bulk_transfer():
         sender = Nic(env, switch, "src")
         receiver = Nic(env, switch, "dst")
         payload_bytes = 4 * MB
-        method = switch.fluid_transfer if fluid else switch.bulk_transfer
+        start = switch.start_fluid_transfer if fluid \
+            else switch.start_bulk_transfer
 
         def scenario():
-            yield from method("src", "dst", b"", payload_bytes, 8192,
-                              protocol="aoe")
+            done = env.event()
+            start("src", "dst", b"", payload_bytes, 8192, "aoe",
+                  done.succeed)
+            yield done
 
         env.run(until=env.process(scenario()))
         delivered = receiver.rx_ring.items

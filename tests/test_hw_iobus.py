@@ -169,6 +169,38 @@ def test_intercept_can_emulate_read_reply():
     assert run(env, proc()) == 0x80
 
 
+def test_hook_handling_in_place_costs_only_the_exit():
+    env, bus, device, cpu = setup_bus()
+    device.registers[0x1F7] = 0x50
+
+    def generator_hook(access):
+        access.reply = 0x80
+        yield env.timeout(0)
+
+    def plain_hook(access):
+        access.reply = 0x80
+
+    def read():
+        start = env.now
+        value = yield from bus.pio_read(0x1F7, cpu=cpu)
+        return value, env.now - start
+
+    results = []
+    for hook in (generator_hook, plain_hook):
+        bus.uninstall_pio_intercepts([0x1F7])
+        bus.intercept_pio([0x1F7], hook)
+        cpu.vmxon()
+        cpu.vmenter()
+        before = env.events_processed
+        value, took = run(env, read())
+        results.append((value, took, env.events_processed - before))
+        cpu.vmxoff()
+    (value, took, events), (plain_value, plain_took, plain_events) = results
+    assert value == plain_value == 0x80
+    assert plain_took == took > 0
+    assert plain_events == events - 1
+
+
 def test_mmio_interception():
     env, bus, device, cpu = setup_bus()
     seen = []

@@ -160,6 +160,20 @@ def make_store(**kwargs):
     return env, ImageStore(env, contents, 1 << 20, **kwargs)
 
 
+def store_read(store, lba, sector_count):
+    """Generator: the runs, one zero-delay hop after ``done``."""
+    done = store.env.event()
+    store.start_read(lba, sector_count, done.succeed)
+    return (yield done)
+
+
+def store_write(store, lba, runs):
+    """Generator: returns one zero-delay hop after ``done``."""
+    done = store.env.event()
+    store.start_write(lba, runs, done.succeed)
+    yield done
+
+
 def test_imagestore_hit_ratio_validated():
     with pytest.raises(ValueError):
         make_store(cache_hit_ratio=1.5)
@@ -171,7 +185,7 @@ def test_imagestore_streaming_reads_always_hit():
 
     def proc():
         start = env.now
-        yield from store.read(0, 2048)  # >= STREAMING_SECTORS
+        yield from store_read(store, 0, 2048)  # >= STREAMING_SECTORS
         return env.now - start
 
     elapsed = env.run(until=env.process(proc()))
@@ -185,7 +199,7 @@ def test_imagestore_small_reads_respect_hit_ratio():
     def proc():
         start = env.now
         for _ in range(20):
-            yield from store.read(0, 8)
+            yield from store_read(store, 0, 8)
         return env.now - start
 
     elapsed = env.run(until=env.process(proc()))
@@ -197,8 +211,8 @@ def test_imagestore_write_roundtrip():
     env, store = make_store()
 
     def proc():
-        yield from store.write(10, [(10, 20, "newdata")])
-        runs = yield from store.read(10, 10)
+        yield from store_write(store, 10, [(10, 20, "newdata")])
+        runs = yield from store_read(store, 10, 10)
         return runs
 
     runs = env.run(until=env.process(proc()))

@@ -164,13 +164,29 @@ def test_guest_rx_ring_overflow_drops_excess():
     assert mediator.guest_frames_delivered <= e1000.RING_SIZE - 1
 
 
-def test_vmm_port_poll_and_name():
+def test_vmm_port_queues_frames_until_listened():
     testbed, nic, peer = make_testbed()
+    env = testbed.env
     vmm, mediator = make_shared(testbed, nic)
     port = SharedNicPort(mediator)
     assert port.name == nic.name
     assert port.switch is testbed.switch
-    assert port.poll() is None
+    # With the VMM's initiator stopped, AoE frames wait for a listener.
+    vmm.initiator.stop()
+    assert port.receiver is None
+
+    def send():
+        yield from peer.send(nic.name, "hello", 64, protocol="aoe")
+        yield env.timeout(5e-3)
+
+    run(env, send())
+    received = []
+    port.listen(received.append)
+    assert port.receiver is not None
+    assert "hello" in [frame.payload for frame in received]
+    count = len(received)
+    run(env, send())
+    assert len(received) > count and received[-1].payload == "hello"
 
 
 def test_mediator_uninstall_requires_quiescence():
