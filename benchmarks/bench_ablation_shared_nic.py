@@ -5,6 +5,16 @@ chooses a dedicated NIC "mainly because of the performance reason":
 mediation adds latency and jitter to guest networking, and deployment
 traffic scrambles for bandwidth with the guest.  This bench measures all
 three effects during an active full-speed background copy.
+
+Both configurations' copy rates are measured over the same simulated
+window: ``COPY_WINDOW_SECONDS`` from the moment the guest NIC comes up,
+which lies inside both ping loops.  (Averaging each over its own ping
+loop compared a copy still ramping up at two different instants.)  The
+rates come out equal: 200 pings of 100 bytes are too little guest
+traffic to show the paper's copy slow-down, so the bench only checks
+that the shared NIC's copy is not faster.  The copy column is coarse:
+the full-speed copier lands whole 8 MiB coalesced runs, so over the
+window the rate moves in steps of about 21 MB/s.
 """
 
 import statistics
@@ -24,6 +34,9 @@ from repro.vmm.moderation import FULL_SPEED
 
 E1000_BASE = 0xFE00_0000
 PINGS = 200
+#: Simulated seconds from the guest NIC's start over which the copy rate
+#: is measured; shorter than either configuration's ping loop.
+COPY_WINDOW_SECONDS = 0.4
 
 
 def run_config(shared: bool):
@@ -53,18 +66,28 @@ def run_config(shared: bool):
         extra = [mediator]
     else:
         vmm_port = node.vmm_nic
-    vmm = BmcastVmm(env, node.machine, vmm_port, testbed.server_port,
+    vmm = BmcastVmm(env, node.machine, vmm_port, testbed.fabric,
                     image_sectors=testbed.image.total_sectors,
                     policy=FULL_SPEED, extra_mediators=extra,
                     auto_devirtualize=False)
     driver = E1000Driver(node.machine, nic)
     rtts = []
+    copied = []
+
+    def copied_bytes():
+        return vmm.copier.bytes_written + vmm.copier.writeback_bytes
+
+    def measure_copy():
+        before = copied_bytes()
+        yield env.timeout(COPY_WINDOW_SECONDS)
+        copied.append(copied_bytes() - before)
 
     def scenario():
         yield from node.machine.power_on()
         yield from node.machine.firmware.network_boot()
         yield from vmm.boot()
         yield from driver.start()
+        window = env.process(measure_copy(), name="copy-window")
         # Ping while the copier streams at full speed.
         for index in range(PINGS):
             start = env.now
@@ -72,14 +95,14 @@ def run_config(shared: bool):
             yield from driver.recv()
             rtts.append(env.now - start)
             yield env.timeout(2e-3)
+        yield window
 
     env.run(until=env.process(scenario()))
-    copy_rate = vmm.copier.write_rate()
     return {
         "mean_rtt": statistics.mean(rtts),
         "p95_rtt": sorted(rtts)[int(len(rtts) * 0.95)],
         "jitter": statistics.stdev(rtts),
-        "copy_rate": copy_rate,
+        "copy_rate": copied[0] / COPY_WINDOW_SECONDS,
     }
 
 
@@ -99,7 +122,7 @@ def test_ablation_shared_nic(benchmark):
         ["configuration", "ping RTT us", "p95 us", "jitter us",
          "copy MB/s"], rows,
         title="Ablation: dedicated vs shared management NIC "
-        "(during full-speed copy)"))
+        "(during full-speed copy; copy MB/s counts whole 8 MiB runs)"))
 
     dedicated = results["dedicated NIC (paper's choice)"]
     shared = results["shared NIC (shadow rings)"]
@@ -108,5 +131,6 @@ def test_ablation_shared_nic(benchmark):
     assert shared["mean_rtt"] > dedicated["mean_rtt"]
     assert shared["jitter"] > dedicated["jitter"]
     # 2. the copy and the guest scramble for one wire, so the copy is
-    #    slower than with its own NIC.
+    #    no faster than with its own NIC (this light ping load leaves
+    #    it equal; see the module docstring).
     assert shared["copy_rate"] < dedicated["copy_rate"] * 1.02

@@ -22,7 +22,7 @@ def main():
     node = testbed.node
     env = testbed.env
 
-    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
+    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.fabric,
                     image_sectors=image.total_sectors,
                     policy=ModerationPolicy(write_interval=20e-3))
     guest = GuestOs(node.machine, image)

@@ -97,12 +97,9 @@ class Provisioner:
         spans = self.telemetry.tracer
         sanitizers = vmm_options.pop("sanitizers", None)
         vmm_options.setdefault("telemetry", self.telemetry)
-        fabric = getattr(self.testbed, "fabric", None)
-        if fabric is not None:
-            vmm_options.setdefault("fabric", fabric)
-            vmm_options.setdefault("peer_nic", node.peer_nic)
+        vmm_options.setdefault("peer_nic", node.peer_nic)
         vmm = BmcastVmm(self.env, node.machine, node.vmm_nic,
-                        self.testbed.server_port,
+                        self.testbed.fabric,
                         image_sectors=image.total_sectors,
                         policy=policy, **vmm_options)
         if sanitizers is not None:

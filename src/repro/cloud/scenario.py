@@ -49,6 +49,8 @@ class Testbed:
     store: ImageStore
     server: AoeServer
     server_port: str
+    #: Origin replicas and policy every BMcast VMM fetches through.
+    fabric: DistFabric
     nodes: list[TestbedNode] = field(default_factory=list)
     ib_fabric: IbFabric | None = None
     telemetry: object = NULL_TELEMETRY
@@ -56,9 +58,6 @@ class Testbed:
     servers: list[AoeServer] = field(default_factory=list)
     stores: list[ImageStore] = field(default_factory=list)
     server_ports: list[str] = field(default_factory=list)
-    #: Distribution fabric; None only for pre-fabric callers that
-    #: construct a Testbed by hand.
-    fabric: DistFabric | None = None
 
     @property
     def node(self) -> TestbedNode:
@@ -134,14 +133,15 @@ def build_testbed(node_count: int = 1,
     dist_fabric = DistFabric(server_ports, select_policy=select_policy,
                              p2p=p2p, telemetry=telemetry)
 
-    fabric = IbFabric(env) if with_infiniband else None
+    ib_fabric = IbFabric(env) if with_infiniband else None
 
     testbed = Testbed(env=env, switch=switch, image=image,
                       store=stores[0], server=servers[0],
                       server_port="server",
-                      ib_fabric=fabric, telemetry=telemetry,
+                      fabric=dist_fabric, ib_fabric=ib_fabric,
+                      telemetry=telemetry,
                       servers=servers, stores=stores,
-                      server_ports=server_ports, fabric=dist_fabric)
+                      server_ports=server_ports)
 
     for index in range(node_count):
         name = f"node{index}"
@@ -169,7 +169,7 @@ def build_testbed(node_count: int = 1,
             peer_nic = Nic(env, switch,
                            dist_fabric.peer_port_of(vmm_nic.name),
                            rx_ring_size=8192, telemetry=telemetry)
-        hca = IbHca(env, fabric, machine) if fabric is not None else None
+        hca = IbHca(env, ib_fabric, machine) if with_infiniband else None
         testbed.nodes.append(TestbedNode(
             machine=machine, disk=disk, controller=controller,
             guest_nic=guest_nic, vmm_nic=vmm_nic, ib_hca=hca,

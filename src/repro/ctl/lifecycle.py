@@ -222,10 +222,9 @@ class NodePool:
 
     def peer_port_of(self, index: int) -> str | None:
         node = self.testbed.nodes[index]
-        fabric = getattr(self.testbed, "fabric", None)
-        if fabric is None or node.peer_nic is None:
+        if node.peer_nic is None:
             return None
-        return fabric.peer_port_of(node.vmm_nic.name)
+        return self.testbed.fabric.peer_port_of(node.vmm_nic.name)
 
     # -- forward path -------------------------------------------------------
 

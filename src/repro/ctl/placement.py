@@ -52,10 +52,10 @@ class CacheAwarePlacement:
 
     def score(self, pool, record, image_blocks) -> int:
         """Copy blocks of the wanted image this node already holds."""
-        fabric = getattr(pool.testbed, "fabric", None)
         peer_port = pool.peer_port_of(record.index)
-        if fabric is not None and peer_port is not None:
-            advertised = fabric.directory.overlap(peer_port, image_blocks)
+        if peer_port is not None:
+            advertised = pool.testbed.fabric.directory.overlap(
+                peer_port, image_blocks)
             if advertised:
                 return advertised
         # Non-p2p testbed (or the responder is down): trust the
@@ -77,18 +77,10 @@ class CacheAwarePlacement:
 def image_block_set(testbed) -> set[int]:
     """Copy-block indexes the testbed's image occupies.
 
-    The ``wanted`` set placement scores against; on fabrics this uses
-    the fabric's block geometry (must match the peer directory), else
-    the default copy-block size.
+    The ``wanted`` set placement scores against, in the fabric's block
+    geometry (it must match the peer directory).
     """
-    from repro import params
-    fabric = getattr(testbed, "fabric", None)
-    if fabric is not None:
-        return set(fabric.blocks_of(0, testbed.image.total_sectors))
-    block_sectors = params.COPY_BLOCK_BYTES // params.SECTOR_BYTES
-    blocks = (testbed.image.total_sectors + block_sectors - 1) \
-        // block_sectors
-    return set(range(blocks))
+    return set(testbed.fabric.blocks_of(0, testbed.image.total_sectors))
 
 
 #: Name -> zero-argument factory, for the CLI and benches.

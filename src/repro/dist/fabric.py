@@ -7,10 +7,12 @@ instantiates, and — when peer-to-peer serving is on — the shared
 :class:`~repro.dist.peer.PeerDirectory` the chunk services gossip
 their bitmap summaries into.
 
-``build_testbed(server_count=N, p2p=True, select_policy=...)``
-assembles one automatically; the provisioner hands it to each BMcast
-VMM, which routes its fetches through a per-node
-:class:`~repro.dist.router.FetchRouter`.
+Every testbed has one: ``build_testbed(server_count=N, p2p=True,
+select_policy=...)`` assembles it, and a plain one-server testbed gets
+a one-replica fabric.  Every BMcast VMM takes the testbed's fabric and
+routes all its fetches through a per-node
+:class:`~repro.dist.router.FetchRouter`; there is no fabric-less fetch
+path.
 """
 
 from __future__ import annotations

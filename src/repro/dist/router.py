@@ -1,9 +1,9 @@
 """Initiator-side fetch routing over replicas and peers.
 
-The :class:`FetchRouter` slots in where the VMM previously talked to
-the single storage server: the deployment context and background
-copier call :meth:`read_blocks` with the initiator's exact signature,
-and the router decides *where* each read goes.
+The :class:`FetchRouter` is every BMcast VMM's one fetch path: the
+deployment context and background copier call :meth:`read_blocks`,
+and the router decides *where* each read goes (on a one-server
+testbed, always the one replica).
 
 Routing order per request:
 
@@ -85,8 +85,8 @@ class FetchRouter:
                     bulk: bool = False, fluid: bool = False):
         """Generator: fetch content runs via the fabric.
 
-        Drop-in for :meth:`AoeInitiator.read_blocks` — the deployment
-        context and copier cannot tell the difference.  ``fluid``
+        Takes :meth:`AoeInitiator.read_blocks`'s range, ``bulk`` and
+        ``fluid`` arguments; the router picks the target.  ``fluid``
         applies only to origin fetches (peer gossip demotes fluid mode
         at arm time, but the threading is defensive either way: peer
         legs always run packet mode).
@@ -213,13 +213,9 @@ class FetchRouter:
         try:
             with self.telemetry.profiler.track("origin",
                                                "origin-fetch"):
-                if fluid:
-                    runs = yield from self.initiator.read_blocks(
-                        lba, sector_count, bulk=bulk, target=target,
-                        fluid=True)
-                else:
-                    runs = yield from self.initiator.read_blocks(
-                        lba, sector_count, bulk=bulk, target=target)
+                runs = yield from self.initiator.read_blocks(
+                    lba, sector_count, bulk=bulk, target=target,
+                    fluid=fluid)
         except AoeTimeoutError:
             self.selector.note_complete(target, self.env.now - started,
                                         ok=False)

@@ -135,17 +135,12 @@ class FlowNetwork:
             if (flow.src if tx else flow.dst) == port:
                 flow.remaining_bytes += flow.rate_bps * scale
 
-    def transfer(self, src: str, dst: str, wire_bytes: int):
-        """Generator: move ``wire_bytes`` from port ``src`` to ``dst``.
-
-        Blocks until the flow completes under max-min sharing with
-        every other concurrent flow.  The caller owns frame delivery
-        and byte accounting (see ``EthernetSwitch.fluid_transfer``).
-        """
-        yield self.start(src, dst, wire_bytes)
-
     def start(self, src: str, dst: str, wire_bytes: int) -> Event:
-        """Admit a flow; returns the event fired when it completes."""
+        """Admit a flow; returns the event fired when it completes.
+
+        The caller (``EthernetSwitch.start_fluid_transfer``) owns frame
+        delivery and byte accounting.
+        """
         flow = Flow(self.env, src, dst, wire_bytes)
         self.flows_started += 1
         self.bytes_transferred += wire_bytes

@@ -345,16 +345,6 @@ class EthernetSwitch:
             if notifier is not None:
                 notifier.notify()
 
-    def fluid_transfer(self, src: str, dst: str, payload,
-                       payload_bytes: int, per_frame_payload: int,
-                       protocol: str = "aoe"):
-        """Generator form of :meth:`start_fluid_transfer`; the caller
-        resumes one zero-delay hop after ``done`` would have run."""
-        done = Event(self.env)
-        self.start_fluid_transfer(src, dst, payload, payload_bytes,
-                                  per_frame_payload, protocol, done.succeed)
-        yield done
-
     def start_fluid_transfer(self, src: str, dst: str, payload,
                              payload_bytes: int, per_frame_payload: int,
                              protocol: str, done) -> None:

@@ -431,10 +431,6 @@ class Environment:
         except StopSimulation as stop:
             return stop.args[0] if stop.args else None
 
-    def run_until_idle(self) -> None:
-        """Drain every queued event (alias for ``run(None)``)."""
-        self.run(None)
-
 
 def _stop_callback(event: Event) -> None:
     if event.ok:

@@ -12,14 +12,22 @@ Lifecycle (paper 3.1, Figure 1):
 * **de-virtualization** — once the bitmap is complete, tear everything
   down seamlessly (see :mod:`repro.vmm.devirt`).
 * **bare-metal** — the VMM is gone; zero overhead.
+
+Every image fetch, redirected read and copier fetch alike, goes through
+a per-node :class:`~repro.dist.FetchRouter` over the testbed's
+:class:`~repro.dist.DistFabric` (one replica on a one-server testbed).
 """
 
 from __future__ import annotations
 
 from repro import params
 from repro.aoe.client import AoeInitiator
+from repro.dist.fabric import DistFabric
+from repro.dist.peer import PeerChunkService
+from repro.dist.router import FetchRouter
 from repro.hw.cpu import ExitReason
 from repro.hw.platform import PlatformCondition
+from repro.net.flow import FluidState
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment
 from repro.vmm.bitmap import BlockBitmap
@@ -53,7 +61,8 @@ DEVIRT_CONDITION = PlatformCondition(label="bmcast-devirt")
 class BmcastVmm:
     """One BMcast instance managing one machine."""
 
-    def __init__(self, env: Environment, machine, vmm_nic, server: str,
+    def __init__(self, env: Environment, machine, vmm_nic,
+                 fabric: DistFabric,
                  image_sectors: int,
                  policy: ModerationPolicy | None = None,
                  poll_interval: float | None = None,
@@ -65,7 +74,6 @@ class BmcastVmm:
                  release_memory: bool = False,
                  prefetch_lbas=None,
                  extra_mediators=(),
-                 fabric=None,
                  peer_nic=None,
                  fluid: bool = False,
                  coalesce_blocks: int | None = None,
@@ -105,35 +113,32 @@ class BmcastVmm:
         # while every transaction retransmits — a storm, not a signal.
         rto_kwargs = {} if initial_rto is None \
             else {"initial_rto": initial_rto}
-        self.initiator = AoeInitiator(env, vmm_nic, server,
+        self.initiator = AoeInitiator(env, vmm_nic,
+                                      fabric.replica_ports[0],
                                       poll_interval=poll_interval,
                                       telemetry=telemetry, **rto_kwargs)
+        #: Distribution fabric (repro.dist): every image fetch goes
+        #: through the router (replicas, and peers on p2p fabrics).
+        self.fabric = fabric
+        self.router = FetchRouter(env, self.initiator, fabric,
+                                  node_port=vmm_nic.name,
+                                  telemetry=telemetry)
         self.bitmap = BlockBitmap(image_sectors)
         self.deployment = DeploymentContext(
-            env, self.bitmap, self.initiator,
+            env, self.bitmap, self.router,
             poll_interval=poll_interval,
             protected_lba=image_sectors + 8,
             protected_sectors=64,
             telemetry=telemetry,
         )
-        #: Distribution fabric (repro.dist): route fetches through a
-        #: replica selector, and optionally serve local blocks to peers.
-        self.fabric = fabric
-        self.router = None
+        #: Serves local blocks to peers (p2p fabrics with a peer port).
         self.peer_service = None
-        if fabric is not None:
-            from repro.dist.router import FetchRouter
-            self.router = FetchRouter(env, self.initiator, fabric,
-                                      node_port=vmm_nic.name,
-                                      telemetry=telemetry)
-            self.deployment.fetcher = self.router
-            if fabric.p2p and peer_nic is not None:
-                from repro.dist.peer import PeerChunkService
-                self.peer_service = PeerChunkService(
-                    env, peer_nic, machine.disk_controller.disk,
-                    self.bitmap, fabric.directory, telemetry=telemetry)
-                self.deployment.block_filled_listeners.append(
-                    self.peer_service.note_block_filled)
+        if fabric.p2p and peer_nic is not None:
+            self.peer_service = PeerChunkService(
+                env, peer_nic, machine.disk_controller.disk,
+                self.bitmap, fabric.directory, telemetry=telemetry)
+            self.deployment.block_filled_listeners.append(
+                self.peer_service.note_block_filled)
         #: Copy blocks a guest write has touched: their on-disk content
         #: no longer matches the image.  Mirrors the peer service's
         #: taint signals but is always on, so the reclaim path
@@ -158,7 +163,6 @@ class BmcastVmm:
                     prefetch_blocks.append(block)
         #: Fluid-flow opt-in (repro.net.flow): armed at boot, demoted
         #: permanently the moment any fidelity-bearing dynamic engages.
-        from repro.net.flow import FluidState
         self.fluid = FluidState(requested=fluid, telemetry=telemetry)
         self.copier = BackgroundCopier(env, self.deployment, self.mediator,
                                        policy=policy,
@@ -348,7 +352,7 @@ class BmcastVmm:
         loss = getattr(self.vmm_nic.switch, "loss", None)
         if loss is not None and loss.loss_probability > 0.0:
             self.fluid.demote("loss-injection")
-        if self.fabric is not None and self.fabric.p2p:
+        if self.fabric.p2p:
             self.fluid.demote("peer-gossip")
         if self.fluid.engage():
             self.initiator.observers.append(self._fluid_observer)
@@ -412,9 +416,7 @@ class BmcastVmm:
 
     def summary(self) -> dict:
         """Deployment metrics in one bundle."""
-        dist = {}
-        if self.router is not None:
-            dist = self.router.stats()
+        dist = self.router.stats()
         if self.peer_service is not None:
             dist["peer_chunks_served"] = self.peer_service.chunks_served
             dist["peer_naks_sent"] = self.peer_service.naks_sent

@@ -1,11 +1,11 @@
 """Background copy: retriever and writer threads over a FIFO (paper 3.3).
 
-The retriever pulls empty blocks from the server (seek-affine order: it
-jumps next to wherever the guest last touched the disk); the writer pops
-the FIFO and writes blocks to the local disk through the device
-mediator's I/O multiplexing, paced by the moderation policy.  The writer
-also drains the copy-on-read write-back queue so redirected reads become
-local for free.
+The retriever fetches empty blocks through the VMM's fetch router
+(seek-affine order: it jumps next to wherever the guest last touched the
+disk); the writer pops the FIFO and lands them on the local disk through
+the device mediator's I/O multiplexing, paced by the moderation policy.
+The writer also drains the copy-on-read write-back queue so redirected
+reads become local for free.
 
 Consistency is enforced by the block bitmap: the writer re-derives the
 writable sector runs *at write time*, so a guest write that raced the
@@ -15,8 +15,9 @@ fetch is never overwritten.
 from __future__ import annotations
 
 from repro import params
+from repro.net.flow import FluidState
 from repro.sim import Environment, Interrupt, Store
-from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
+from repro.storage.blockdev import BlockOp, BlockRequest
 from repro.vmm.bitmap import BlockState
 from repro.vmm.deploy import DeploymentContext
 from repro.vmm.mediator import DeviceMediator
@@ -33,10 +34,9 @@ class BackgroundCopier:
     transaction — same bytes on the wire, one command/ack round trip and
     one server read instead of per-block events — and the writer lands
     each run with a single disk transaction and an atomic bitmap
-    range-commit.  Moderated policies keep the per-block pipeline
-    untouched: pacing stays per VMM write and the FIFO's lookahead stays
-    at ``fifo_capacity`` blocks, so interference and outage behavior are
-    byte-for-byte what they were before coalescing existed.
+    range-commit.  Moderated policies keep a per-block pipeline: each
+    block lands as a one-block run, pacing stays per VMM write and the
+    FIFO's lookahead stays at ``fifo_capacity`` blocks.
     """
 
     #: Idle poll granularity of the writer thread.
@@ -46,19 +46,18 @@ class BackgroundCopier:
     DEFAULT_COALESCE_BLOCKS = 8
 
     def __init__(self, env: Environment, deployment: DeploymentContext,
-                 mediator: DeviceMediator,
+                 mediator: DeviceMediator, fluid_state: FluidState,
                  policy: ModerationPolicy | None = None,
                  fifo_capacity: int = 4,
                  prefetch_blocks=None,
-                 coalesce_blocks: int | None = None,
-                 fluid_state=None):
+                 coalesce_blocks: int | None = None):
         self.env = env
         self.deployment = deployment
         self.mediator = mediator
         self.policy = policy or ModerationPolicy()
-        #: The deployment's FluidState, when the platform opted in —
-        #: checked per fetch so a runtime demotion (NAK, retransmit)
-        #: flips the very next fetch back to packet mode.
+        #: The VMM's FluidState, checked per fetch so a runtime
+        #: demotion (NAK, retransmit) flips the very next fetch back to
+        #: packet mode.
         self.fluid_state = fluid_state
         self.coalesce_blocks = coalesce_blocks \
             if coalesce_blocks is not None else self.DEFAULT_COALESCE_BLOCKS
@@ -171,19 +170,9 @@ class BackgroundCopier:
                 try:
                     with self.telemetry.profiler.track("copier",
                                                        "fetch-block"):
-                        # Two call forms so the packet path stays
-                        # byte-identical to pre-fluid builds (and keeps
-                        # working against fetchers that predate the
-                        # fluid kwarg).
-                        if self.fluid_state is not None \
-                                and self.fluid_state.active:
-                            runs = yield from \
-                                self.deployment.fetcher.read_blocks(
-                                    start, count, bulk=True, fluid=True)
-                        else:
-                            runs = yield from \
-                                self.deployment.fetcher.read_blocks(
-                                    start, count, bulk=True)
+                        runs = yield from self.deployment.fetcher.read_blocks(
+                            start, count, bulk=True,
+                            fluid=self.fluid_state.active)
                 except AoeTimeoutError:
                     # Server unreachable: release the claims, back off,
                     # and keep trying — a degraded deployment stalls,
@@ -243,26 +232,13 @@ class BackgroundCopier:
                 item = self.fifo.try_get()
                 if item is not None:
                     block, count, runs, is_prefetch = item
-                    if count > 1 and self._unmoderated():
-                        # Unmoderated: land the whole fetched run as one
-                        # disk transaction and one atomic range-commit.
+                    if not is_prefetch:
+                        # Prefetch blocks skip moderation: copying the
+                        # boot working set early IS the point.
                         yield from self._moderate()
-                        yield from self._write_run(block, count, runs)
-                        continue
-                    # Moderated (or single-block): unbundle the run so
-                    # pacing stays per VMM write, exactly as before
-                    # coalescing existed.
-                    for offset in range(count):
-                        cursor = block + offset
-                        if not is_prefetch:
-                            # Prefetch blocks skip moderation: copying
-                            # the boot working set early IS the point.
-                            yield from self._moderate()
-                        cursor_start, cursor_count = \
-                            bitmap.block_range(cursor)
-                        yield from self._write_block(
-                            cursor, _clip(runs, cursor_start,
-                                          cursor_count))
+                    # The retriever sized the run: one block under a
+                    # moderated policy, so pacing stays per VMM write.
+                    yield from self._write_run(block, count, runs)
                     continue
                 if bitmap.complete:
                     break
@@ -298,76 +274,29 @@ class BackgroundCopier:
             with self.telemetry.profiler.track("copier", "moderate-pace"):
                 yield self.env.timeout(policy.write_interval)
 
-    def _write_block(self, block: int, runs: list):
-        bitmap = self.deployment.bitmap
-        if bitmap.state(block).value != "copying":
-            # The guest overwrote the whole block while we fetched it;
-            # its data is newer — drop ours.
-            return
-        start, count = bitmap.block_range(block)
-        request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
-        request.buffer.runs = list(runs)
-
-        def revalidate(pending: BlockRequest) -> list:
-            # THE atomic check (paper 3.3), performed after the mediator
-            # owns the device: exclude everything the guest has written
-            # by now — no later guest write can reach the disk before
-            # ours anymore (it would be queued and replayed after).
-            if bitmap.state(block).value != "copying":
-                return []
-            clean: list = []
-            for run_start, run_count in bitmap.writable_runs(block):
-                clean.extend(_clip(runs, run_start, run_count))
-            return clean
-
-        with self.telemetry.profiler.track("copier", "write-block"):
-            yield from self.mediator.vmm_request(request, revalidate)
-        written = sum(end - begin for begin, end, _ in
-                      request.buffer.runs)
-        self.bytes_written += written * params.SECTOR_BYTES
-        self._m_bytes_written.inc(written * params.SECTOR_BYTES)
-        state = bitmap.state(block)
-        if state is BlockState.FILLED:
-            # Claim vanished mid-write (guest full-block write was queued
-            # and recorded): the guest's replayed write will land after
-            # ours, so the disk still converges to the newest data.
-            # Committing here would be a protocol violation — the block
-            # is the guest's now.
-            return
-        if state is not BlockState.COPYING:
-            # EMPTY with our write completed means someone released our
-            # claim out from under us: a genuine protocol bug, not the
-            # benign race above.  The old code swallowed this under a
-            # blanket ``except ValueError``.
-            raise RuntimeError(
-                f"copier lost its claim on block {block} "
-                f"(state is {state.value!r} after write)")
-        bitmap.commit_fill(block)
-        self.deployment.note_block_filled(block)
-        self.blocks_filled += 1
-        self._m_blocks_filled.set(self.blocks_filled)
-        self._m_progress.set(bitmap.filled_count
-                             / bitmap.block_count)
-        self._m_throughput.record(self.env.now, self.write_rate())
-
     def _write_run(self, first_block: int, block_count: int, runs: list):
-        """Land a coalesced run with one disk transaction.
+        """The one block writer: land fetched blocks in one disk write.
 
-        The same atomic rule as :meth:`_write_block` applies, but once
-        per run instead of once per block: under device ownership the
-        revalidation masks out, per block, everything the guest wrote
-        or filled meanwhile.  Afterwards each maximal still-COPYING
-        stretch commits through ``commit_fill_run`` — blocks the guest
-        fully overwrote mid-write are the guest's and are skipped, just
-        as the per-block path skips them.
+        THE atomic check (paper 3.3) runs after the mediator owns the
+        device: the revalidation masks out, per block, everything the
+        guest has written or filled by now — no later guest write can
+        reach the disk before ours anymore (it would be queued and
+        replayed after).  Afterwards each maximal still-COPYING stretch
+        commits through ``commit_fill_run``; blocks the guest fully
+        overwrote are the guest's and are skipped.
         """
         bitmap = self.deployment.bitmap
+        end_block = first_block + block_count
+        if all(bitmap.state(block) is BlockState.FILLED
+               for block in range(first_block, end_block)):
+            # The guest overwrote every block mid-fetch: drop ours.  An
+            # EMPTY block goes on to the lost-claim check below.
+            return
         start = first_block * bitmap.block_sectors
         count = min(block_count * bitmap.block_sectors,
                     bitmap.image_sectors - start)
         request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
         request.buffer.runs = list(runs)
-        end_block = first_block + block_count
 
         def revalidate(pending: BlockRequest) -> list:
             clean: list = []
@@ -394,10 +323,14 @@ class BackgroundCopier:
                 cursor += 1
                 continue
             if state is not BlockState.COPYING:
+                # EMPTY with our write completed means someone released
+                # our claim out from under us: a protocol bug, not the
+                # benign race above.
                 raise RuntimeError(
                     f"copier lost its claim on block {cursor} "
                     f"(state is {state.value!r} after write)")
             commit_start = cursor
+            cursor += 1
             while (cursor < end_block
                    and bitmap.state(cursor) is BlockState.COPYING):
                 cursor += 1

@@ -1,9 +1,11 @@
-"""Shared deployment state: bitmap, server link, and guest-I/O telemetry.
+"""Shared deployment state: bitmap, fetch path, and guest-I/O telemetry.
 
 One :class:`DeploymentContext` is shared by the device mediator (which
-consults the bitmap on every interpreted guest command and fetches from
-the server on redirects), the background copier (which fills empty
+consults the bitmap on every interpreted guest command and fetches
+image data on redirects), the background copier (which fills empty
 blocks), and the moderation policy (which reads the guest I/O frequency).
+Both fetch through the one ``fetcher``: the VMM's
+:class:`repro.dist.FetchRouter`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro import params
-from repro.aoe.client import AoeInitiator
+from repro.dist.router import FetchRouter
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment
 from repro.storage.blockdev import BlockOp
@@ -33,7 +35,7 @@ class DeploymentContext:
     """Everything the deployment phase shares across components."""
 
     def __init__(self, env: Environment, bitmap: BlockBitmap,
-                 initiator: AoeInitiator,
+                 fetcher: FetchRouter,
                  poll_interval: float = params.POLL_INTERVAL_SECONDS,
                  dummy_lba: int | None = None,
                  protected_lba: int | None = None,
@@ -41,12 +43,8 @@ class DeploymentContext:
                  telemetry=NULL_TELEMETRY):
         self.env = env
         self.bitmap = bitmap
-        self.initiator = initiator
-        #: Where image fetches actually go: the raw initiator by
-        #: default, a :class:`repro.dist.FetchRouter` when the testbed
-        #: runs a distribution fabric.  Must expose the initiator's
-        #: ``read_blocks(lba, n, bulk=)`` generator signature.
-        self.fetcher = initiator
+        #: Where image fetches go: the VMM's router over the fabric.
+        self.fetcher = fetcher
         #: Callbacks invoked with each block index the copier commits
         #: (the peer chunk service hangs its gossip batching here).
         self.block_filled_listeners: list = []
@@ -113,7 +111,7 @@ class DeploymentContext:
             listener(block)
 
     def fetch(self, lba: int, sector_count: int):
-        """Generator: content runs for a range, from the fabric/server."""
+        """Generator: content runs for a range, from the fabric."""
         start = self.env.now
         runs = yield from self.fetcher.read_blocks(lba, sector_count)
         self.redirected_bytes += sector_count * params.SECTOR_BYTES

@@ -15,12 +15,9 @@ from repro.analysis.write_race import WriteRaceDetector
 from repro.aoe.client import AoeInitiator, AoeTimeoutError
 from repro.cloud.scenario import build_testbed
 from repro.dist.fabric import DistFabric
-from repro.guest.kernel import GuestOs
 from repro.guest.osimage import OsImage
 from repro.sim import Environment
-from repro.storage.blockdev import BlockOp, BlockRequest
 from repro.storage.disk import Disk
-from repro.vmm import copier as copier_module
 from repro.vmm.bitmap import BlockBitmap
 from repro.vmm.bmcast import BmcastVmm
 from repro.vmm.moderation import FULL_SPEED
@@ -28,93 +25,17 @@ from repro.vmm.moderation import FULL_SPEED
 MB = 2**20
 
 
-# -- shared scenario: guest writes racing a full-speed copier ----------------
+# -- guest writes racing a full-speed copier (racing_deploy, conftest) ------
 
-class UncheckedCopier(copier_module.BackgroundCopier):
-    """Copier with the at-write-time revalidation ripped out."""
-
-    def _write_block(self, block, runs):
-        bitmap = self.deployment.bitmap
-        start, count = bitmap.block_range(block)
-        request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
-        request.buffer.runs = list(runs)
-        yield from self.mediator.vmm_request(request)
-        try:
-            bitmap.commit_fill(block)
-            self.blocks_filled += 1
-        except ValueError:
-            pass
-
-    def _write_run(self, first_block, block_count, runs):
-        # Full-speed deploys land coalesced runs through this path; the
-        # ablation must skip revalidation here too.
-        bitmap = self.deployment.bitmap
-        start = first_block * bitmap.block_sectors
-        count = min(block_count * bitmap.block_sectors,
-                    bitmap.image_sectors - start)
-        request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
-        request.buffer.runs = list(runs)
-        yield from self.mediator.vmm_request(request)
-        for block in range(first_block, first_block + block_count):
-            try:
-                bitmap.commit_fill(block)
-                self.blocks_filled += 1
-            except ValueError:
-                pass
-
-
-def run_sanitized_race(copier_cls, write_count=24):
-    """Racing-writes deployment with the full suite attached.
-
-    Returns ``(suite, lost)`` where ``lost`` lists guest writes whose
-    tokens no longer sit on disk (ground truth for the detector).
-    """
-    image = OsImage(size_bytes=24 * MB, boot_read_bytes=1 * MB,
-                    boot_think_seconds=0.2)
-    testbed = build_testbed(image=image)
-    node = testbed.node
-    env = testbed.env
-    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
-                    image_sectors=image.total_sectors, policy=FULL_SPEED)
-    if copier_cls is not copier_module.BackgroundCopier:
-        vmm.copier = copier_cls(env, vmm.deployment, vmm.mediator,
-                                policy=FULL_SPEED)
-    suite = SanitizerSuite(env)
-    suite.attach_deployment(vmm, image=image)  # after the copier swap
-    guest = GuestOs(node.machine, image)
-    writes = {}
-
-    def scenario():
-        yield from node.machine.power_on()
-        yield from node.machine.firmware.network_boot()
-        yield from vmm.boot()
-        for index in range(write_count):
-            lba = index * 2048 + 7  # mid-block, partial
-            token = ("race", index)
-            yield from guest.driver.write(lba, 16, token)
-            guest.written.set_range(lba, 16, True)
-            writes[lba] = token
-            yield env.timeout(5e-3)
-        yield vmm.copier.done
-
-    env.run(until=env.process(scenario()))
-    env.run(until=env.now + 5.0)
-    disk = node.disk.contents
-    lost = [lba for lba, token in writes.items()
-            if disk.get(lba) != token]
-    suite.finalize()
-    return suite, lost
-
-
-def test_clean_racing_deploy_reports_nothing():
-    suite, lost = run_sanitized_race(copier_module.BackgroundCopier)
+def test_clean_racing_deploy_reports_nothing(racing_deploy):
+    lost, suite = racing_deploy(sanitize=True)
     assert lost == []
     suite.assert_clean()
     assert len(suite.sanitizers) == 3
 
 
-def test_write_race_detector_catches_unchecked_copier():
-    suite, lost = run_sanitized_race(UncheckedCopier)
+def test_write_race_detector_catches_unchecked_copier(racing_deploy):
+    lost, suite = racing_deploy(unchecked=True, sanitize=True)
     assert lost, "the ablation should actually lose writes"
     rules = {violation.rule for violation in suite.violations}
     assert "vmm-overwrote-guest" in rules
@@ -179,7 +100,7 @@ def test_consistency_checker_catches_silent_corruption():
     testbed = build_testbed(image=image)
     node = testbed.node
     env = testbed.env
-    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
+    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.fabric,
                     image_sectors=image.total_sectors, policy=FULL_SPEED)
     suite = SanitizerSuite(env)
     suite.attach_deployment(vmm, image=image)

@@ -29,12 +29,14 @@ FRAME_BYTES = 9000
 
 
 def bulk_transfer(switch, src, dst, payload, payload_bytes,
-                  per_frame_payload):
-    """Generator: one bulk stream; returns one zero-delay hop after the
-    receiver holds the payload."""
+                  per_frame_payload, fluid=False):
+    """Generator: one bulk stream (or fluid flow); returns one zero-delay
+    hop after the receiver holds the payload."""
     done = switch.env.event()
-    switch.start_bulk_transfer(src, dst, payload, payload_bytes,
-                               per_frame_payload, "aoe", done.succeed)
+    start = switch.start_fluid_transfer if fluid \
+        else switch.start_bulk_transfer
+    start(src, dst, payload, payload_bytes, per_frame_payload, "aoe",
+          done.succeed)
     yield done
 
 
@@ -72,7 +74,8 @@ def run(bulks=(), frames=(), fluids=()):
     def fluid(label, src, dst, start, size):
         if start:
             yield env.timeout(start)
-        yield from switch.fluid_transfer(src, dst, label, size, PER_FRAME)
+        yield from bulk_transfer(switch, src, dst, label, size, PER_FRAME,
+                                 fluid=True)
         finished[label] = env.now
 
     for op in bulks:

@@ -22,7 +22,7 @@ def make(size_mb=48, policy=FULL_SPEED):
     testbed = build_testbed(disk_controller="ahci", image=image)
     node = testbed.node
     vmm = BmcastVmm(testbed.env, node.machine, node.vmm_nic,
-                    testbed.server_port,
+                    testbed.fabric,
                     image_sectors=image.total_sectors, policy=policy)
     return testbed, vmm
 

@@ -43,7 +43,7 @@ def run_workload(operations, controller, policy):
     testbed = build_testbed(disk_controller=controller, image=image)
     node = testbed.node
     env = testbed.env
-    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
+    vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.fabric,
                     image_sectors=image.total_sectors, policy=policy)
     guest = GuestOs(node.machine, image)
 

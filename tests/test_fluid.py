@@ -34,7 +34,7 @@ def _start(env, network, src, dst, wire_bytes=UNIT):
     result = {}
 
     def flow():
-        yield from network.transfer(src, dst, wire_bytes)
+        yield network.start(src, dst, wire_bytes)
         result["finished_at"] = env.now
 
     env.process(flow(), name=f"flow-{src}-{dst}")
@@ -48,7 +48,7 @@ def test_single_flow_runs_at_line_rate():
     env = Environment()
     network = _network(env)
     result = _start(env, network, "a", "b")
-    env.run_until_idle()
+    env.run()
     assert result["finished_at"] == pytest.approx(1.0)
     assert network.flows_completed == 1
     assert network.active_flows == 0
@@ -59,7 +59,7 @@ def test_two_flows_share_a_tx_link_equally():
     network = _network(env)
     first = _start(env, network, "s", "c1")
     second = _start(env, network, "s", "c2")
-    env.run_until_idle()
+    env.run()
     # Both arrive at t=0, each gets half the tx link: both take 2x solo.
     assert first["finished_at"] == pytest.approx(2.0)
     assert second["finished_at"] == pytest.approx(2.0)
@@ -73,7 +73,7 @@ def test_water_filling_gives_unbottlenecked_flow_the_residual():
     # and water-fills to the 2/3 residual.
     shared = [_start(env, network, "s1", f"c{i}") for i in (1, 2, 3)]
     residual = _start(env, network, "s2", "c3")
-    env.run_until_idle()
+    env.run()
     # residual runs at 2/3 until done (t=1.5), then flow 3 still holds
     # only 1/3 (s1 stays the bottleneck) so all three finish at 3.0.
     assert residual["finished_at"] == pytest.approx(1.5)
@@ -86,7 +86,7 @@ def test_departure_repricing_speeds_up_survivors():
     network = _network(env)
     short = _start(env, network, "s", "c1", wire_bytes=UNIT // 2)
     long = _start(env, network, "s", "c2")
-    env.run_until_idle()
+    env.run()
     # Shared at 1/2 rate until the short flow drains (t=1.0), then the
     # survivor gets the whole link: 0.5 units left at full rate.
     assert short["finished_at"] == pytest.approx(1.0)
@@ -102,7 +102,7 @@ def test_solver_is_deterministic():
             _start(env, network, "s1", "c2", wire_bytes=UNIT // 4),
             _start(env, network, "s2", "c2", wire_bytes=UNIT // 2),
         ]
-        env.run_until_idle()
+        env.run()
         return [entry["finished_at"] for entry in results]
 
     assert completion_times() == completion_times()
@@ -117,7 +117,7 @@ def test_packet_debt_postpones_completion():
     # link: the flow regains those bytes and finishes late by exactly
     # the frame's wire time (the lazy debt reschedule).
     network.note_packet_bytes("s", True, UNIT // 2)
-    env.run_until_idle()
+    env.run()
     assert result["finished_at"] == pytest.approx(1.5)
 
 
@@ -131,7 +131,7 @@ def test_link_occupancy_counts_track_flows():
     assert network.rx_flows("c1") == 1
     assert network.rx_flows("c2") == 1
     assert network.tx_flows("c1") == 0
-    env.run_until_idle()
+    env.run()
     assert network.tx_flows("s") == 0
 
 

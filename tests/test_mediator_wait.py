@@ -134,7 +134,7 @@ def mediated_machine(kind):
     controller_class = {"ahci": AhciController, "ide": IdeController}[kind]
     controller = controller_class(env, Disk(env), machine)
     context = DeploymentContext(env, BlockBitmap(64 * SECTORS_PER_MB),
-                                initiator=None, poll_interval=RACE_POLL)
+                                fetcher=None, poll_interval=RACE_POLL)
     mediator = mediator_for(env, machine, context)
     mediator.install()
     for cpu in machine.cpus:

@@ -263,7 +263,7 @@ def _deploy_counting_reads(policy):
     node = testbed.node
     env = testbed.env
     vmm = BmcastVmm(env, node.machine, node.vmm_nic,
-                    testbed.server_port,
+                    testbed.fabric,
                     image_sectors=image.total_sectors, policy=policy)
 
     def scenario():

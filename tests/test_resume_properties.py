@@ -53,7 +53,7 @@ def test_property_consistency_across_resume(schedule):
     for start, end, token in image.contents.runs():
         oracle.set_range(start, end - start, token)
 
-    vmm1 = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
+    vmm1 = BmcastVmm(env, node.machine, node.vmm_nic, testbed.fabric,
                      image_sectors=image.total_sectors, policy=POLICY,
                      auto_devirtualize=False)
     guest = GuestOs(node.machine, image)
@@ -80,7 +80,7 @@ def test_property_consistency_across_resume(schedule):
     assert vmm1.phase == "off"
     filled_before = vmm1.bitmap.filled_count
 
-    vmm2 = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
+    vmm2 = BmcastVmm(env, node.machine, node.vmm_nic, testbed.fabric,
                      image_sectors=image.total_sectors, policy=POLICY,
                      resume=True)
     guest2 = GuestOs(node.machine, image)

@@ -115,7 +115,7 @@ def make_shared_vmm(testbed, nic):
     node = testbed.node
     mediator = NicMediator(testbed.env, node.machine, nic)
     port = SharedNicPort(mediator)
-    vmm = BmcastVmm(testbed.env, node.machine, port, testbed.server_port,
+    vmm = BmcastVmm(testbed.env, node.machine, port, testbed.fabric,
                     image_sectors=testbed.image.total_sectors,
                     policy=FULL_SPEED, extra_mediators=[mediator])
     return vmm, mediator

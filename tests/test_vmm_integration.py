@@ -31,7 +31,7 @@ def make_deployment(controller="ahci", size_mb=64, policy=FULL_SPEED,
                             **testbed_kwargs)
     node = testbed.node
     vmm = BmcastVmm(testbed.env, node.machine, node.vmm_nic,
-                    testbed.server_port,
+                    testbed.fabric,
                     image_sectors=testbed.image.total_sectors,
                     policy=policy)
     guest = GuestOs(node.machine, testbed.image)
@@ -162,6 +162,52 @@ def test_full_block_guest_write_skips_copy():
     assert vmm.bitmap.complete
 
 
+@pytest.mark.parametrize("overwritten, requests_issued", [(4, 0), (3, 1)])
+def test_write_run_skips_runs_the_guest_overwrote(overwritten,
+                                                   requests_issued):
+    """A fetched 4-block run lands through one mediated write unless the
+    guest fully overwrote every block of it during the fetch: then
+    nothing is left to write and no request is issued at all."""
+    testbed, vmm, guest = make_deployment("ahci", size_mb=16)
+    env = testbed.env
+    bitmap = vmm.bitmap
+    block_sectors = bitmap.block_sectors
+    assert bitmap.claim_run(0, 4) == 4
+    bitmap.record_guest_write(0, overwritten * block_sectors)
+    requests = []
+
+    def recording_request(request, revalidate=None):
+        requests.append(request)
+        request.buffer.runs = revalidate(request)
+        yield env.timeout(0)
+
+    vmm.mediator.vmm_request = recording_request
+    runs = [(0, 4 * block_sectors, "image")]
+    env.run(until=env.process(vmm.copier._write_run(0, 4, runs)))
+    assert len(requests) == requests_issued
+    assert vmm.copier.blocks_filled == 4 - overwritten
+    assert vmm.copier.bytes_written \
+        == (4 - overwritten) * block_sectors * params.SECTOR_BYTES
+    assert all(bitmap.is_filled(block) for block in range(4))
+
+
+@pytest.mark.parametrize("overwritten", [0, 3])
+def test_write_run_raises_when_its_claim_was_released(overwritten):
+    """A block gone back to EMPTY under the copier's claim is a protocol
+    bug, not a guest overwrite: the run is not dropped silently, even
+    when no block of it is still COPYING."""
+    testbed, vmm, guest = make_deployment("ahci", size_mb=16)
+    env = testbed.env
+    bitmap = vmm.bitmap
+    block_sectors = bitmap.block_sectors
+    assert bitmap.claim_run(0, 4) == 4
+    bitmap.record_guest_write(0, overwritten * block_sectors)
+    bitmap.release_run(overwritten, 4 - overwritten)
+    runs = [(0, 4 * block_sectors, "image")]
+    with pytest.raises(RuntimeError, match="lost its claim"):
+        env.run(until=env.process(vmm.copier._write_run(0, 4, runs)))
+
+
 @pytest.mark.parametrize("controller", ["ide", "ahci", "megaraid"])
 def test_multiplexing_queues_and_replays_guest_commands(controller):
     testbed, vmm, guest = make_deployment(controller, size_mb=64)
@@ -236,6 +282,29 @@ def test_deployment_summary_reports():
     assert summary["interpreted_commands"] > 0
     assert summary["total_vm_exits"] > 0
     assert summary["deployment_seconds"] > 0
+
+
+def test_hand_built_vmm_fetches_through_the_fabric():
+    """A VMM built without a Provisioner routes every image fetch, copy
+    and copy-on-read alike, through its FetchRouter."""
+    testbed, vmm, guest = make_deployment("ahci", size_mb=16)
+    env = testbed.env
+
+    def scenario():
+        yield from testbed.node.machine.power_on()
+        yield from testbed.node.machine.firmware.network_boot()
+        yield from vmm.boot()
+        yield from guest.boot()
+        yield vmm.copier.done
+
+    env.run(until=env.process(scenario()))
+    assert vmm.deployment.fetcher is vmm.router
+    assert vmm.router.origin_fetches > 0
+    assert vmm.router.origin_fetches == vmm.initiator.reads_completed
+    summary = vmm.summary()
+    assert summary["origin_fetches"] == vmm.router.origin_fetches
+    assert summary["peer_hits"] == 0
+    assert summary["replica_load"] == {"server": vmm.router.origin_fetches}
 
 
 def test_protected_bitmap_region_invisible_to_guest():

@@ -29,7 +29,7 @@ def make(policy=FULL_SPEED, **vmm_kwargs):
     testbed = build_testbed(image=small_image())
     node = testbed.node
     vmm = BmcastVmm(testbed.env, node.machine, node.vmm_nic,
-                    testbed.server_port,
+                    testbed.fabric,
                     image_sectors=testbed.image.total_sectors,
                     policy=policy, **vmm_kwargs)
     return testbed, vmm
@@ -78,7 +78,7 @@ def test_resume_skips_already_filled_blocks():
     # Reboot: a fresh VMM instance resumes from the saved bitmap.
     node = testbed.node
     vmm2 = BmcastVmm(env, node.machine, node.vmm_nic,
-                     testbed.server_port,
+                     testbed.fabric,
                      image_sectors=testbed.image.total_sectors,
                      policy=FULL_SPEED, resume=True)
 
