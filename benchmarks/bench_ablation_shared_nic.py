@@ -6,22 +6,23 @@ mediation adds latency and jitter to guest networking, and deployment
 traffic scrambles for bandwidth with the guest.  This bench measures all
 three effects during an active full-speed background copy.
 
-Both configurations' copy rates are measured over the same simulated
-window: ``COPY_WINDOW_SECONDS`` from the moment the guest NIC comes up,
-which lies inside both ping loops.  (Averaging each over its own ping
-loop compared a copy still ramping up at two different instants.)  The
-rates come out equal: 200 pings of 100 bytes are too little guest
-traffic to show the paper's copy slow-down, so the bench only checks
-that the shared NIC's copy is not faster.  The copy column is coarse:
-the full-speed copier lands whole 8 MiB coalesced runs, so over the
-window the rate moves in steps of about 21 MB/s.
+The copy rate is the simulated time each configuration takes to land
+``COPY_BYTES`` after the guest NIC comes up, timed from the first
+coalesced run that lands after that instant to the run that completes
+the byte count.  The full-speed copier lands whole 8 MiB runs, so
+counting bytes over a fixed window would move in steps of one run;
+timing a fixed byte count between two landings has no such step.
+The timed span (about 0.3 s) lies inside both ping loops.  200 pings of
+100 bytes do not delay the copy at all here: both configurations land
+every run at the same simulated instant, so the copy rates are equal
+and the bench checks only that the shared NIC's copy is not faster.
 """
 
 import statistics
 
 import pytest
 
-from _common import emit, once, small_image
+from _common import MB, emit, once, small_image
 from repro.cloud.scenario import build_testbed
 from repro.guest.driver_e1000 import E1000Driver
 from repro.net.e1000 import E1000Nic
@@ -34,9 +35,8 @@ from repro.vmm.moderation import FULL_SPEED
 
 E1000_BASE = 0xFE00_0000
 PINGS = 200
-#: Simulated seconds from the guest NIC's start over which the copy rate
-#: is measured; shorter than either configuration's ping loop.
-COPY_WINDOW_SECONDS = 0.4
+#: Bytes the copy must land for its rate to be timed (two 8 MiB runs).
+COPY_BYTES = 16 * MB
 
 
 def run_config(shared: bool):
@@ -72,22 +72,25 @@ def run_config(shared: bool):
                     auto_devirtualize=False)
     driver = E1000Driver(node.machine, nic)
     rtts = []
-    copied = []
+    #: (simulated time, bytes copied) at each block the copier commits.
+    landings = []
+    landed = env.event()
 
     def copied_bytes():
         return vmm.copier.bytes_written + vmm.copier.writeback_bytes
 
-    def measure_copy():
-        before = copied_bytes()
-        yield env.timeout(COPY_WINDOW_SECONDS)
-        copied.append(copied_bytes() - before)
+    def on_block_filled(block):
+        landings.append((env.now, copied_bytes()))
+        if not landed.triggered \
+                and landings[-1][1] - landings[0][1] >= COPY_BYTES:
+            landed.succeed()
 
     def scenario():
         yield from node.machine.power_on()
         yield from node.machine.firmware.network_boot()
         yield from vmm.boot()
         yield from driver.start()
-        window = env.process(measure_copy(), name="copy-window")
+        vmm.deployment.block_filled_listeners.append(on_block_filled)
         # Ping while the copier streams at full speed.
         for index in range(PINGS):
             start = env.now
@@ -95,14 +98,16 @@ def run_config(shared: bool):
             yield from driver.recv()
             rtts.append(env.now - start)
             yield env.timeout(2e-3)
-        yield window
+        yield landed
 
     env.run(until=env.process(scenario()))
+    (first_time, first_bytes), (last_time, last_bytes) = \
+        landings[0], landings[-1]
     return {
         "mean_rtt": statistics.mean(rtts),
         "p95_rtt": sorted(rtts)[int(len(rtts) * 0.95)],
         "jitter": statistics.stdev(rtts),
-        "copy_rate": copied[0] / COPY_WINDOW_SECONDS,
+        "copy_rate": (last_bytes - first_bytes) / (last_time - first_time),
     }
 
 
@@ -122,7 +127,7 @@ def test_ablation_shared_nic(benchmark):
         ["configuration", "ping RTT us", "p95 us", "jitter us",
          "copy MB/s"], rows,
         title="Ablation: dedicated vs shared management NIC "
-        "(during full-speed copy; copy MB/s counts whole 8 MiB runs)"))
+        "(during full-speed copy; copy MB/s times 16 MiB landing)"))
 
     dedicated = results["dedicated NIC (paper's choice)"]
     shared = results["shared NIC (shadow rings)"]

@@ -239,11 +239,12 @@ class NodePool:
         record.transition(self.env.now, NETBOOTING)
         started = self.env.now
         self._m_deploys.inc()
-        # A stale warm-source responder must release the NIC before the
-        # new deployment's own peer service binds to it.
-        stale = record.vmm.peer_service if record.vmm is not None else None
-        if stale is not None:
-            stale.stop()
+        # The previous VMM lets go of the node: its warm-source
+        # responder must release the NIC before the new deployment's
+        # own peer service binds to it, and its disk observer must not
+        # keep it alive.
+        if record.vmm is not None:
+            record.vmm.retire()
         merged = {**self.deploy_options, **options}
         merged.setdefault("vmxoff_mode", self.vmxoff_mode)
         if record.warm_blocks:

@@ -2,10 +2,11 @@
 
 A deploying (or already deployed) node runs a lightweight AoE responder
 — :class:`PeerChunkService` — on its own switch port.  It serves only
-sectors whose copy blocks its deployment bitmap marks FILLED *and* that
-the guest has never written (pristine image data); anything else gets
-an immediate :class:`~repro.aoe.protocol.AoeNak` so the requester can
-fall back to an origin replica without burning its retry budget.
+sectors whose copy blocks its deployment bitmap marks FILLED *and* not
+tainted by a guest write (pristine image data, as the bitmap records
+it); anything else gets an immediate :class:`~repro.aoe.protocol.AoeNak`
+so the requester can fall back to an origin replica without burning its
+retry budget.
 
 Nodes advertise what they can serve with *bitmap summaries* — the set
 of pristine filled copy-block indexes — published to the fabric's
@@ -150,17 +151,7 @@ class PeerChunkService(AoeServer):
                          workers=workers, telemetry=telemetry)
         self.bitmap = bitmap
         self.directory = directory
-        #: Blocks a guest write has touched — never servable again.
-        self.tainted: set[int] = set()
         self._unannounced = 0
-        #: After de-virtualization the mediator is gone, so *every*
-        #: image-range disk write is the guest's (set by the VMM).
-        self.direct_io = False
-        # Two provenance signals, because the disk cannot tell who
-        # programmed its controller: the bitmap reports mediated guest
-        # writes, the raw disk observer covers the post-devirt era.
-        bitmap.guest_write_listeners.append(self._on_guest_write)
-        disk.write_observers.append(self._on_disk_write)
         # Metrics.
         self.chunks_served = 0
         self.naks_sent = 0
@@ -176,19 +167,15 @@ class PeerChunkService(AoeServer):
 
     def servable(self, lba: int, sector_count: int) -> bool:
         """True when the whole range is pristine, copier-filled data."""
-        for block in self.bitmap.blocks_overlapping(lba, sector_count):
-            if block in self.tainted or not self.bitmap.is_filled(block):
+        bitmap = self.bitmap
+        for block in bitmap.blocks_overlapping(lba, sector_count):
+            if block in bitmap.tainted or not bitmap.is_filled(block):
                 return False
         return True
 
     def summary(self) -> set[int]:
         """Pristine filled copy-block indexes — the gossip payload."""
-        return {
-            block
-            for start, end, value in self.bitmap.filled_runs()
-            for block in range(start, end)
-            if block not in self.tainted
-        }
+        return self.bitmap.pristine_blocks()
 
     # -- gossip -------------------------------------------------------------------
 
@@ -208,23 +195,6 @@ class PeerChunkService(AoeServer):
                 or self.bitmap.complete:
             self.publish()
 
-    def mark_direct_io(self) -> None:
-        """The node de-virtualized: disk writes are now all guest I/O."""
-        self.direct_io = True
-
-    def _taint(self, lba: int, sector_count: int) -> None:
-        if lba >= self.bitmap.image_sectors:
-            return  # bitmap-save region, not image data
-        for block in self.bitmap.blocks_overlapping(lba, sector_count):
-            self.tainted.add(block)
-
-    def _on_guest_write(self, lba: int, sector_count: int) -> None:
-        self._taint(lba, sector_count)
-
-    def _on_disk_write(self, request) -> None:
-        if self.direct_io:
-            self._taint(request.lba, request.sector_count)
-
     def stop(self) -> None:
         self.directory.withdraw(self.nic.name)
         super().stop()
@@ -236,10 +206,8 @@ class PeerChunkService(AoeServer):
         blocks on the local disk; restarting the responder and
         re-publishing the summary turns the *free* node into a peer
         source for the next scale-up — capacity the fabric gets back
-        for nothing.  The node has no mediator anymore, so every
-        subsequent disk write is direct I/O.
+        for nothing.
         """
-        self.direct_io = True
         self.start()
         self.publish()
 

@@ -10,6 +10,10 @@ Guest writes are sector-granular but blocks are 1 MB, so a sector-granular
 *dirty overlay* records guest-written ranges inside not-yet-filled blocks;
 the copier masks those sectors out of its writes, and the redirector
 serves them from the local disk rather than the server.
+
+The bitmap also keeps the one write-taint record: the blocks any guest
+write touched.  Only *pristine* FILLED blocks (no taint) may be served
+to peers or preserved for a later deployment.
 """
 
 from __future__ import annotations
@@ -71,9 +75,10 @@ class BlockBitmap:
         self._copying: set[int] = set()
         #: Sector ranges the guest wrote inside non-FILLED blocks.
         self.dirty = IntervalMap()
+        #: Copy blocks a guest write has touched (see :meth:`taint`).
+        self.tainted: set[int] = set()
         #: Called with ``(lba, sector_count)`` on every recorded guest
-        #: write — the provenance signal peer chunk services taint on
-        #: (the disk itself cannot tell who programmed the controller).
+        #: write (the consistency sanitizer's provenance signal).
         self.guest_write_listeners: list = []
         #: Called with ``(event, block, **details)`` on every state
         #: transition attempt — ``"claim"``, ``"release"``, ``"commit"``
@@ -123,6 +128,16 @@ class BlockBitmap:
         """FILLED block-index runs as ``(start, end, value)``, ``end``
         exclusive — the raw material for peer bitmap summaries."""
         return self._filled.runs()
+
+    def pristine_blocks(self) -> set[int]:
+        """FILLED copy blocks no guest write ever touched: their disk
+        content still equals the image."""
+        return {
+            block
+            for start, end, _ in self._filled.runs()
+            for block in range(start, end)
+            if block not in self.tainted
+        }
 
     @property
     def complete(self) -> bool:
@@ -281,15 +296,25 @@ class BlockBitmap:
                       self.image_sectors - start)
         self.dirty.clear_range(start, sectors)
 
+    def taint(self, lba: int, sector_count: int) -> None:
+        """A guest write reached this range: its blocks stop being
+        pristine.  Writes to the bitmap-save region are not image data.
+        """
+        if lba >= self.image_sectors:
+            return
+        self.tainted.update(self.blocks_overlapping(lba, sector_count))
+
     def record_guest_write(self, lba: int, sector_count: int) -> None:
         """Mediator: the guest wrote this range.
 
         Blocks that the write covers completely become FILLED outright
         (newest data, nothing left to copy); partially covered non-filled
-        blocks get a dirty-overlay entry.
+        blocks get a dirty-overlay entry.  Every touched block is
+        tainted.
         """
         for listener in self.guest_write_listeners:
             listener(lba, sector_count)
+        self.taint(lba, sector_count)
         end = lba + sector_count
         for block in self.blocks_overlapping(lba, sector_count):
             if self.is_filled(block):

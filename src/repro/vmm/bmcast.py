@@ -139,18 +139,12 @@ class BmcastVmm:
                 self.bitmap, fabric.directory, telemetry=telemetry)
             self.deployment.block_filled_listeners.append(
                 self.peer_service.note_block_filled)
-        #: Copy blocks a guest write has touched: their on-disk content
-        #: no longer matches the image.  Mirrors the peer service's
-        #: taint signals but is always on, so the reclaim path
-        #: (repro.ctl) can compute the warm/preserve set on non-p2p
-        #: testbeds too.  Pre-devirt writes arrive mediated (bitmap
-        #: listener); post-devirt direct I/O arrives via the disk
-        #: observer, gated on the flag set at de-virtualization.
-        self.tainted_blocks: set[int] = set()
-        self._direct_io_taint = False
-        self.bitmap.guest_write_listeners.append(self._taint_range)
-        machine.disk_controller.disk.write_observers.append(
-            self._taint_direct_write)
+        # Write taint lives in the bitmap: the mediator taints what it
+        # records; once it is gone (de-virtualized or shut down) every
+        # disk write is the guest's, and this observer taints it.
+        self._direct_io = False
+        self._disk = machine.disk_controller.disk
+        self._disk.write_observers.append(self._taint_direct_write)
         self.mediator = self._build_mediator()
         prefetch_blocks = None
         if prefetch_lbas:
@@ -233,6 +227,7 @@ class BmcastVmm:
             self.peer_service.stop()
         self.initiator.stop()
         self.mediator.uninstall()
+        self._direct_io = True
         for cpu in self.machine.cpus:
             cpu.npt.disable()
             cpu.vmxoff()
@@ -245,30 +240,26 @@ class BmcastVmm:
 
     # -- image-content provenance (the reclaim path's warm set) ---------------
 
-    def _taint_range(self, lba: int, sector_count: int) -> None:
-        if lba >= self.bitmap.image_sectors:
-            return  # bitmap-save region, not image data
-        for block in self.bitmap.blocks_overlapping(lba, sector_count):
-            self.tainted_blocks.add(block)
-
     def _taint_direct_write(self, request) -> None:
-        if self._direct_io_taint:
-            self._taint_range(request.lba, request.sector_count)
+        if self._direct_io:
+            self.bitmap.taint(request.lba, request.sector_count)
 
     def pristine_blocks(self) -> set[int]:
-        """FILLED copy blocks whose disk content still equals the image.
-
-        The reclaim path preserves exactly this set: a reclaimed node
-        re-deploying the same image may trust these blocks as already
-        local, and may serve them to peers, because no guest write ever
-        touched them.
+        """The blocks the reclaim path may preserve: a reclaimed node
+        re-deploying the same image may trust them as already local,
+        and may serve them to peers (:meth:`BlockBitmap.pristine_blocks`).
         """
-        return {
-            block
-            for start, end, _ in self.bitmap.filled_runs()
-            for block in range(start, end)
-            if block not in self.tainted_blocks
-        }
+        return self.bitmap.pristine_blocks()
+
+    def retire(self) -> None:
+        """Detach from the node before a new deployment replaces this
+        VMM: stop the peer responder and drop the disk observer.  Safe
+        to repeat (a failed redeploy leaves the retired VMM in place)."""
+        if self.peer_service is not None:
+            self.peer_service.stop()
+        observers = self._disk.write_observers
+        if self._taint_direct_write in observers:
+            observers.remove(self._taint_direct_write)
 
     # -- phase machine ------------------------------------------------------------------
 
@@ -382,10 +373,8 @@ class BmcastVmm:
         # From here the mediator disappears mid-teardown: switch the
         # taint source to raw disk writes (double-reporting a mediated
         # write during the hand-over is harmless — same set).
-        self._direct_io_taint = True
+        self._direct_io = True
         self.copier.stop()
-        if self.peer_service is not None:
-            self.peer_service.mark_direct_io()
         yield from self.devirtualizer.run()
         self.initiator.stop()
         if self.peer_service is not None:

@@ -14,9 +14,11 @@ A device mediator performs *device-interface-level I/O mediation*:
   commands issued meanwhile, and detecting completion by polling with
   interrupts masked, so the guest never observes the VMM's I/O.
 
-This module holds everything device-independent; the IDE and AHCI
-subclasses add register-level mechanics only — which is why the paper's
-mediators are so much smaller than device drivers.
+This module holds everything device-independent, including the one
+redirect/protect decision (:meth:`DeviceMediator.action_for`) for fresh
+and replayed commands and the one blocked-command path; the IDE and
+AHCI subclasses add register-level mechanics only — which is why the
+paper's mediators are so much smaller than device drivers.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def register_mediator(kind: str):
         if kind in MEDIATOR_CLASSES:
             raise ValueError(f"mediator for {kind!r} already registered")
         MEDIATOR_CLASSES[kind] = cls
+        cls.kind = kind
         return cls
     return decorator
 
@@ -80,20 +83,35 @@ class DeviceMediator:
     * ``_replay_guest_command(snapshot)`` -> reissue a queued command
     """
 
+    #: Controller kind mediated; set by :func:`register_mediator`.
+    kind: str = ""
+
     def __init__(self, env: Environment, machine,
                  deployment: DeploymentContext):
         self.env = env
         self.machine = machine
         self.deployment = deployment
+        self.controller = machine.disk_controller
+        if self.controller.kind != self.kind:
+            raise TypeError(f"{type(self).__name__} requires a "
+                            f"{self.kind!r} controller")
+        self.irq_line = self.controller.irq_line
         self.mode = MediatorMode.PASSTHROUGH
         self.installed = False
         #: Serializes redirects and VMM requests against each other.
         self._device_lock = Resource(env, capacity=1)
         #: Guest commands absorbed while the VMM owned the device.
         self._queued_commands: list = []
-        #: Fires when a blocked guest command's redirect context is
-        #: released (subclasses serialize those contexts on it).
+        #: The guest command being redirected or protected, as the
+        #: subclass names it (a command slot, a frame address, the
+        #: request itself).  ``None`` when no command is blocked.
+        self._blocked = None
+        #: Fires when the blocked command is released.
         self._unblocked = Notifier(env)
+        #: A dummy-sector target for restarted reads (1 sector is
+        #: enough; the buffer is block-sized for local overlay reads).
+        self._dummy_buffer = SectorBuffer(0, 65536)
+        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         # Metrics (per paper terminology).
         self.interpreted_commands = 0
         self.redirected_reads = 0
@@ -103,9 +121,7 @@ class DeviceMediator:
         # Labeled telemetry, shared through the deployment context.
         self.telemetry = deployment.telemetry
         registry = self.telemetry.registry
-        controller = machine.disk_controller
-        kind = controller.kind if controller is not None else "none"
-        self.controller_kind = kind
+        kind = self.kind
         self._m_interpreted = registry.counter(
             "mediator_interpreted_commands_total", controller=kind,
             help="guest commands decoded from register traffic")
@@ -124,6 +140,11 @@ class DeviceMediator:
         self._m_multiplex_latency = registry.histogram(
             "vmm_multiplexed_request_seconds", controller=kind,
             help="lock-to-release time of a VMM multiplexed request")
+        #: Every trapped register access — the raw interpretation
+        #: workload (paper Table 1's "I/O interpretation" cost driver).
+        self._m_intercepts = registry.counter(
+            "mediator_io_intercepts_total", controller=kind,
+            help="trapped guest accesses to the controller's registers")
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -160,15 +181,14 @@ class DeviceMediator:
     def classify(self, request: BlockRequest) -> str:
         """Decide what to do with an interpreted guest command.
 
-        Returns one of ``"pass"``, ``"redirect"``, ``"queue"``,
-        ``"protect"``.
+        Returns ``"queue"`` while the VMM owns the device, otherwise
+        :meth:`action_for`'s answer.
         """
         self.interpreted_commands += 1
         self._m_interpreted.inc()
         self.deployment.note_guest_io(request.op, request.lba)
-        is_protected = self.deployment.overlaps_protected(
-            request.lba, request.sector_count)
-        if request.op is BlockOp.WRITE and not is_protected:
+        action = self.action_for(request)
+        if request.op is BlockOp.WRITE and action == "pass":
             # Record the write NOW, before any queueing decision: a
             # write absorbed during VMM ownership lands on the disk only
             # at replay, but the bitmap must already protect it from the
@@ -177,15 +197,24 @@ class DeviceMediator:
                                                       request.sector_count)
         if self.mode is MediatorMode.VMM_OWNED:
             return "queue"
-        if is_protected:
+        return action
+
+    def action_for(self, request: BlockRequest) -> str:
+        """The redirect/protect decision, free of side effects.
+
+        ``"protect"`` for anything touching the bitmap-save region,
+        ``"redirect"`` for an image read not wholly local, otherwise
+        ``"pass"``.  Fresh and replayed commands both decide here.
+        """
+        deployment = self.deployment
+        if deployment.overlaps_protected(request.lba, request.sector_count):
             return "protect"
         if request.op is BlockOp.WRITE:
             return "pass"
+        bitmap = deployment.bitmap
         # Reads beyond the image are ordinary disk traffic.
-        if request.lba >= self.deployment.bitmap.image_sectors:
-            return "pass"
-        if self.deployment.bitmap.sectors_local(request.lba,
-                                                request.sector_count):
+        if request.lba >= bitmap.image_sectors \
+                or bitmap.sectors_local(request.lba, request.sector_count):
             return "pass"
         return "redirect"
 
@@ -193,6 +222,32 @@ class DeviceMediator:
         self._queued_commands.append(snapshot)
         self.queued_guest_commands += 1
         self._m_queued.inc()
+
+    # -- the blocked guest command ------------------------------------------------------------
+
+    def _claim_blocked(self, handle):
+        """Generator: make ``handle`` the blocked command.
+
+        Hooks are re-entrant across guest processes (several command
+        slots, several posted frames), but the engine serves one
+        blocked command at a time, so a second one waits for the
+        first's release.
+        """
+        yield from self._await(lambda: self._blocked is None,
+                               self._unblocked)
+        self._blocked = handle
+
+    def _serve_blocked(self, request: BlockRequest, action: str):
+        """Generator: redirect or protect the blocked command, then
+        release it.  Status reads emulate a busy device until then."""
+        try:
+            if action == "redirect":
+                yield from self.redirect(request)
+            else:
+                yield from self.protect_access(request)
+        finally:
+            self._blocked = None
+            self._unblocked.notify()
 
     # -- I/O redirection (copy-on-read) ---------------------------------------------------
 
@@ -405,8 +460,6 @@ class DeviceMediator:
         yield self.env.timeout(0)
 
     # -- subclass responsibilities ------------------------------------------------------------
-
-    irq_line: int = 0
 
     def _install_intercepts(self) -> None:
         raise NotImplementedError

@@ -6,7 +6,9 @@ command header -> command table -> FIS/PRDT exactly as the HBA would.
 Redirection rewrites the guest's command table in place to the dummy
 sector (the paper's "manipulate the command information") before letting
 the HBA run it; multiplexing swaps in the VMM's own command list and
-disables ``PxIE`` so the guest never sees the VMM's completions.
+disables ``PxIE`` so the guest never sees the VMM's completions.  The
+blocked command is named by its slot; fresh and queued slots go through
+the engine's one decision and blocked-command path.
 """
 
 from __future__ import annotations
@@ -24,27 +26,15 @@ class AhciMediator(DeviceMediator):
 
     def __init__(self, env, machine, deployment):
         super().__init__(env, machine, deployment)
-        self.controller = machine.disk_controller
-        if self.controller.kind != "ahci":
-            raise TypeError("AhciMediator requires an AHCI controller")
-        self.irq_line = self.controller.irq_line
-        #: Every trapped ABAR access — the raw interpretation workload.
-        self._m_intercepts = self.telemetry.registry.counter(
-            "mediator_io_intercepts_total", controller="ahci")
         # Shadow port registers (interpretation).
         self.shadow_pxclb = 0
         self.shadow_pxie = 0
         self.shadow_pxcmd = 0
         self.shadow_pxci = 0
-        # Redirect bookkeeping.
-        self._blocked_slot: int | None = None
-        self._blocked_request: BlockRequest | None = None
         # Device-produced state captured at VMM takeover (an unacked
         # PxIS completion the guest is still owed).
         self._saved_pxis = 0
-        # The VMM's private command list + dummy transfer buffer.
-        self._dummy_buffer = SectorBuffer(0, 65536)
-        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
+        # The VMM's private command list.
         self._vmm_command_list: list = [None] * ahci.COMMAND_SLOTS
         self._vmm_clb = machine.hostmem.allocate(self._vmm_command_list)
         self._vmm_table_address: int | None = None
@@ -119,10 +109,10 @@ class AhciMediator(DeviceMediator):
                 access.reply = self.shadow_pxclb
             elif offset == ahci.REG_PXIE:
                 access.reply = self.shadow_pxie
-        elif self._blocked_slot is not None:
+        elif self._blocked is not None:
             if offset == ahci.REG_PXCI:
                 real = self.controller.pxci
-                access.reply = real | (1 << self._blocked_slot)
+                access.reply = real | (1 << self._blocked)
             elif offset == ahci.REG_PXTFD:
                 access.reply = 0x50 | ahci.TFD_BSY
 
@@ -170,29 +160,9 @@ class AhciMediator(DeviceMediator):
             self.controller.mmio_write(
                 self.controller.abar + ahci.REG_PXCI, pass_mask)
         for slot, request, action in special:
-            yield from self._claim_blocked(slot, request)
-            try:
-                if action == "redirect":
-                    yield from self.redirect(request)
-                else:
-                    yield from self.protect_access(request)
-            finally:
-                self._release_blocked()
+            yield from self._claim_blocked(slot)
+            yield from self._serve_blocked(request, action)
         yield self.env.timeout(0)
-
-    def _claim_blocked(self, slot: int, request: BlockRequest):
-        """Serialize redirect contexts: hooks are re-entrant across guest
-        processes (AHCI allows concurrent slots), but the engine serves
-        one blocked command at a time."""
-        yield from self._await(lambda: self._blocked_slot is None,
-                               self._unblocked)
-        self._blocked_slot = slot
-        self._blocked_request = request
-
-    def _release_blocked(self) -> None:
-        self._blocked_slot = None
-        self._blocked_request = None
-        self._unblocked.notify()
 
     def _decode_slot(self, slot: int) -> BlockRequest | None:
         """I/O interpretation: walk the guest's command structures."""
@@ -210,7 +180,7 @@ class AhciMediator(DeviceMediator):
     # -- primitives used by the base engine ------------------------------------------------------
 
     def _guest_buffer(self) -> SectorBuffer:
-        table = self._slot_table(self._blocked_slot)
+        table = self._slot_table(self._blocked)
         return self.machine.hostmem.lookup(table.prdt[0])
 
     def _issue_to_device(self, request: BlockRequest,
@@ -271,7 +241,7 @@ class AhciMediator(DeviceMediator):
         """Rewrite the blocked slot's command table to a 1-sector dummy
         read, then let the HBA run it so the completion path (PxIS, CI
         clear, interrupt) is entirely genuine."""
-        slot = self._blocked_slot
+        slot = self._blocked
         table = self._slot_table(slot)
         self._dummy_buffer.lba = self.deployment.dummy_lba
         self._dummy_buffer.sector_count = 1
@@ -285,32 +255,18 @@ class AhciMediator(DeviceMediator):
     def _replay_guest_command(self, ci_value: int):
         """Re-classify and reissue slots queued during VMM ownership."""
         self.shadow_pxci &= ~ci_value
-        bitmap = self.deployment.bitmap
         forward_mask = 0
         for slot in range(ahci.COMMAND_SLOTS):
             if not ci_value & (1 << slot):
                 continue
             request = self._decode_slot(slot)
-            needs_protect = request is not None \
-                and self.deployment.overlaps_protected(
-                    request.lba, request.sector_count)
-            needs_redirect = (
-                request is not None
-                and request.op is BlockOp.READ
-                and request.lba < bitmap.image_sectors
-                and not bitmap.sectors_local(request.lba,
-                                             request.sector_count))
-            if needs_protect or needs_redirect:
-                yield from self._claim_blocked(slot, request)
-                try:
-                    if needs_redirect:
-                        yield from self.redirect(request)
-                    else:
-                        yield from self.protect_access(request)
-                finally:
-                    self._release_blocked()
-            else:
+            action = "pass" if request is None \
+                else self.action_for(request)
+            if action == "pass":
                 forward_mask |= (1 << slot)
+            else:
+                yield from self._claim_blocked(slot)
+                yield from self._serve_blocked(request, action)
         if forward_mask:
             yield from self._wait_device_idle()
             self.controller.mmio_write(

@@ -3,6 +3,9 @@
 Intercepts the taskfile and bus-master ports, keeps a shadow copy of
 everything the guest programs (interpretation), and implements the
 redirect / multiplex primitives on top of the raw controller registers.
+A command to redirect or protect is claimed as the engine's blocked
+command, ``(request, action)``, at the command write, and served when
+the guest starts the bus master.
 """
 
 from __future__ import annotations
@@ -35,33 +38,16 @@ def _copy_taskfile(source: ide.Taskfile) -> ide.Taskfile:
 class IdeMediator(DeviceMediator):
     """Mediator for the IDE controller."""
 
-    irq_line = ide.IDE_IRQ
-
     def __init__(self, env, machine, deployment):
         super().__init__(env, machine, deployment)
-        self.controller = machine.disk_controller
-        if self.controller.kind != "ide":
-            raise TypeError("IdeMediator requires an IDE controller")
         # Shadow register state (interpretation).
         self.shadow_taskfile = ide.Taskfile()
         self.shadow_bm_prdt = 0
         self.shadow_bm_command = 0
-        # Redirect bookkeeping: command absorbed, waiting for BM start.
-        self._blocked: BlockRequest | None = None
-        self._blocked_kind: str | None = None
         # Device status captured at VMM takeover: the guest may still be
         # owed a completion (unacked IRQ bit); its ISR must see it.
         self._saved_status = ide.STATUS_DRDY
         self._saved_bm_status = 0
-        #: Every trapped PIO access, including taskfile programming —
-        #: the raw interpretation workload (paper Table 1's "I/O
-        #: interpretation" cost driver).
-        self._m_intercepts = self.telemetry.registry.counter(
-            "mediator_io_intercepts_total", controller="ide")
-        # A dummy buffer for restarted reads (1 sector is enough, but the
-        # VMM keeps a block-sized one for local overlay reads too).
-        self._dummy_buffer = SectorBuffer(0, 65536)
-        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         self._vmm_buffer_address: int | None = None
 
     # -- intercept installation -------------------------------------------------------
@@ -108,8 +94,10 @@ class IdeMediator(DeviceMediator):
                     and not previous & ide.BM_CMD_START \
                     and self._blocked is not None:
                 # The start of a blocked command: absorb and act.
+                # It stays blocked until served, so status reads
+                # emulate a busy device for the whole service time.
                 access.absorb = True
-                return self._launch_blocked()
+                return self._serve_blocked(*self._blocked)
         elif port == ide.BM_STATUS:
             if owned:
                 # Apply the guest's write-1-to-clear ack to the saved
@@ -151,9 +139,7 @@ class IdeMediator(DeviceMediator):
             # the device.
             if self.mode is MediatorMode.VMM_OWNED:
                 access.absorb = True
-                self.queue_guest_command(_QueuedIdeCommand(
-                    _copy_taskfile(self.shadow_taskfile), command,
-                    self.shadow_bm_prdt, self.shadow_bm_command))
+                self._queue(command)
             yield self.env.timeout(0)
             return
 
@@ -166,36 +152,17 @@ class IdeMediator(DeviceMediator):
 
         access.absorb = True
         if action == "queue":
-            self.queue_guest_command(_QueuedIdeCommand(
-                _copy_taskfile(self.shadow_taskfile), command,
-                self.shadow_bm_prdt, self.shadow_bm_command))
+            self._queue(command)
         else:
             # redirect / protect: block the command until BM start, then
             # serve it ourselves.
-            yield from self._claim_blocked(request, action)
+            yield from self._claim_blocked((request, action))
         yield self.env.timeout(0)
 
-    def _claim_blocked(self, request: BlockRequest, action: str):
-        """Serialize blocked commands: IDE is single-outstanding, but a
-        replayed redirect can overlap a fresh hook."""
-        yield from self._await(lambda: self._blocked is None,
-                               self._unblocked)
-        self._blocked = request
-        self._blocked_kind = action
-
-    def _launch_blocked(self):
-        request = self._blocked
-        kind = self._blocked_kind
-        # `_blocked` stays set until the handler finishes so that status
-        # reads emulate a busy device for the whole service time.
-        handler = self.redirect if kind == "redirect" else \
-            self.protect_access
-        try:
-            yield from handler(request)
-        finally:
-            self._blocked = None
-            self._blocked_kind = None
-            self._unblocked.notify()
+    def _queue(self, command: int) -> None:
+        self.queue_guest_command(_QueuedIdeCommand(
+            _copy_taskfile(self.shadow_taskfile), command,
+            self.shadow_bm_prdt, self.shadow_bm_command))
 
     # -- primitives used by the base engine -------------------------------------------------
 
@@ -281,18 +248,11 @@ class IdeMediator(DeviceMediator):
             request = ide.decode_request(snapshot.taskfile,
                                          snapshot.command)
             self.shadow_bm_prdt = snapshot.bm_prdt
-            bitmap = self.deployment.bitmap
-            needs_redirect = (
-                request.op is BlockOp.READ
-                and request.lba < bitmap.image_sectors
-                and not bitmap.sectors_local(request.lba,
-                                             request.sector_count))
-            if self.deployment.overlaps_protected(request.lba,
-                                                  request.sector_count):
-                yield from self.protect_access(request)
-                return
-            if needs_redirect:
-                yield from self.redirect(request)
+            action = self.action_for(request)
+            if action != "pass":
+                # IDE is single-outstanding: the guest waits on this
+                # command, so no other can hold the blocked context.
+                yield from self._serve_blocked(request, action)
                 return
         yield from self._wait_device_idle()
         controller = self.controller

@@ -7,8 +7,9 @@ interfaces" and "when adding device mediators for new devices, the VMM
 core does not need to be modified".  This module is the proof by
 construction: a mediator for the message-passing MFI interface that
 registers itself with the VMM core's registry and reuses the entire
-device-independent engine (classification, redirect orchestration,
-multiplex take-over, queue replay) untouched.
+device-independent engine (classification, the blocked-command path,
+redirect orchestration, multiplex take-over, queue replay) untouched.
+The blocked command is named by its frame address.
 """
 
 from __future__ import annotations
@@ -30,21 +31,8 @@ class MegaRaidMediator(DeviceMediator):
 
     def __init__(self, env, machine, deployment):
         super().__init__(env, machine, deployment)
-        self.controller = machine.disk_controller
-        if self.controller.kind != "megaraid":
-            raise TypeError(
-                "MegaRaidMediator requires a MegaRAID controller")
-        self.irq_line = self.controller.irq_line
-        #: Every trapped MFI-window access — the interpretation workload.
-        self._m_intercepts = self.telemetry.registry.counter(
-            "mediator_io_intercepts_total", controller="megaraid")
         self._vmm_contexts = count(VMM_CONTEXT_BASE)
         self._vmm_context_inflight: int | None = None
-        # Redirect bookkeeping: the blocked frame (absorbed post).
-        self._blocked_frame: megaraid.MfiFrame | None = None
-        self._blocked_address: int | None = None
-        self._dummy_buffer = SectorBuffer(0, 65536)
-        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         self._vmm_frame_address: int | None = None
         self._vmm_buffer_address: int | None = None
 
@@ -89,7 +77,7 @@ class MegaRaidMediator(DeviceMediator):
             elif offset == megaraid.REG_OUTBOUND_REPLY:
                 access.reply = self._pop_guest_reply()
                 access.absorb = True
-        elif self._blocked_frame is not None:
+        elif self._blocked is not None:
             if offset == megaraid.REG_STATUS:
                 access.reply = megaraid.STATUS_BUSY
             elif offset == megaraid.REG_OUTBOUND_REPLY:
@@ -131,32 +119,14 @@ class MegaRaidMediator(DeviceMediator):
             return
         # redirect / protect: the message-passing interface needs no
         # separate start doorbell — serve immediately.
-        yield from self._claim_blocked(frame, frame_address)
-        try:
-            if action == "redirect":
-                yield from self.redirect(request)
-            else:
-                yield from self.protect_access(request)
-        finally:
-            self._release_blocked()
-
-    def _claim_blocked(self, frame, frame_address: int):
-        """Serialize redirect contexts across re-entrant hook calls."""
-        yield from self._await(lambda: self._blocked_frame is None,
-                               self._unblocked)
-        self._blocked_frame = frame
-        self._blocked_address = frame_address
-
-    def _release_blocked(self) -> None:
-        self._blocked_frame = None
-        self._blocked_address = None
-        self._unblocked.notify()
+        yield from self._claim_blocked(frame_address)
+        yield from self._serve_blocked(request, action)
 
     # -- primitives used by the base engine ------------------------------------------------------
 
     def _guest_buffer(self) -> SectorBuffer:
-        return self.machine.hostmem.lookup(
-            self._blocked_frame.buffer_address)
+        hostmem = self.machine.hostmem
+        return hostmem.lookup(hostmem.lookup(self._blocked).buffer_address)
 
     def _issue_to_device(self, request: BlockRequest,
                          buffer: SectorBuffer) -> None:
@@ -213,7 +183,7 @@ class MegaRaidMediator(DeviceMediator):
     def _deliver_dummy_completion(self) -> None:
         """Rewrite the blocked frame to a 1-sector dummy read and post
         it, so the firmware completes it with the guest's own context."""
-        frame = self._blocked_frame
+        frame = self.machine.hostmem.lookup(self._blocked)
         self._dummy_buffer.lba = self.deployment.dummy_lba
         self._dummy_buffer.sector_count = 1
         frame.command = "read"
@@ -222,31 +192,16 @@ class MegaRaidMediator(DeviceMediator):
         frame.buffer_address = self._dummy_address
         self.controller.mmio_write(
             self.controller.mmio_base + megaraid.REG_INBOUND_QUEUE,
-            self._blocked_address)
+            self._blocked)
 
     def _replay_guest_command(self, frame_address: int):
         frame = self.machine.hostmem.lookup(frame_address)
         request = megaraid.decode_frame(frame)
-        if request is not None:
-            bitmap = self.deployment.bitmap
-            if self.deployment.overlaps_protected(request.lba,
-                                                  request.sector_count):
-                yield from self._claim_blocked(frame, frame_address)
-                try:
-                    yield from self.protect_access(request)
-                finally:
-                    self._release_blocked()
-                return
-            if (request.op is BlockOp.READ
-                    and request.lba < bitmap.image_sectors
-                    and not bitmap.sectors_local(request.lba,
-                                                 request.sector_count)):
-                yield from self._claim_blocked(frame, frame_address)
-                try:
-                    yield from self.redirect(request)
-                finally:
-                    self._release_blocked()
-                return
+        action = "pass" if request is None else self.action_for(request)
+        if action != "pass":
+            yield from self._claim_blocked(frame_address)
+            yield from self._serve_blocked(request, action)
+            return
         yield from self._wait_device_idle()
         self.controller.mmio_write(
             self.controller.mmio_base + megaraid.REG_INBOUND_QUEUE,

@@ -119,11 +119,23 @@ def test_guest_written_blocks_are_not_preserved():
                            origin="guest")
     request.buffer.fill_constant("tenant-secret")
     run(testbed.env, testbed.nodes[0].disk.execute(request), "write")
-    assert 0 in vmm.tainted_blocks
+    assert 0 in vmm.bitmap.tainted
     assert 0 not in vmm.pristine_blocks()
     run(testbed.env, pool.reclaim(0, preserve=True), "reclaim")
     assert 0 not in pool.nodes[0].warm_blocks
     assert pool.nodes[0].warm_blocks  # untouched blocks still warm
+
+
+def test_redeploy_detaches_the_previous_vmm_from_the_disk():
+    # Each deployment hooks one taint observer onto the node's disk;
+    # a redeploy must drop the previous VMM's, or every cycle leaves
+    # one behind and keeps the old VMM alive.
+    testbed, pool = make_pool(p2p=True)
+    observers = testbed.nodes[0].disk.write_observers
+    for cycle in range(3):
+        deploy_to_baremetal(testbed, pool)
+        assert len(observers) == 1, f"cycle {cycle}"
+        run(testbed.env, pool.reclaim(0, preserve=True), "reclaim")
 
 
 # -- warm peers feed the next scale-up ----------------------------------------

@@ -237,21 +237,40 @@ def test_guest_write_taints_block():
 
 
 def test_post_devirt_disk_writes_taint():
-    env, disk, bitmap, service, directory, initiator = _peer_rig()
-    _fill(bitmap, disk, 2)
-    service.mark_direct_io()
+    # Once the VMM has de-virtualized, no mediator records guest
+    # writes: a raw disk write is the guest's, and the node's peer
+    # service must stop serving and advertising the block.
+    testbed = build_testbed(node_count=1, server_count=1, p2p=True,
+                            image=OsImage(size_bytes=16 * MB,
+                                          boot_read_bytes=2 * MB,
+                                          boot_think_seconds=0.5))
+    cluster = Cluster(testbed)
+    env = testbed.env
 
     from repro.storage.blockdev import BlockOp, BlockRequest
 
     def scenario():
-        request = BlockRequest(BlockOp.WRITE,
-                               2 * BLOCK_SECTORS, 8)
-        request.buffer.runs = [(2 * BLOCK_SECTORS,
-                                2 * BLOCK_SECTORS + 8, "guest")]
-        yield from disk.execute(request)
+        yield from cluster.deploy_all("bmcast", policy=FULL_SPEED)
+        yield from cluster.wait_deployment_complete(settle_seconds=1.0)
 
     env.run(until=env.process(scenario()))
-    assert 2 in service.tainted
+    vmm = cluster.instances[0].platform
+    service = vmm.peer_service
+    assert vmm.phase == "baremetal"
+    assert 2 in service.summary()
+    assert service.servable(2 * BLOCK_SECTORS, 8)
+
+    def guest_write():
+        lba = 2 * BLOCK_SECTORS
+        request = BlockRequest(BlockOp.WRITE, lba, 8, origin="guest")
+        request.buffer.runs = [(lba, lba + 8, "guest")]
+        yield from testbed.node.disk.execute(request)
+
+    env.run(until=env.process(guest_write()))
+    assert not service.servable(2 * BLOCK_SECTORS, 8)
+    assert 2 not in service.summary()
+    assert service.summary() == vmm.pristine_blocks()
+    assert vmm.bitmap.tainted == {2}
 
 
 def test_publish_batches_and_stop_withdraws():

@@ -12,6 +12,7 @@ from repro.guest.osimage import OsImage
 from repro.hw.cpu import VmxMode
 from repro.storage.blockdev import BlockOp
 from repro.vmm.bmcast import BmcastVmm
+from repro.vmm.mediator import MediatorMode
 from repro.vmm.moderation import FULL_SPEED, ModerationPolicy
 
 MB = 2**20
@@ -238,6 +239,66 @@ def test_multiplexing_queues_and_replays_guest_commands(controller):
             assert token == (testbed.image.name, 0)
     assert testbed.image.verify_deployed(testbed.node.disk.contents,
                                          guest.written)
+
+
+def read_across_the_image_end(controller, queued):
+    """Boot a VMM (copier stopped), save the bitmap, and read from the
+    last image block into the bitmap-save region.  With ``queued`` the
+    read is issued while the bitmap save owns the device, so the
+    mediator absorbs it and decides on replay."""
+    testbed, vmm, guest = make_deployment(controller, size_mb=16)
+    env = testbed.env
+    mediator = vmm.mediator
+    lba = vmm.bitmap.image_sectors - 8
+    result = {}
+
+    def scenario():
+        yield from testbed.node.machine.power_on()
+        yield from testbed.node.machine.firmware.network_boot()
+        yield from vmm.boot()
+        # Stopping the copier at the instant it started trips the
+        # engine (its processes have not run yet); step past it.
+        yield env.timeout(0)
+        vmm.copier.stop()
+        save = env.process(vmm.persist_bitmap())
+        if queued:
+            for _ in range(8):
+                if mediator.mode is MediatorMode.VMM_OWNED:
+                    break
+                yield env.timeout(0)
+            assert mediator.mode is MediatorMode.VMM_OWNED
+        else:
+            yield save
+        buffer = yield from guest.read(lba, 32)
+        yield save
+        result["runs"] = buffer.runs
+        result["redirected_reads"] = mediator.redirected_reads
+        result["queued"] = mediator.queued_guest_commands
+        result["writeback"] = [
+            (start, count) for start, count, _ in
+            vmm.deployment.writeback_queue]
+
+    env.run(until=env.process(scenario()))
+    protected = vmm.deployment.protected_lba
+    result["saved_bitmap"] = testbed.node.disk.contents.get(protected)[0]
+    return lba, result
+
+
+@pytest.mark.parametrize("controller", ["ide", "ahci", "megaraid"])
+def test_replayed_read_matches_a_fresh_one(controller):
+    """A guest read absorbed during VMM ownership is decided on replay
+    exactly as when issued fresh: one that misses the image and
+    overlaps the bitmap-save region is protected (dummy data, no
+    redirect, no write-back over the saved bitmap) both times."""
+    lba, fresh = read_across_the_image_end(controller, queued=False)
+    _, replayed = read_across_the_image_end(controller, queued=True)
+    assert (fresh["queued"], replayed["queued"]) == (0, 1)
+    assert fresh["runs"] == [(lba, lba + 32, None)]
+    assert replayed["runs"] == fresh["runs"]
+    assert replayed["redirected_reads"] == fresh["redirected_reads"] == 0
+    assert replayed["writeback"] == fresh["writeback"] == []
+    assert replayed["saved_bitmap"] == fresh["saved_bitmap"] \
+        == BmcastVmm.BITMAP_TOKEN
 
 
 def test_interrupts_from_vmm_requests_hidden_from_guest():
