@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import params
+from repro.storage.blockdev import clip_runs
 
 
 def sectors_per_frame(mtu: int) -> int:
@@ -177,14 +178,5 @@ def split_read_reply(tag: int, lba: int, runs: list, mtu: int):
 def split_write_payload(tag: int, lba: int, sector_count: int, runs: list,
                         mtu: int):
     """Fragments for the data of a write command."""
-    return split_read_reply(tag, lba, _clip_runs(runs, lba, sector_count),
+    return split_read_reply(tag, lba, clip_runs(runs, lba, sector_count),
                             mtu)
-
-
-def _clip_runs(runs: list, lba: int, sector_count: int) -> list:
-    end_lba = lba + sector_count
-    return [
-        (max(start, lba), min(end, end_lba), token)
-        for start, end, token in runs
-        if start < end_lba and end > lba
-    ]

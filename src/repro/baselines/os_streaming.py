@@ -13,7 +13,7 @@ from repro import params
 from repro.aoe.client import AoeInitiator
 from repro.guest.osimage import OsImage
 from repro.sim import Environment, Interrupt
-from repro.storage.blockdev import BlockOp, BlockRequest
+from repro.storage.blockdev import BlockOp, BlockRequest, clip_runs
 from repro.util.intervalmap import IntervalMap
 from repro.vmm.bitmap import BlockBitmap
 from repro.vmm.moderation import ModerationPolicy
@@ -83,7 +83,7 @@ class StreamingOsInstance:
                 for run_start, run_count in bitmap.writable_runs(block):
                     request = BlockRequest(BlockOp.WRITE, run_start,
                                            run_count, origin="streaming")
-                    request.buffer.runs = _clip(runs, run_start, run_count)
+                    request.buffer.runs = clip_runs(runs, run_start, run_count)
                     yield from self.node.disk.execute(request)
                 try:
                     bitmap.commit_fill(block)
@@ -125,12 +125,3 @@ class StreamingOsInstance:
 
 class OsNotSupportedError(Exception):
     """The streaming driver is not ported to the requested OS."""
-
-
-def _clip(runs: list, start: int, count: int) -> list:
-    end = start + count
-    return [
-        (max(run_start, start), min(run_end, end), token)
-        for run_start, run_end, token in runs
-        if run_start < end and run_end > start
-    ]

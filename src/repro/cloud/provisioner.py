@@ -138,7 +138,8 @@ class Provisioner:
                            timeline: StartupTimeline, policy=None):
         image = self.testbed.image
         deployment = ImageCopyDeployment(self.env, node,
-                                         self.testbed.server_port, image)
+                                         self.testbed.server_ports[0],
+                                         image)
         start = self.env.now
         with self.telemetry.tracer.span("installer-and-transfer"):
             yield from deployment.run()
@@ -166,7 +167,7 @@ class Provisioner:
                              timeline: StartupTimeline, policy=None):
         image = self.testbed.image
         instance_model = NetworkBootInstance(self.env, node,
-                                             self.testbed.server_port,
+                                             self.testbed.server_ports[0],
                                              image)
         timeline.platform_ready = self.env.now
         timeline.os_boot_started = self.env.now
@@ -198,7 +199,7 @@ class Provisioner:
                     backend: str):
         image = self.testbed.image
         instance_model = KvmInstance(self.env, node,
-                                     self.testbed.server_port, image,
+                                     self.testbed.server_ports[0], image,
                                      backend=backend)
         start = self.env.now
         timeline.os_boot_started = self.env.now
@@ -222,7 +223,7 @@ class Provisioner:
                              policy: ModerationPolicy | None = None):
         image = self.testbed.image
         instance_model = StreamingOsInstance(self.env, node,
-                                             self.testbed.server_port,
+                                             self.testbed.server_ports[0],
                                              image, policy=policy)
         timeline.platform_ready = self.env.now
         timeline.os_boot_started = self.env.now

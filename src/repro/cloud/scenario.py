@@ -46,18 +46,16 @@ class Testbed:
     env: Environment
     switch: EthernetSwitch
     image: OsImage
-    store: ImageStore
-    server: AoeServer
-    server_port: str
+    #: The origin replicas, one entry per replica; the baselines use
+    #: the first.
+    servers: list[AoeServer]
+    stores: list[ImageStore]
+    server_ports: list[str]
     #: Origin replicas and policy every BMcast VMM fetches through.
     fabric: DistFabric
     nodes: list[TestbedNode] = field(default_factory=list)
     ib_fabric: IbFabric | None = None
     telemetry: object = NULL_TELEMETRY
-    #: All origin replicas (``servers[0] is server``).
-    servers: list[AoeServer] = field(default_factory=list)
-    stores: list[ImageStore] = field(default_factory=list)
-    server_ports: list[str] = field(default_factory=list)
 
     @property
     def node(self) -> TestbedNode:
@@ -136,12 +134,10 @@ def build_testbed(node_count: int = 1,
     ib_fabric = IbFabric(env) if with_infiniband else None
 
     testbed = Testbed(env=env, switch=switch, image=image,
-                      store=stores[0], server=servers[0],
-                      server_port="server",
-                      fabric=dist_fabric, ib_fabric=ib_fabric,
-                      telemetry=telemetry,
                       servers=servers, stores=stores,
-                      server_ports=server_ports)
+                      server_ports=server_ports,
+                      fabric=dist_fabric, ib_fabric=ib_fabric,
+                      telemetry=telemetry)
 
     for index in range(node_count):
         name = f"node{index}"

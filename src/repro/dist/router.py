@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.aoe.client import AoeNakError, AoeTimeoutError
 from repro.obs.telemetry import NULL_TELEMETRY
+from repro.storage.blockdev import coalesce_runs
 
 #: Frame tag for peer-to-peer chunk traffic (switch accounting).
 PEER_PROTOCOL = "aoe-peer"
@@ -160,7 +161,7 @@ class FetchRouter:
                     seg_start, seg_count, True, fluid)
             runs.extend(seg_runs)
             index = stop
-        return _coalesce_runs(runs)
+        return coalesce_runs(runs)
 
     def _pick_peer(self, lba: int, sector_count: int) -> str | None:
         blocks = self.fabric.blocks_of(lba, sector_count)
@@ -227,14 +228,3 @@ class FetchRouter:
             self.node_port, lba, sector_count, target, "origin", started,
             block_sectors=self.fabric.block_sectors)
         return runs
-
-
-def _coalesce_runs(runs: list) -> list:
-    """Merge adjacent same-token runs from consecutive segments."""
-    merged: list = []
-    for start, end, token in runs:
-        if merged and merged[-1][1] == start and merged[-1][2] == token:
-            merged[-1] = (merged[-1][0], end, token)
-        else:
-            merged.append((start, end, token))
-    return merged

@@ -1,6 +1,6 @@
 """Guest OS substrate: images, kernel model, stock block drivers."""
 
-from repro.guest.driver_ahci import AhciDriver, AhciDriverError
+from repro.guest.driver_ahci import AhciDriver
 from repro.guest.driver_e1000 import E1000Driver
 from repro.guest.driver_ide import IdeDriver, IdeDriverError
 from repro.guest.kernel import GuestOs
@@ -21,7 +21,6 @@ from repro.guest.workload import (
 
 __all__ = [
     "AhciDriver",
-    "AhciDriverError",
     "BootStep",
     "E1000Driver",
     "GuestOs",

@@ -8,50 +8,40 @@ sees every access.
 
 from __future__ import annotations
 
+from repro.guest.blockdriver import BlockDriver
+from repro.sim import Event
 from repro.storage import ahci
-from repro.storage.blockdev import BlockOp, SectorBuffer, coalesce_runs
-from repro.storage.ide import CMD_READ_DMA_EXT, CMD_WRITE_DMA_EXT
+from repro.storage.blockdev import BlockOp
+from repro.storage.ide import (
+    CMD_FLUSH_CACHE,
+    CMD_READ_DMA_EXT,
+    CMD_WRITE_DMA_EXT,
+)
 
 
-class AhciDriverError(Exception):
-    """Port reported an error."""
-
-
-class AhciDriver:
+class AhciDriver(BlockDriver):
     """Block driver bound to one machine's AHCI controller."""
 
-    MAX_SECTORS = 65536
-
     def __init__(self, machine, cpu=None):
-        self.machine = machine
-        self.bus = machine.bus
-        self.cpu = cpu if cpu is not None else machine.boot_cpu
-        self.controller = machine.disk_controller
+        super().__init__(machine, cpu)
         self.abar = self.controller.abar
-        self.irq_line = self.controller.irq_line
         self._command_list: list = [None] * ahci.COMMAND_SLOTS
         self._clb_address: int | None = None
         self._started = False
         self._starting = None
-        # Metrics.
-        self.requests_completed = 0
-        self.sectors_transferred = 0
-        self.total_latency = 0.0
-
-    # -- initialization -----------------------------------------------------------
 
     def start(self):
         """Generator: initialize the port (command list, interrupts, ST).
 
         Safe under concurrent first use: one caller initializes, the
-        rest wait for it.
+        rest wait for it.  A command issued before it runs starts the
+        port first.
         """
         if self._started:
             return
         if self._starting is not None:
             yield self._starting
             return
-        from repro.sim import Event
         self._starting = Event(self.machine.env)
         self._clb_address = self.machine.hostmem.allocate(self._command_list)
         yield from self._mmio_write(ahci.REG_PXCLB, self._clb_address)
@@ -60,70 +50,24 @@ class AhciDriver:
         self._started = True
         self._starting.succeed()
 
-    # -- public API -----------------------------------------------------------------
-
-    def read(self, lba: int, sector_count: int):
-        """Generator: DMA read; returns the filled buffer."""
-        return (yield from self._transfer(BlockOp.READ, lba, sector_count,
-                                          token=None))
-
-    def write(self, lba: int, sector_count: int, token):
-        """Generator: DMA write of ``token``-tagged data."""
-        return (yield from self._transfer(BlockOp.WRITE, lba, sector_count,
-                                          token=token))
-
     def flush(self):
         """Generator: FLUSH CACHE through a command slot."""
-        from repro.storage.ide import CMD_FLUSH_CACHE
         cfis = ahci.CommandFis(CMD_FLUSH_CACHE, 0, 0)
-        table = ahci.CommandTable(cfis)
-        yield from self._issue_and_wait(table)
+        yield from self._issue_and_wait(ahci.CommandTable(cfis))
 
-    @property
-    def mean_latency(self) -> float:
-        if self.requests_completed == 0:
-            return 0.0
-        return self.total_latency / self.requests_completed
+    # -- register protocol ------------------------------------------------------------
 
-    # -- transfer engine ----------------------------------------------------------------
-
-    def _transfer(self, op: BlockOp, lba: int, sector_count: int, token):
-        if not self._started:
-            yield from self.start()
-        result = SectorBuffer(lba, sector_count)
-        remaining = sector_count
-        cursor = lba
-        collected = []
-        while remaining > 0:
-            chunk = min(remaining, self.MAX_SECTORS)
-            buffer = yield from self._one_command(op, cursor, chunk, token)
-            collected.extend(buffer.runs)
-            cursor += chunk
-            remaining -= chunk
-        result.runs = coalesce_runs(collected)
-        return result
-
-    def _one_command(self, op: BlockOp, lba: int, sector_count: int, token):
-        env = self.machine.env
-        start = env.now
-        buffer = SectorBuffer(lba, sector_count)
-        if op is BlockOp.WRITE:
-            buffer.fill_constant(token)
-        buffer_address = self.machine.hostmem.allocate(buffer)
+    def _command(self, op: BlockOp, lba: int, sector_count: int,
+                 buffer_address: int):
         command = CMD_READ_DMA_EXT if op is BlockOp.READ \
             else CMD_WRITE_DMA_EXT
         cfis = ahci.CommandFis(command, lba, sector_count)
-        table = ahci.CommandTable(cfis, prdt=[buffer_address])
-        try:
-            yield from self._issue_and_wait(table)
-        finally:
-            self.machine.hostmem.free(buffer_address)
-        self.requests_completed += 1
-        self.sectors_transferred += sector_count
-        self.total_latency += env.now - start
-        return buffer
+        yield from self._issue_and_wait(
+            ahci.CommandTable(cfis, prdt=[buffer_address]))
 
     def _issue_and_wait(self, table: ahci.CommandTable):
+        if not self._started:
+            yield from self.start()
         slot = yield from self._find_free_slot()
         ctba = self.machine.hostmem.allocate(table)
         self._command_list[slot] = ahci.CommandHeader(ctba)

@@ -9,99 +9,41 @@ OS transparency the paper is about.
 
 from __future__ import annotations
 
-from repro import params
+from repro.guest.blockdriver import BlockDriver
 from repro.sim import Resource
 from repro.storage import ide
-from repro.storage.blockdev import BlockOp, SectorBuffer, coalesce_runs
+from repro.storage.blockdev import BlockOp
 
 
 class IdeDriverError(Exception):
     """Device reported an error status."""
 
 
-class IdeDriver:
+class IdeDriver(BlockDriver):
     """Block driver bound to one machine's IDE controller."""
 
-    #: Largest single transfer the driver issues (sectors, LBA48).
-    MAX_SECTORS = 65536
-
     def __init__(self, machine, cpu=None):
-        self.machine = machine
-        self.bus = machine.bus
-        self.cpu = cpu if cpu is not None else machine.boot_cpu
-        self.irq_line = ide.IDE_IRQ
+        super().__init__(machine, cpu)
         # IDE has one outstanding command; the kernel block layer
         # serializes submitters.
         self._lock = Resource(machine.env, capacity=1)
-        # Metrics.
-        self.requests_completed = 0
-        self.sectors_transferred = 0
-        self.total_latency = 0.0
-
-    # -- public API -------------------------------------------------------------
-
-    def read(self, lba: int, sector_count: int):
-        """Generator: DMA read; returns the filled :class:`SectorBuffer`."""
-        return (yield from self._transfer(BlockOp.READ, lba, sector_count,
-                                          token=None))
-
-    def write(self, lba: int, sector_count: int, token):
-        """Generator: DMA write of ``token``-tagged data."""
-        return (yield from self._transfer(BlockOp.WRITE, lba, sector_count,
-                                          token=token))
 
     def flush(self):
         """Generator: FLUSH CACHE."""
-        start = self.machine.env.now
         yield from self._pio_write(ide.REG_COMMAND, ide.CMD_FLUSH_CACHE)
         yield from self._wait_irq_and_ack()
-        self.total_latency += self.machine.env.now - start
 
     def identify(self):
         """Generator: IDENTIFY DEVICE (used during boot enumeration)."""
         yield from self._pio_write(ide.REG_COMMAND, ide.CMD_IDENTIFY)
         yield from self._wait_irq_and_ack()
 
-    @property
-    def mean_latency(self) -> float:
-        if self.requests_completed == 0:
-            return 0.0
-        return self.total_latency / self.requests_completed
+    # -- register protocol ----------------------------------------------------------
 
-    # -- transfer engine ------------------------------------------------------------
-
-    def _transfer(self, op: BlockOp, lba: int, sector_count: int, token):
-        if sector_count <= 0:
-            raise ValueError("sector_count must be positive")
-        result = SectorBuffer(lba, sector_count)
-        remaining = sector_count
-        cursor = lba
-        collected = []
-        while remaining > 0:
-            chunk = min(remaining, self.MAX_SECTORS)
-            buffer = yield from self._one_dma(op, cursor, chunk, token)
-            collected.extend(buffer.runs)
-            cursor += chunk
-            remaining -= chunk
-        result.runs = coalesce_runs(collected)
-        return result
-
-    def _one_dma(self, op: BlockOp, lba: int, sector_count: int, token):
+    def _command(self, op: BlockOp, lba: int, sector_count: int,
+                 prdt_address: int):
         with self._lock.request() as grant:
             yield grant
-            buffer = yield from self._one_dma_locked(op, lba, sector_count,
-                                                     token)
-        return buffer
-
-    def _one_dma_locked(self, op: BlockOp, lba: int, sector_count: int,
-                        token):
-        env = self.machine.env
-        start = env.now
-        buffer = SectorBuffer(lba, sector_count)
-        if op is BlockOp.WRITE:
-            buffer.fill_constant(token)
-        prdt_address = self.machine.hostmem.allocate(buffer)
-        try:
             # Program the taskfile (LBA48 so one command covers big I/O).
             taskfile = ide.Taskfile()
             taskfile.load(lba, sector_count, ext=True)
@@ -119,12 +61,6 @@ class IdeDriver:
                                        direction | ide.BM_CMD_START)
             # Sleep until our interrupt, then acknowledge.
             yield from self._wait_dma_completion(direction)
-        finally:
-            self.machine.hostmem.free(prdt_address)
-        self.requests_completed += 1
-        self.sectors_transferred += sector_count
-        self.total_latency += env.now - start
-        return buffer
 
     def _program_taskfile(self, taskfile: ide.Taskfile):
         # LBA48: each shifting register is written twice (hob then current).
@@ -162,7 +98,3 @@ class IdeDriver:
 
     def _pio_write(self, port: int, value: int):
         yield from self.bus.pio_write(port, value, cpu=self.cpu)
-
-
-#: Bytes per sector, re-exported for workload code convenience.
-SECTOR_BYTES = params.SECTOR_BYTES

@@ -4,90 +4,35 @@ from __future__ import annotations
 
 from itertools import count
 
+from repro.guest.blockdriver import BlockDriver
 from repro.sim import Resource
 from repro.storage import megaraid
-from repro.storage.blockdev import BlockOp, SectorBuffer, coalesce_runs
+from repro.storage.blockdev import BlockOp
 
 
-class MegaRaidDriver:
+class MegaRaidDriver(BlockDriver):
     """Block driver bound to one machine's MegaRAID controller."""
 
-    MAX_SECTORS = 65536
-
     def __init__(self, machine, cpu=None):
-        self.machine = machine
-        self.bus = machine.bus
-        self.cpu = cpu if cpu is not None else machine.boot_cpu
-        self.controller = machine.disk_controller
+        super().__init__(machine, cpu)
         self.mmio_base = self.controller.mmio_base
-        self.irq_line = self.controller.irq_line
         self._contexts = count(1)
         # The shared reply register makes out-of-order reaping fiddly;
         # the block layer serializes submitters (like the IDE driver).
         self._lock = Resource(machine.env, capacity=1)
-        # Metrics.
-        self.requests_completed = 0
-        self.sectors_transferred = 0
-        self.total_latency = 0.0
-
-    # -- public API --------------------------------------------------------------
-
-    def read(self, lba: int, sector_count: int):
-        """Generator: read; returns the filled buffer."""
-        return (yield from self._transfer(BlockOp.READ, lba, sector_count,
-                                          token=None))
-
-    def write(self, lba: int, sector_count: int, token):
-        """Generator: write ``token``-tagged data."""
-        return (yield from self._transfer(BlockOp.WRITE, lba, sector_count,
-                                          token=token))
 
     def flush(self):
         """Generator: firmware cache flush."""
         frame = megaraid.MfiFrame("flush", 0, 0, 0, next(self._contexts))
         yield from self._post_and_wait(frame)
 
-    @property
-    def mean_latency(self) -> float:
-        if self.requests_completed == 0:
-            return 0.0
-        return self.total_latency / self.requests_completed
+    # -- register protocol -----------------------------------------------------------
 
-    # -- transfer engine -----------------------------------------------------------
-
-    def _transfer(self, op: BlockOp, lba: int, sector_count: int, token):
-        result = SectorBuffer(lba, sector_count)
-        remaining = sector_count
-        cursor = lba
-        collected = []
-        while remaining > 0:
-            chunk = min(remaining, self.MAX_SECTORS)
-            buffer = yield from self._one_frame(op, cursor, chunk, token)
-            collected.extend(buffer.runs)
-            cursor += chunk
-            remaining -= chunk
-        result.runs = coalesce_runs(collected)
-        return result
-
-    def _one_frame(self, op: BlockOp, lba: int, sector_count: int, token):
-        env = self.machine.env
-        start = env.now
-        hostmem = self.machine.hostmem
-        buffer = SectorBuffer(lba, sector_count)
-        if op is BlockOp.WRITE:
-            buffer.fill_constant(token)
-        buffer_address = hostmem.allocate(buffer)
-        frame = megaraid.MfiFrame(
-            "read" if op is BlockOp.READ else "write",
-            lba, sector_count, buffer_address, next(self._contexts))
-        try:
-            yield from self._post_and_wait(frame)
-        finally:
-            hostmem.free(buffer_address)
-        self.requests_completed += 1
-        self.sectors_transferred += sector_count
-        self.total_latency += env.now - start
-        return buffer
+    def _command(self, op: BlockOp, lba: int, sector_count: int,
+                 buffer_address: int):
+        frame = megaraid.MfiFrame(op.value, lba, sector_count,
+                                  buffer_address, next(self._contexts))
+        yield from self._post_and_wait(frame)
 
     def _post_and_wait(self, frame: megaraid.MfiFrame):
         with self._lock.request() as grant:

@@ -16,7 +16,7 @@ class Process(Event):
     by yielding them.
     """
 
-    __slots__ = ("_generator", "name", "target", "_initialized")
+    __slots__ = ("_generator", "name", "target", "_kick")
 
     def __init__(self, env, generator, name: str | None = None):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -24,16 +24,15 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None if not
-        #: started or already finished).
-        self.target: Event | None = None
         # Kick-start: resume the generator at time `now`.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        init.callbacks.append(self._resume)
-        env.schedule(init)
-        self._initialized = False
+        kick = self._kick = Event(env)
+        kick._ok = True
+        kick._value = None
+        kick.callbacks.append(self._resume)
+        env.schedule(kick)
+        #: The event this process is currently waiting on: its
+        #: kick-start until the body first runs, None once finished.
+        self.target: Event | None = kick
 
     def __repr__(self):
         return f"<Process {self.name} at {hex(id(self))}>"
@@ -53,20 +52,36 @@ class Process(Event):
             raise SimulationError(f"{self!r} has terminated; cannot interrupt")
         if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever the process was waiting on so the stale
-        # event cannot resume it a second time when it eventually fires.
-        if self.target is not None and self.target.callbacks is not None:
-            try:
-                self.target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self.target = None
+        unstarted = self.target is self._kick
+        self._detach()
         interrupt_event = Event(self.env)
         interrupt_event._ok = False
         interrupt_event._value = Interrupt(cause)
         interrupt_event.defused = True
-        interrupt_event.callbacks.append(self._resume)
+        interrupt_event.callbacks.append(
+            self._start_then_resume if unstarted else self._resume)
         self.env.schedule(interrupt_event, priority=self.env.PRIORITY_URGENT)
+
+    def _detach(self) -> None:
+        """Stop waiting on the target, so the stale event cannot resume
+        the process a second time when it eventually fires."""
+        target = self.target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        self.target = None
+
+    def _start_then_resume(self, interrupt_event: Event) -> None:
+        """Deliver an interrupt that overtook the kick-start: run the
+        body to its first yield, as the kick-start would have, and
+        throw the interrupt in there.  A body that finishes before its
+        first yield never sees the interrupt."""
+        self._resume(self._kick)
+        if not self.triggered:
+            self._detach()
+            self._resume(interrupt_event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""

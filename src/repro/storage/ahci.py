@@ -10,10 +10,10 @@ through memory, decode the command FIS, and track completion through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
-from repro.sim import Environment, Notifier
-from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
+from repro.sim import Environment
+from repro.storage.blockdev import BlockOp, BlockRequest
+from repro.storage.controller import DiskController
 from repro.storage.disk import Disk
 from repro.storage.ide import (
     CMD_FLUSH_CACHE,
@@ -95,16 +95,15 @@ def decode_fis(cfis: CommandFis) -> BlockRequest | None:
     return BlockRequest(op=op, lba=cfis.lba, sector_count=cfis.sector_count)
 
 
-class AhciController:
+class AhciController(DiskController):
     """Single-port AHCI HBA attached to one disk."""
+
+    kind = "ahci"
 
     def __init__(self, env: Environment, disk: Disk, machine,
                  abar: int = ABAR_BASE, irq_line: int = AHCI_IRQ):
-        self.env = env
-        self.disk = disk
-        self.machine = machine
+        super().__init__(env, disk, machine, irq_line)
         self.abar = abar
-        self.irq_line = irq_line
 
         # Register file.
         self.pxclb = 0
@@ -117,23 +116,8 @@ class AhciController:
         self.ghc = 0
 
         self._active_slots: set[int] = set()
-        #: Origin stamped onto decoded requests.  The controller cannot
-        #: tell who programmed it; the device mediator sets this to
-        #: "vmm" for the duration of its own raw commands so disk-level
-        #: observers (moderation accounting, sanitizers) see true
-        #: provenance.
-        self.request_origin = "guest"
-        #: Fires at the next command completion, whether or not the port
-        #: interrupt is enabled (the mediator waits on it while it owns
-        #: the device with interrupts masked).
-        self.completion = Notifier(env)
-
-        # Metrics.
-        self.commands_executed = 0
-        self.interrupts_raised = 0
 
         machine.bus.register_mmio(abar, ABAR_SIZE, self)
-        machine.attach_disk_controller(self)
 
     # -- register interface ------------------------------------------------------
 
@@ -211,35 +195,16 @@ class AhciController:
                 self._start_slot(slot)
 
     def _start_slot(self, slot: int) -> None:
-        """Run ``slot``'s command by callbacks: a timer for a non-data
-        command, :meth:`Disk.start` for a transfer.
-
-        Started in the PxCI write itself, with no zero-delay hop, so a
-        direct ``Disk.execute`` request made later at that very instant
-        queues for the arm behind the slot.
-        """
+        """Run ``slot``'s command: a timer for a non-data command, a
+        DMA for a transfer."""
         header = self._command_header(slot)
         table = self.machine.hostmem.lookup(header.ctba)
         request = decode_fis(table.cfis)
-        done = partial(self._slot_done, slot)
         if request is None:
-            delay = 2e-3 if table.cfis.command == CMD_FLUSH_CACHE \
-                else 100e-6
-            self.env.pooled_timeout(delay).callbacks.append(done)
-            return
-        buffer = self.machine.hostmem.lookup(table.prdt[0])
-        if not isinstance(buffer, SectorBuffer):
-            raise TypeError("AHCI PRDT entry is not a DMA buffer")
-        if buffer.sector_count < request.sector_count:
-            raise ValueError("AHCI DMA buffer too small")
-        request.buffer = buffer
-        request.origin = self.request_origin
-        buffer.lba = request.lba
-        buffer.sector_count = request.sector_count
-        self.disk.start(request, done, _SLOT_LANES[slot])
-
-    def _slot_done(self, slot: int, _event_or_request) -> None:
-        self._complete_slot(slot)
+            flush = table.cfis.command == CMD_FLUSH_CACHE
+            self._start_timer(slot, 2e-3 if flush else 100e-6)
+        else:
+            self._start_dma(slot, request, table.prdt[0], _SLOT_LANES[slot])
 
     def _command_header(self, slot: int) -> CommandHeader:
         command_list = self.machine.hostmem.lookup(self.pxclb)
@@ -248,16 +213,10 @@ class AhciController:
             raise ValueError(f"AHCI: slot {slot} issued with empty header")
         return header
 
-    def _complete_slot(self, slot: int) -> None:
-        self.commands_executed += 1
+    def _retire(self, slot: int) -> bool:
         self._active_slots.discard(slot)
         self.pxci &= ~(1 << slot)
         if not self._active_slots:
             self.pxtfd &= ~TFD_BSY
         self.pxis |= PXIS_DHRS
-        if self.pxie & PXIS_DHRS:
-            self.interrupts_raised += 1
-            self.machine.interrupts.raise_irq(self.irq_line)
-        self.completion.notify()
-
-    kind = "ahci"
+        return bool(self.pxie & PXIS_DHRS)

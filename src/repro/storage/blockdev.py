@@ -29,6 +29,16 @@ def coalesce_runs(runs: list) -> list:
     return merged
 
 
+def clip_runs(runs: list, lba: int, sector_count: int) -> list:
+    """The parts of ``runs`` inside ``[lba, lba + sector_count)``."""
+    end = lba + sector_count
+    return [
+        (max(start, lba), min(stop, end), token)
+        for start, stop, token in runs
+        if start < end and stop > lba
+    ]
+
+
 @dataclass
 class SectorBuffer:
     """Symbolic contents of a DMA transfer: token runs over sector indexes.

@@ -102,61 +102,54 @@ class Disk:
     # -- execution --------------------------------------------------------------
 
     def execute(self, request: BlockRequest):
-        """Generator: perform ``request``, filling/consuming its buffer.
+        """Generator: perform ``request`` and wait for it; returns it.
 
-        Acquires the actuator, waits the mechanical time, then applies the
-        content transfer.  Reads fill ``request.buffer`` from the platter
-        contents; writes store the buffer's runs.
+        A wait on :meth:`start`, whose profiler frame sits where a
+        ``track`` in the calling process would.
         """
-        self._check(request)
-        with _ArmRequest(self.arm, request) as grant, \
-                self.telemetry.profiler.track("disk", request.op.value):
-            yield grant
-            yield self._service(grant)
-            self._complete(grant)
-        return request
+        parent, lane = self.telemetry.profiler.here()
+        done = self.env.event()
+        self.start(request, done.succeed, lane, parent)
+        return (yield done)
 
     def start(self, request: BlockRequest, done, lane: str | None,
               parent=None) -> None:
-        """Callback form of :meth:`execute`: ``done(request)`` runs
-        where the generator would have returned.  The profiler frame
-        nests under ``parent`` on the trace lane ``lane``."""
-        self._check(request)
+        """Perform ``request`` by callbacks; ``done(request)`` runs when
+        it is complete.
+
+        Acquires the actuator, waits the mechanical time, then applies
+        the content transfer: reads fill ``request.buffer`` from the
+        platter contents, writes store the buffer's runs.  The profiler
+        frame nests under ``parent`` on the trace lane ``lane``.
+        """
+        if request.end_lba > self.total_sectors:
+            raise ValueError(
+                f"request beyond end of disk: lba={request.lba} "
+                f"n={request.sector_count}")
         grant = _ArmRequest(self.arm, request, done, lane,
                             self.telemetry.profiler.begin(
                                 "disk", request.op.value, parent))
         grant.callbacks.append(self._on_granted)
 
     def _granted(self, grant: "_ArmRequest") -> None:
-        self._service(grant).callbacks.append(self._on_serviced)
-
-    def _serviced(self, timer) -> None:
-        grant = timer._value
-        self._complete(grant)
-        if grant.span is not None:
-            self.telemetry.profiler.end(grant.span, grant.lane)
-        grant.done(grant.io)
-
-    def _check(self, request: BlockRequest) -> None:
-        if request.end_lba > self.total_sectors:
-            raise ValueError(
-                f"request beyond end of disk: lba={request.lba} "
-                f"n={request.sector_count}")
-
-    def _service(self, grant: "_ArmRequest"):
         """The arm is ours: price the I/O and time its mechanics."""
         request = grant.io
         duration = grant.duration = self.service_time(request)
         cache_hit = grant.cache_hit = self._cache_hit(request)
         if not cache_hit:
             self.seek_seconds += self.seek_time(self._head_lba, request.lba)
-        return self.env.pooled_timeout(duration, grant)
+        self.env.pooled_timeout(duration, grant).callbacks.append(
+            self._on_serviced)
 
-    def _complete(self, grant: "_ArmRequest") -> None:
-        """The mechanics are done: move the data, free the arm."""
+    def _serviced(self, timer) -> None:
+        """The mechanics are done: move the data, free the arm, report."""
+        grant = timer._value
         self._apply(grant.io, grant.cache_hit)
         self.busy_seconds += grant.duration
         self.arm.release(grant)
+        if grant.span is not None:
+            self.telemetry.profiler.end(grant.span, grant.lane)
+        grant.done(grant.io)
 
     def _apply(self, request: BlockRequest, cache_hit: bool) -> None:
         if request.op is BlockOp.READ:
@@ -199,12 +192,12 @@ class Disk:
 
 class _ArmRequest(Request):
     """An I/O's claim on the actuator, carrying the I/O through its
-    service (and, from :meth:`Disk.start`, where to report it)."""
+    service and where to report it."""
 
     __slots__ = ("io", "done", "lane", "span", "duration", "cache_hit")
 
-    def __init__(self, arm: Resource, io: BlockRequest, done=None,
-                 lane: str | None = None, span=None):
+    def __init__(self, arm: Resource, io: BlockRequest, done,
+                 lane: str | None, span):
         self.io = io
         self.done = done
         self.lane = lane

@@ -10,8 +10,9 @@ and distinguishes command / status / data phases exactly as the paper's
 
 from __future__ import annotations
 
-from repro.sim import Environment, Notifier
-from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
+from repro.sim import Environment
+from repro.storage.blockdev import BlockOp, BlockRequest
+from repro.storage.controller import DiskController
 from repro.storage.disk import Disk
 
 # -- port layout (primary channel) -------------------------------------------
@@ -154,25 +155,15 @@ def decode_request(taskfile: Taskfile, command: int) -> BlockRequest | None:
     return BlockRequest(op=op, lba=lba, sector_count=count)
 
 
-class IdeController:
+class IdeController(DiskController):
     """The IDE host controller + attached disk, as one device model."""
+
+    kind = "ide"
 
     def __init__(self, env: Environment, disk: Disk, machine,
                  irq_line: int = IDE_IRQ):
-        self.env = env
-        self.disk = disk
-        self.machine = machine
-        self.irq_line = irq_line
-
+        super().__init__(env, disk, machine, irq_line)
         self.taskfile = Taskfile()
-        #: Origin stamped onto decoded requests.  The controller cannot
-        #: tell who programmed it; the device mediator sets this to
-        #: "vmm" for the duration of its own raw commands so disk-level
-        #: observers see true provenance.
-        self.request_origin = "guest"
-        #: Fires at the next command completion, the instant the
-        #: controller raises its interrupt (masked or not).
-        self.completion = Notifier(env)
         self.status = STATUS_DRDY
         self.error = 0
         self.bm_command = 0
@@ -181,12 +172,7 @@ class IdeController:
 
         self._pending_command: int | None = None
 
-        # Metrics.
-        self.commands_executed = 0
-        self.interrupts_raised = 0
-
         machine.bus.register_pio(ALL_PORTS, self)
-        machine.attach_disk_controller(self)
 
     # -- register interface (device side; instantaneous) ------------------------
 
@@ -245,62 +231,32 @@ class IdeController:
             self._maybe_execute()
         elif command == CMD_IDENTIFY:
             self.status = STATUS_BSY | STATUS_DRDY
-            self.env.pooled_timeout(200e-6).callbacks.append(
-                self._identified)
+            self._start_timer(command, 200e-6)
         elif command == CMD_FLUSH_CACHE:
             self.status = STATUS_BSY | STATUS_DRDY
-            self.env.pooled_timeout(2e-3).callbacks.append(self._flushed)
+            self._start_timer(command, 2e-3)
         else:
             # Unsupported command: error out immediately.
             self.error = 0x04  # ABRT
             self.status = STATUS_DRDY | STATUS_ERR
-            self._raise_irq()
+            self._signal()
 
     def _maybe_execute(self) -> None:
+        """Start the pending DMA command once the bus master runs."""
         if (self._pending_command is not None
                 and self.bm_command & BM_CMD_START):
             command = self._pending_command
             self._pending_command = None
-            self._start_dma(command)
+            self._start_dma(command, decode_request(self.taskfile, command),
+                            self.bm_prdt, "ide-dma")
 
-    def _start_dma(self, command: int) -> None:
-        """Run a DMA command by callbacks, through :meth:`Disk.start`."""
-        request = decode_request(self.taskfile, command)
-        buffer = self.machine.hostmem.lookup(self.bm_prdt)
-        if not isinstance(buffer, SectorBuffer):
-            raise TypeError("PRDT does not point at a DMA buffer")
-        if buffer.sector_count < request.sector_count:
-            raise ValueError(
-                f"DMA buffer too small: {buffer.sector_count} < "
-                f"{request.sector_count}")
-        request.buffer = buffer
-        request.origin = self.request_origin
-        buffer.lba = request.lba
-        buffer.sector_count = request.sector_count
-        self.disk.start(request, self._dma_done, "ide-dma")
-
-    def _dma_done(self, _request) -> None:
-        self.commands_executed += 1
-        self.status = STATUS_DRDY
-        self.bm_status &= ~BM_STATUS_ACTIVE
-        self.bm_status |= BM_STATUS_IRQ
-        self._raise_irq()
-
-    def _identified(self, _timer) -> None:
-        self.commands_executed += 1
-        self.status = STATUS_DRDY | STATUS_DRQ
-        self._raise_irq()
-
-    def _flushed(self, _timer) -> None:
-        self.commands_executed += 1
-        self.status = STATUS_DRDY
-        self._raise_irq()
-
-    def _raise_irq(self) -> None:
-        self.interrupts_raised += 1
-        self.machine.interrupts.raise_irq(self.irq_line)
-        self.completion.notify()
-
-    # -- identification for scenario plumbing --------------------------------------
-
-    kind = "ide"
+    def _retire(self, command: int) -> bool:
+        if command in DMA_COMMANDS:
+            self.status = STATUS_DRDY
+            self.bm_status &= ~BM_STATUS_ACTIVE
+            self.bm_status |= BM_STATUS_IRQ
+        elif command == CMD_IDENTIFY:
+            self.status = STATUS_DRDY | STATUS_DRQ
+        else:
+            self.status = STATUS_DRDY
+        return True

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
-from repro.sim import Environment, Notifier
-from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
+from repro.sim import Environment
+from repro.storage.blockdev import BlockOp, BlockRequest
+from repro.storage.controller import DiskController
 from repro.storage.disk import Disk
 
 #: MMIO register block.
@@ -63,36 +63,22 @@ def decode_frame(frame: MfiFrame) -> BlockRequest | None:
                         sector_count=frame.sector_count)
 
 
-class MegaRaidController:
+class MegaRaidController(DiskController):
     """Single-LD MegaRAID-style HBA attached to one disk."""
+
+    kind = "megaraid"
 
     def __init__(self, env: Environment, disk: Disk, machine,
                  mmio_base: int = MFI_BASE,
                  irq_line: int = MEGARAID_IRQ):
-        self.env = env
-        self.disk = disk
-        self.machine = machine
+        super().__init__(env, disk, machine, irq_line)
         self.mmio_base = mmio_base
-        self.irq_line = irq_line
 
         self.outstanding: set[int] = set()
         self._completions: deque[int] = deque()
         self._doorbell = False
-        #: Origin stamped onto decoded requests.  The controller cannot
-        #: tell who programmed it; the device mediator sets this to
-        #: "vmm" for the duration of its own raw commands so disk-level
-        #: observers see true provenance.
-        self.request_origin = "guest"
-        #: Fires at the next frame completion, the instant the firmware
-        #: raises its interrupt (masked or not).
-        self.completion = Notifier(env)
-
-        # Metrics.
-        self.commands_executed = 0
-        self.interrupts_raised = 0
 
         machine.bus.register_mmio(mmio_base, MFI_SIZE, self)
-        machine.attach_disk_controller(self)
 
     # -- register interface ----------------------------------------------------
 
@@ -139,41 +125,24 @@ class MegaRaidController:
     # -- firmware execution ----------------------------------------------------------
 
     def _post(self, frame_address: int) -> None:
+        """Run a posted frame: a timer for a flush, a DMA for a
+        transfer."""
         frame = self.machine.hostmem.lookup(frame_address)
         if not isinstance(frame, MfiFrame):
             raise TypeError("inbound queue entry is not an MFI frame")
         if frame.context in self.outstanding:
             raise ValueError(f"context {frame.context} already in flight")
         self.outstanding.add(frame.context)
-        self._start_frame(frame)
-
-    def _start_frame(self, frame: MfiFrame) -> None:
-        """Run ``frame`` by callbacks: a timer for a flush,
-        :meth:`Disk.start` for a transfer."""
         request = decode_frame(frame)
-        done = partial(self._complete, frame)
         if request is None:
             # Flush & friends.
-            self.env.pooled_timeout(2e-3).callbacks.append(done)
-            return
-        buffer = self.machine.hostmem.lookup(frame.buffer_address)
-        if not isinstance(buffer, SectorBuffer):
-            raise TypeError("MFI SGL does not point at a DMA buffer")
-        if buffer.sector_count < request.sector_count:
-            raise ValueError("MFI DMA buffer too small")
-        request.buffer = buffer
-        request.origin = self.request_origin
-        buffer.lba = request.lba
-        buffer.sector_count = request.sector_count
-        self.disk.start(request, done, f"megaraid-ctx{frame.context}")
+            self._start_timer(frame, 2e-3)
+        else:
+            self._start_dma(frame, request, frame.buffer_address,
+                            f"megaraid-ctx{frame.context}")
 
-    def _complete(self, frame: MfiFrame, _event_or_request) -> None:
-        self.commands_executed += 1
+    def _retire(self, frame: MfiFrame) -> bool:
         self.outstanding.discard(frame.context)
         self._completions.append(frame.context)
         self._doorbell = True
-        self.interrupts_raised += 1
-        self.machine.interrupts.raise_irq(self.irq_line)
-        self.completion.notify()
-
-    kind = "megaraid"
+        return True

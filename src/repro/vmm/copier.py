@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro import params
 from repro.net.flow import FluidState
 from repro.sim import Environment, Interrupt, Store
-from repro.storage.blockdev import BlockOp, BlockRequest
+from repro.storage.blockdev import BlockOp, BlockRequest, clip_runs
 from repro.vmm.bitmap import BlockState
 from repro.vmm.deploy import DeploymentContext
 from repro.vmm.mediator import DeviceMediator
@@ -304,7 +304,7 @@ class BackgroundCopier:
                 if bitmap.state(block).value != "copying":
                     continue
                 for run_start, run_count in bitmap.writable_runs(block):
-                    clean.extend(_clip(runs, run_start, run_count))
+                    clean.extend(clip_runs(runs, run_start, run_count))
             return clean
 
         with self.telemetry.profiler.track("copier", "write-block"):
@@ -368,7 +368,7 @@ class BackgroundCopier:
                     for start, stop, value in bitmap.dirty.runs_in(
                             cursor, block_end - cursor):
                         if value is None:
-                            clean.extend(_clip(runs, start, stop - start))
+                            clean.extend(clip_runs(runs, start, stop - start))
                 cursor = block_end
             return clean
 
@@ -396,12 +396,3 @@ class BackgroundCopier:
         if not elapsed:
             return 0.0
         return (self.bytes_written + self.writeback_bytes) / elapsed
-
-
-def _clip(runs: list, start: int, count: int) -> list:
-    end = start + count
-    return [
-        (max(run_start, start), min(run_end, end), token)
-        for run_start, run_end, token in runs
-        if run_start < end and run_end > start
-    ]

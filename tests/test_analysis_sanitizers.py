@@ -140,7 +140,7 @@ def run_lossy_reads(initiator_cls, reads=60):
     testbed = build_testbed(image=image, loss_probability=0.05)
     env = testbed.env
     initiator = initiator_cls(env, testbed.node.vmm_nic,
-                              testbed.server_port)
+                              testbed.server_ports[0])
     validator = AoeConformanceValidator(env, initiator=initiator)
 
     def scenario():
@@ -181,7 +181,7 @@ def test_duplicate_tag_detected():
     testbed = build_testbed(image=image)
     env = testbed.env
     initiator = AoeInitiator(env, testbed.node.vmm_nic,
-                             testbed.server_port)
+                             testbed.server_ports[0])
     initiator._tags = chain([7, 7], count(100))
     validator = AoeConformanceValidator(env, initiator=initiator)
 

@@ -155,7 +155,7 @@ def test_deployment_survives_server_outage():
         vmm = instance.platform
         # Kill the server mid-deployment.
         yield env.timeout(0.2)
-        testbed.server.stop()
+        testbed.servers[0].stop()
         filled_at_outage = vmm.bitmap.filled_count
         yield env.timeout(30.0)
         # Stalled, not dead.
@@ -163,7 +163,7 @@ def test_deployment_survives_server_outage():
         assert vmm.copier.fetch_errors > 0
         assert vmm.copier.running
         # Server comes back.
-        testbed.server.start()
+        testbed.servers[0].start()
         yield vmm.copier.done
         return instance, filled_at_outage
 

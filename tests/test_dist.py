@@ -433,7 +433,7 @@ def test_fabric_blocks_of_and_ports():
 def test_build_testbed_replicas_share_image():
     testbed = build_testbed(server_count=3, image=_small_image())
     assert testbed.server_ports == ["server", "server-r1", "server-r2"]
-    assert testbed.servers[0] is testbed.server
+    assert len(testbed.servers) == len(testbed.stores) == 3
     assert all(store.contents is testbed.image.contents
                for store in testbed.stores)
     assert testbed.fabric.replica_ports == testbed.server_ports

@@ -9,7 +9,8 @@ from repro.guest.osimage import OsImage
 from repro.hw.hostmem import HostMemory, HostMemoryError
 from repro.obs import TimeSeries, format_table
 from repro.sim import Environment
-from repro.storage.blockdev import BlockRequest, BlockOp, coalesce_runs
+from repro.storage.blockdev import (BlockOp, BlockRequest, clip_runs,
+                                    coalesce_runs)
 from repro.util.intervalmap import IntervalMap
 
 MB = 2**20
@@ -244,3 +245,10 @@ def test_coalesce_runs():
     assert coalesce_runs(runs) == [(0, 10, "a"), (10, 12, "b"),
                                    (20, 25, "a")]
     assert coalesce_runs([]) == []
+
+
+def test_clip_runs():
+    runs = [(0, 5, "a"), (5, 10, None), (10, 12, "b")]
+    assert clip_runs(runs, 3, 8) == [(3, 5, "a"), (5, 10, None),
+                                     (10, 11, "b")]
+    assert clip_runs(runs, 12, 4) == []

@@ -221,13 +221,14 @@ def _image_factory(size_mb=16):
                            boot_think_seconds=0.5)
 
 
-def test_deploy_replays_identically_across_schedulers():
-    fast = _digest_of(deployment_scenario(_image_factory(), wait=True,
-                                          fast_lane=True))
-    reference = _digest_of(deployment_scenario(_image_factory(),
-                                               wait=True,
-                                               fast_lane=False))
-    assert fast == reference
+@pytest.mark.parametrize("controller", ["ahci", "ide", "megaraid"])
+def test_deploy_replays_identically_across_schedulers(controller):
+    def scenario(fast_lane):
+        return deployment_scenario(_image_factory(), wait=True,
+                                   fast_lane=fast_lane,
+                                   disk_controller=controller)
+
+    assert _digest_of(scenario(True)) == _digest_of(scenario(False))
 
 
 def test_scaleout_wave_replays_identically_across_schedulers():
@@ -275,7 +276,7 @@ def _deploy_counting_reads(policy):
     env.run(until=env.process(scenario()))
     env.run(until=env.now + 5.0)
     assert vmm.deployment.bitmap.complete
-    return testbed.store.reads, vmm.deployment.bitmap.block_count
+    return testbed.stores[0].reads, vmm.deployment.bitmap.block_count
 
 
 def test_full_speed_deploy_coalesces_fetches():

@@ -142,6 +142,51 @@ def test_interrupt_detaches_from_stale_target():
     assert wakeups == [("interrupt", 2), ("done", 102)]
 
 
+@pytest.mark.parametrize("fast_lane", [True, False])
+def test_interrupt_before_first_step_reaches_first_yield(fast_lane):
+    """An interrupt made before a new process has run lands at its first
+    yield, as if the kick-start had run first."""
+    env = Environment(fast_lane=fast_lane)
+    log = []
+
+    def body(env):
+        log.append(("started", env.now))
+        try:
+            yield env.timeout(10)
+        except Interrupt as interrupt:
+            log.append(("interrupted", interrupt.cause, env.now))
+        yield env.timeout(1)
+        return "done"
+
+    def parent(env):
+        yield env.timeout(2)
+        child = env.process(body(env))
+        child.interrupt("stop")
+        return (yield child)
+
+    assert env.run(until=env.process(parent(env))) == "done"
+    assert log == [("started", 2), ("interrupted", "stop", 2)]
+    assert env.now == 3
+
+
+@pytest.mark.parametrize("fast_lane", [True, False])
+def test_interrupt_before_first_step_of_body_that_ends_early(fast_lane):
+    """A body that returns before its first yield never sees the
+    interrupt."""
+    env = Environment(fast_lane=fast_lane)
+
+    def body(env):
+        return "early"
+        yield  # pragma: no cover - makes this a generator
+
+    def parent(env):
+        child = env.process(body(env))
+        child.interrupt()
+        return (yield child)
+
+    assert env.run(until=env.process(parent(env))) == "early"
+
+
 def test_process_failure_value_available_after_catch():
     env = Environment()
 

@@ -1,9 +1,10 @@
-"""Tests for IDE and AHCI controller models driven by real guest drivers."""
+"""Tests for the controller models driven by real guest drivers."""
 
 import pytest
 
 from repro.guest.driver_ahci import AhciDriver
 from repro.guest.driver_ide import IdeDriver
+from repro.guest.driver_megaraid import MegaRaidDriver
 from repro.hw.machine import Machine, MachineSpec
 from repro.sim import Environment
 from repro.storage import ide
@@ -11,6 +12,7 @@ from repro.storage.ahci import AhciController
 from repro.storage.blockdev import BlockOp
 from repro.storage.disk import Disk
 from repro.storage.ide import IdeController, Taskfile, decode_request
+from repro.storage.megaraid import MegaRaidController
 
 
 def make_ide():
@@ -29,6 +31,18 @@ def make_ahci():
     controller = AhciController(env, disk, machine)
     driver = AhciDriver(machine)
     return env, machine, disk, controller, driver
+
+
+def make_megaraid():
+    env = Environment()
+    machine = Machine(env, MachineSpec(disk_controller="megaraid"))
+    disk = Disk(env)
+    controller = MegaRaidController(env, disk, machine)
+    driver = MegaRaidDriver(machine)
+    return env, machine, disk, controller, driver
+
+
+MAKERS = {"ide": make_ide, "ahci": make_ahci, "megaraid": make_megaraid}
 
 
 def run(env, generator):
@@ -115,20 +129,6 @@ def test_ide_read_empty_disk_returns_gap():
     assert run(env, proc()) == [(0, 8, None)]
 
 
-def test_ide_large_transfer_split_across_commands():
-    env, machine, disk, controller, driver = make_ide()
-    sectors = 65536 + 1000
-
-    def proc():
-        yield from driver.write(0, sectors, token="big")
-        buffer = yield from driver.read(0, sectors)
-        return buffer.runs
-
-    runs = run(env, proc())
-    assert runs == [(0, sectors, "big")]
-    assert controller.commands_executed == 4  # 2 writes + 2 reads
-
-
 def test_ide_flush_and_identify():
     env, machine, disk, controller, driver = make_ide()
 
@@ -161,16 +161,54 @@ def test_ide_sequential_reads_have_disk_timing():
     assert 5e-3 < duration < 50e-3
 
 
-def test_ide_latency_metrics():
-    env, machine, disk, controller, driver = make_ide()
+# -- every controller through the shared driver core ---------------------------
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_large_transfer_split_across_commands(kind):
+    env, machine, disk, controller, driver = MAKERS[kind]()
+    sectors = 65536 + 1000
+
+    def proc():
+        yield from driver.write(0, sectors, token="big")
+        buffer = yield from driver.read(0, sectors)
+        return buffer.runs
+
+    runs = run(env, proc())
+    assert runs == [(0, sectors, "big")]
+    assert controller.commands_executed == 4  # 2 writes + 2 reads
+    assert driver.requests_completed == 4
+    assert driver.sectors_transferred == 2 * sectors
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_latency_metrics(kind):
+    env, machine, disk, controller, driver = MAKERS[kind]()
 
     def proc():
         for _ in range(5):
             yield from driver.read(1000, 8)
+        reads_latency = driver.total_latency
+        yield from driver.flush()
+        return reads_latency
 
-    run(env, proc())
+    reads_latency = run(env, proc())
+    # Per data command: the flush counts toward neither.
     assert driver.requests_completed == 5
-    assert driver.mean_latency > 0
+    assert driver.total_latency == reads_latency
+    assert driver.mean_latency == reads_latency / 5 > 0
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+@pytest.mark.parametrize("sector_count", [0, -8])
+def test_non_positive_sector_count_rejected(kind, sector_count):
+    env, machine, disk, controller, driver = MAKERS[kind]()
+
+    def proc():
+        yield from driver.read(0, sector_count)
+
+    with pytest.raises(ValueError, match="sector_count must be positive"):
+        run(env, proc())
+    assert controller.commands_executed == 0
 
 
 # -- AHCI end-to-end ---------------------------------------------------------------

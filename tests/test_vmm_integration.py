@@ -10,6 +10,7 @@ from repro.cloud.scenario import build_testbed
 from repro.guest.kernel import GuestOs
 from repro.guest.osimage import OsImage
 from repro.hw.cpu import VmxMode
+from repro.sim import Environment
 from repro.storage.blockdev import BlockOp
 from repro.vmm.bmcast import BmcastVmm
 from repro.vmm.mediator import MediatorMode
@@ -256,9 +257,6 @@ def read_across_the_image_end(controller, queued):
         yield from testbed.node.machine.power_on()
         yield from testbed.node.machine.firmware.network_boot()
         yield from vmm.boot()
-        # Stopping the copier at the instant it started trips the
-        # engine (its processes have not run yet); step past it.
-        yield env.timeout(0)
         vmm.copier.stop()
         save = env.process(vmm.persist_bitmap())
         if queued:
@@ -282,6 +280,27 @@ def read_across_the_image_end(controller, queued):
     protected = vmm.deployment.protected_lba
     result["saved_bitmap"] = testbed.node.disk.contents.get(protected)[0]
     return lba, result
+
+
+@pytest.mark.parametrize("fast_lane", [True, False])
+def test_copier_stops_at_the_instant_it_started(fast_lane):
+    """Stopping the copier right after the VMM boot, before its
+    processes have taken a step, stops it there: nothing is copied."""
+    testbed, vmm, guest = make_deployment(
+        "ahci", size_mb=16, env=Environment(fast_lane=fast_lane))
+    env = testbed.env
+
+    def scenario():
+        yield from testbed.node.machine.power_on()
+        yield from testbed.node.machine.firmware.network_boot()
+        yield from vmm.boot()
+        vmm.copier.stop()
+        yield env.timeout(5.0)
+
+    env.run(until=env.process(scenario()))
+    assert not vmm.copier.running
+    assert vmm.copier.blocks_filled == 0
+    assert not vmm.deployment.bitmap.complete
 
 
 @pytest.mark.parametrize("controller", ["ide", "ahci", "megaraid"])

@@ -73,7 +73,7 @@ def test_resume_skips_already_filled_blocks():
     env.run(until=env.now + 0.5)
     env.run(until=env.process(vmm.shutdown()))
     filled_before = vmm.bitmap.filled_count
-    server_reads_before = testbed.store.reads
+    server_reads_before = testbed.stores[0].reads
 
     # Reboot: a fresh VMM instance resumes from the saved bitmap.
     node = testbed.node
@@ -96,7 +96,7 @@ def test_resume_skips_already_filled_blocks():
     refetched = vmm2.copier.blocks_filled
     assert refetched == vmm2.bitmap.block_count - filled_before
     assert testbed.image.verify_deployed(testbed.node.disk.contents)
-    assert testbed.store.reads > server_reads_before
+    assert testbed.stores[0].reads > server_reads_before
 
 
 def test_resume_without_saved_bitmap_starts_fresh():
