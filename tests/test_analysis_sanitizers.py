@@ -92,6 +92,25 @@ def test_guest_fill_then_release_is_benign():
     assert detector.violations == []
 
 
+def test_release_run_after_commit_fill_run_detected():
+    """An abandoned run released after the writer committed it (a
+    double hand-back on stop) is reported block by block."""
+    bitmap, detector = make_detector(image_sectors=4 * 2048)
+    assert bitmap.claim_run(0, 3) == 3
+    bitmap.commit_fill_run(0, 3)
+    bitmap.release_run(0, 3)
+    assert [v.rule for v in detector.violations] == \
+        ["release-after-commit"] * 3
+
+
+def test_release_run_over_a_guest_filled_block_is_benign():
+    bitmap, detector = make_detector(image_sectors=4 * 2048)
+    assert bitmap.claim_run(0, 3) == 3
+    bitmap.record_guest_write(bitmap.block_sectors, bitmap.block_sectors)
+    bitmap.release_run(0, 3)
+    assert detector.violations == []
+
+
 # -- bitmap<->disk consistency: injected silent corruption -------------------
 
 def test_consistency_checker_catches_silent_corruption():
