@@ -18,7 +18,7 @@ from repro.aoe.protocol import (
 )
 from repro.net.nic import Nic
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment, Resource
+from repro.sim import Environment, Request, Resource
 from repro.util.intervalmap import IntervalMap
 
 
@@ -186,8 +186,9 @@ class _Serve:
     per-frame CPU time), then the worker back.
 
     Started in the step that delivers the command, with no zero-delay
-    hop: a free worker is taken in place, otherwise the request queues
-    on a pool only commands use, in the order the commands arrive.
+    hop: a free worker is taken in place (``Resource.acquire``),
+    otherwise the request queues on a pool only commands use, in the
+    order the commands arrive.
     """
 
     __slots__ = ("server", "command", "reply_to", "arrived", "started",
@@ -198,8 +199,7 @@ class _Serve:
         self.server = server
         self.command = command
         self.reply_to = reply_to
-        env = server.env
-        self.arrived = env.now
+        self.arrived = server.env.now
         self.started = None
         span = self.span = server.telemetry.profiler.begin(
             server.COMPONENT, f"serve-{command.op}")
@@ -207,13 +207,11 @@ class _Serve:
         self.lane = None if span is None else f"aoe-serve-{command.tag}"
         self.fragments = None
         self.index = 0
-        workers = server.workers
-        self.grant = workers.take() if env.settled else None
-        if self.grant is None:
-            self.grant = workers.request()
-            self.grant.callbacks.append(self._granted)
-        else:
+        grant = self.grant = Request(server.workers, queue=False)
+        if server.workers.acquire(grant):
             self._granted(None)
+        else:
+            grant.callbacks.append(self._granted)
 
     def _granted(self, _event) -> None:
         server = self.server

@@ -195,8 +195,17 @@ class LeastOutstandingSelector(ReplicaSelector):
         self._tiebreak = 0
 
     def _choose(self, lba, sector_count, pool):
-        best = min(self.outstanding(target) for target in pool)
-        shortest = [t for t in pool if self.outstanding(t) == best]
+        # One pass: the targets tied at the lowest count, in pool order.
+        outstanding = self._outstanding
+        best = None
+        shortest: list = []
+        for target in pool:
+            count = outstanding.get(target, 0)
+            if best is None or count < best:
+                best = count
+                shortest = [target]
+            elif count == best:
+                shortest.append(target)
         choice = shortest[self._tiebreak % len(shortest)]
         self._tiebreak += 1
         return choice

@@ -75,8 +75,9 @@ class InterruptController:
         self._waiters[line] = []
         for event in waiters:
             # Small delivery latency so handlers run after the raising
-            # device finishes its state update.
-            _delayed_succeed(self.env, event, line)
+            # device finishes its state update: one event per waiter,
+            # its own, scheduled at the delivery instant.
+            event.succeed(line, delay=IRQ_DELIVERY_SECONDS)
 
     # -- masking (used by device mediators) -----------------------------------
 
@@ -99,15 +100,3 @@ class InterruptController:
     def is_pending(self, line: int) -> bool:
         return line in self._pending
 
-
-def _delayed_succeed(env: Environment, event: Event, line: int) -> None:
-    """Succeed ``event`` with ``line`` after the delivery latency.
-
-    A timer callback rather than a process: one event per delivery
-    instead of three (kick-start, timeout, process exit).
-    """
-    def deliver(_timer) -> None:
-        if not event.triggered:
-            event.succeed(line)
-
-    env.timeout(IRQ_DELIVERY_SECONDS).callbacks.append(deliver)

@@ -267,23 +267,22 @@ class EthernetSwitch:
         env = self.env
         latency = self.forward_latency
 
+        def sent():
+            env.pooled_timeout(latency).callbacks.append(arrived)
+
+        def arrived(_timer):
+            if stream.delivered:
+                done()
+            else:
+                stream.then = done
+
         def deliver():
             self._deliver(Frame(src, dst, payload, per_frame_payload,
                                 protocol=protocol),
                           frames, wire_bytes)
 
-        def crossed(_event):
-            env.pooled_timeout(latency).callbacks.append(arrived)
-
-        def arrived(_event):
-            rx_done = stream.rx_done
-            if rx_done.callbacks is None:  # the payload is already there
-                done()
-            else:
-                rx_done.callbacks.append(lambda _event: done())
-
-        stream = _BulkStream(self, src, dst, chunks, per_chunk, deliver)
-        stream.tx_done.callbacks.append(crossed)
+        stream = _BulkStream(self, src, dst, chunks, per_chunk, sent,
+                             deliver)
 
     @staticmethod
     def _wire(payload_bytes: int, per_frame_payload: int) -> tuple:
@@ -418,7 +417,7 @@ class _Request(Request):
 
     def __init__(self, resource: Resource, trigger):
         self.trigger = trigger
-        super().__init__(resource)
+        super().__init__(resource, queue=False)
 
 
 class _PortLock(Resource):
@@ -538,19 +537,24 @@ class _BulkStream:
     extra event at every last-chunk start, uncontended holds included.
     """
 
-    __slots__ = ("env", "switch", "chunks", "per_chunk", "deliver", "tx",
-                 "rx", "rx_waiting", "rx_ready", "rx_ready_at", "tx_done",
-                 "rx_done")
+    __slots__ = ("env", "switch", "chunks", "per_chunk", "sent", "deliver",
+                 "delivered", "then", "tx", "rx", "rx_waiting", "rx_ready",
+                 "rx_ready_at")
 
     def __init__(self, switch: EthernetSwitch, src: str, dst: str,
-                 chunks: int, per_chunk: float, deliver):
+                 chunks: int, per_chunk: float, sent, deliver):
         env = switch.env
         self.env = env
         self.switch = switch
         self.chunks = chunks
         self.per_chunk = per_chunk
-        #: Called once the last chunk has crossed the receiving port.
+        #: Called once the last chunk has left the sender, and once it
+        #: has crossed the receiving port; then ``delivered`` is True
+        #: and ``then``, if set meanwhile, is called too.
+        self.sent = sent
         self.deliver = deliver
+        self.delivered = False
+        self.then = None
         self.tx = tx = _Side(switch._tx_locks[src], src, True)
         self.rx = rx = _Side(switch._rx_locks[dst], dst, False)
         tx.on_granted, tx.on_end = self._tx_granted, self._tx_end
@@ -565,18 +569,18 @@ class _BulkStream:
         self.rx_waiting = True
         self.rx_ready = None
         self.rx_ready_at = None
-        #: Fire when the sender's last chunk has left, and when the
-        #: payload has been delivered.
-        self.tx_done = Event(env)
-        self.rx_done = Event(env)
         self._ask(self.tx)
 
     # -- lock hand-offs ---------------------------------------------------
 
     def _ask(self, side: _Side) -> None:
-        request = _Request(side.lock, side.trigger)
-        request.callbacks.append(side.on_granted)
-        side.request = request
+        """Ask for ``side``'s lock: taken in place, with no grant event,
+        when it is free and nothing else is due (``Resource.acquire``)."""
+        request = side.request = _Request(side.lock, side.trigger)
+        if side.lock.acquire(request):
+            side.on_granted(request)
+        else:
+            request.callbacks.append(side.on_granted)
 
     def _hop(self, side: _Side, trigger: float) -> None:
         """Ask for ``side``'s lock after a zero-delay hop.
@@ -745,7 +749,7 @@ class _BulkStream:
         self._release(tx)
         sent = len(tx.ends)
         if sent == self.chunks:
-            self.tx_done.succeed()
+            self.sent()
         else:
             self._hop(tx, self._start(tx, sent - 1))
         if self.rx_waiting and len(self.rx.ends) == sent - 1:
@@ -832,7 +836,9 @@ class _BulkStream:
         k = len(rx.ends)
         if k == self.chunks:
             self.deliver()
-            self.rx_done.succeed()
+            self.delivered = True
+            if self.then is not None:
+                self.then()
             return
         tx = self.tx
         sent = tx.ends

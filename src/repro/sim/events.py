@@ -154,14 +154,17 @@ class Notifier:
     :meth:`wait` returns an event that fires at the next :meth:`notify`.
     The event is created only when somebody waits, so notifying with no
     waiter schedules nothing; every waiter between two notifications
-    shares one event.
+    shares one event.  :meth:`poll` waits the way a poll loop would,
+    planning one event on its tick instead.
     """
 
-    __slots__ = ("env", "_event")
+    __slots__ = ("env", "_event", "_polls")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self._event: Event | None = None
+        #: :meth:`poll` waits to tell, in the notifying step.
+        self._polls: list = []
 
     def wait(self) -> Event:
         event = self._event
@@ -174,6 +177,38 @@ class Notifier:
         if event is not None:
             self._event = None
             event.succeed()
+        polls = self._polls
+        if polls:
+            self._polls = []
+            for poll in polls:
+                poll.notified()
+
+    def poll(self, predicate, step: float):
+        """Generator: return where a loop checking ``predicate()`` now
+        and then every ``step`` seconds would first find it true.
+
+        The loop's ticks are the call instant plus ``step``, built by
+        repeated addition as a loop of ``step`` timeouts reaches them.
+        ``predicate`` may only turn true when this notifier is
+        notified: each notification re-checks it in the notifying step,
+        and once it holds one event is planned on the first tick at or
+        after that instant, where it is checked again (it may have
+        turned false meanwhile; the wait then goes on).  A tick on the
+        notifying instant itself is a zero-delay event, processed where
+        a :meth:`wait` waiter's wake-up would be.  Interrupted or
+        closed, the wait withdraws its subscription and its planned
+        event.
+        """
+        if predicate():
+            return
+        poll = _Poll(self, predicate, step)
+        try:
+            while True:
+                yield poll.arm()
+                if predicate():
+                    return
+        finally:
+            poll.cancel()
 
     def subscribe(self, callback) -> Event:
         """Run ``callback(event)`` at the next :meth:`notify`.
@@ -198,6 +233,54 @@ class Notifier:
         callbacks.remove(callback)
         if not callbacks and event is self._event:
             self._event = None
+
+
+class _Poll:
+    """One :meth:`Notifier.poll` wait: its tick and its wake-up."""
+
+    __slots__ = ("notifier", "predicate", "step", "tick", "wake")
+
+    def __init__(self, notifier: Notifier, predicate, step: float):
+        self.notifier = notifier
+        self.predicate = predicate
+        self.step = step
+        #: The last tick checked.
+        self.tick = notifier.env.now
+        self.wake: Event | None = None
+
+    def arm(self) -> Event:
+        """Wait from the tick after the last one checked."""
+        self.tick += self.step
+        wake = self.wake = Event(self.notifier.env)
+        self.notifier._polls.append(self)
+        return wake
+
+    def notified(self) -> None:
+        notifier = self.notifier
+        if not self.predicate():
+            notifier._polls.append(self)
+            return
+        env = notifier.env
+        now = env.now
+        tick = self.tick
+        step = self.step
+        while tick < now:
+            tick += step
+        self.tick = tick
+        wake = self.wake
+        wake._ok = True
+        wake._value = None
+        env.schedule(wake, at=tick)
+
+    def cancel(self) -> None:
+        """Withdraw whatever is still pending of this wait."""
+        polls = self.notifier._polls
+        if self in polls:
+            polls.remove(self)
+        wake = self.wake
+        if wake is not None and wake.triggered \
+                and wake.callbacks is not None:
+            self.notifier.env.cancel(wake)
 
 
 class ConditionValue:

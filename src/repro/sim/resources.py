@@ -92,6 +92,21 @@ class Resource:
         self.users.append(request)
         return request
 
+    def acquire(self, request: Request) -> bool:
+        """Take or ask for a slot with ``request`` (made with
+        ``queue=False``).
+
+        True when it is granted in place, with no grant event: a slot is
+        free and nothing else is due at this instant
+        (``Environment.settled``), so that event would have been the
+        next one anyway.  Otherwise False, and ``request`` fires once
+        granted, as one from :meth:`request` does.
+        """
+        if self.env.settled and self.take(request) is not None:
+            return True
+        self._do_request(request)
+        return False
+
     def release(self, request: Request) -> None:
         """Release a previously granted slot (no-op if not held)."""
         if request in self.users:
@@ -167,6 +182,17 @@ class Store:
 
     def get(self) -> StoreGet:
         return StoreGet(self)
+
+    def try_put(self, item) -> bool:
+        """Non-blocking put: True once ``item`` is accepted in place, with
+        no put event; False, and nothing done, when the store is full.
+        FIFO stores only: a :class:`PriorityStore` takes items through
+        :meth:`PriorityStore.put_with_priority`."""
+        if self.is_full:
+            return False
+        self.items.append(item)
+        self._serve_getters()
+        return True
 
     def try_get(self):
         """Non-blocking pop: the oldest item or ``None`` if empty."""

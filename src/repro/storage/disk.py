@@ -121,6 +121,9 @@ class Disk:
         the content transfer: reads fill ``request.buffer`` from the
         platter contents, writes store the buffer's runs.  The profiler
         frame nests under ``parent`` on the trace lane ``lane``.
+
+        A free actuator is taken in place, with no grant event, when
+        nothing else is due at this instant (``Resource.acquire``).
         """
         if request.end_lba > self.total_sectors:
             raise ValueError(
@@ -129,7 +132,10 @@ class Disk:
         grant = _ArmRequest(self.arm, request, done, lane,
                             self.telemetry.profiler.begin(
                                 "disk", request.op.value, parent))
-        grant.callbacks.append(self._on_granted)
+        if self.arm.acquire(grant):
+            self._granted(grant)
+        else:
+            grant.callbacks.append(self._on_granted)
 
     def _granted(self, grant: "_ArmRequest") -> None:
         """The arm is ours: price the I/O and time its mechanics."""
@@ -204,7 +210,7 @@ class _ArmRequest(Request):
         self.span = span
         self.duration = 0.0
         self.cache_hit = False
-        super().__init__(arm)
+        super().__init__(arm, queue=False)
 
 
 def content_digest(runs) -> str:

@@ -88,6 +88,10 @@ class BlockBitmap:
         #: to check the claim protocol; listeners must not mutate the
         #: bitmap.
         self.transition_listeners: list = []
+        #: A ``Notifier`` told of every released claim and every fill:
+        #: what can give an idle copier work or complete the image.
+        #: None until a deployment attaches one.
+        self.changed = None
         # Metrics.
         self.copier_skips = 0
         #: Claims attempted on a block already in COPYING — a second
@@ -279,6 +283,8 @@ class BlockBitmap:
         if self.transition_listeners:
             self._notify("release", block, was_claimed=was_claimed,
                          state=self.state(block).value)
+        if self.changed is not None:
+            self.changed.notify()
 
     def commit_fill(self, block: int) -> None:
         """Copier: COPYING -> FILLED after the disk write completed."""
@@ -296,6 +302,8 @@ class BlockBitmap:
         # The overlay for this block is no longer needed.
         start, count = self.block_range(block)
         self.dirty.clear_range(start, count)
+        if self.changed is not None:
+            self.changed.notify()
 
     def commit_fill_run(self, block: int, count: int) -> None:
         """Copier: COPYING -> FILLED for ``count`` contiguous blocks as
@@ -327,6 +335,8 @@ class BlockBitmap:
         sectors = min(count * self.block_sectors,
                       self.image_sectors - start)
         self.dirty.clear_range(start, sectors)
+        if self.changed is not None:
+            self.changed.notify()
 
     def taint(self, lba: int, sector_count: int) -> None:
         """A guest write reached this range: its blocks stop being
@@ -365,6 +375,8 @@ class BlockBitmap:
                 if self.transition_listeners:
                     self._notify("guest-fill", block,
                                  was_claimed=was_claimed)
+                if self.changed is not None:
+                    self.changed.notify()
             else:
                 self.dirty.set_range(overlap_start,
                                      overlap_end - overlap_start, True)

@@ -39,7 +39,8 @@ class BackgroundCopier:
     FIFO's lookahead stays at ``fifo_capacity`` blocks.
     """
 
-    #: Idle poll granularity of the writer thread.
+    #: Idle poll granularity of both threads: an idle retriever or
+    #: writer notices new work at the next tick of its poll grid.
     IDLE_POLL_SECONDS = 5e-3
 
     #: Max contiguous blocks fetched as one bulk transaction.
@@ -174,7 +175,7 @@ class BackgroundCopier:
                 block, is_prefetch = self._next_block()
                 if block is None:
                     # Everything claimed or filled; let the writer drain.
-                    yield self.env.timeout(self.IDLE_POLL_SECONDS)
+                    yield from self._idle(self._retriever_has_work)
                     continue
                 # Prefetch blocks are individually chosen (boot working
                 # set), so they are never coalesced with their
@@ -207,8 +208,14 @@ class BackgroundCopier:
                     yield self.env.timeout(
                         self.FETCH_RETRY_BACKOFF_SECONDS)
                     continue
-                put = self.fifo.put((block, claimed, runs, is_prefetch))
-                yield put
+                item = (block, claimed, runs, is_prefetch)
+                if not (self.env.settled and self.fifo.try_put(item)):
+                    # No room, or something else is due now: the put
+                    # waits for room, or hands over through its event.
+                    put = self.fifo.put(item)
+                self.deployment.copy_work.notify()
+                if put is not None:
+                    yield put
                 claim = None
         except Interrupt:
             # Stopped mid-fetch or waiting for FIFO room: nobody will
@@ -278,7 +285,7 @@ class BackgroundCopier:
                     continue
                 if bitmap.complete:
                     break
-                yield self.env.timeout(self.IDLE_POLL_SECONDS)
+                yield from self._idle(self._writer_has_work)
         except Interrupt:
             # Stopped while pacing the run it took: nobody will write it.
             if landing is not None:
@@ -289,6 +296,26 @@ class BackgroundCopier:
         self.telemetry.causal.mark("deploy-complete")
         if not self.done.triggered:
             self.done.succeed(self.env.now)
+
+    # -- idle waits -------------------------------------------------------------------------
+
+    def _idle(self, has_work):
+        """Generator: wait for work as the thread's idle loop of
+        ``IDLE_POLL_SECONDS`` timeouts would, returning at the tick at
+        which that loop would find ``has_work()``: one event per idle
+        stretch, planned when ``deployment.copy_work`` is notified."""
+        yield from self.deployment.copy_work.poll(has_work,
+                                                  self.IDLE_POLL_SECONDS)
+
+    def _retriever_has_work(self) -> bool:
+        """A block to claim (a claim was released) or nothing left."""
+        bitmap = self.deployment.bitmap
+        return bitmap.complete or bitmap.first_empty_from(0) is not None
+
+    def _writer_has_work(self) -> bool:
+        """A write-back or a fetched run to land, or nothing left."""
+        return bool(self.deployment.writeback_queue or self.fifo.items
+                    or self.deployment.bitmap.complete)
 
     def _unmoderated(self) -> bool:
         """True when the policy never paces writes — the only regime

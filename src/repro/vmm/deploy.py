@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro import params
 from repro.dist.router import FetchRouter
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment
+from repro.sim import Environment, Notifier
 from repro.storage.blockdev import BlockOp
 from repro.vmm.bitmap import BlockBitmap
 
@@ -83,6 +83,11 @@ class DeploymentContext:
 
         #: Copy-on-read write-back queue consumed by the copier's writer.
         self.writeback_queue: deque = deque()
+        #: Notified wherever work for the copier's idle threads can
+        #: appear: a queued write-back, a FIFO put, and (as the bitmap's
+        #: ``changed``) a released claim or a fill.
+        self.copy_work = Notifier(env)
+        bitmap.changed = self.copy_work
 
     # -- guest telemetry -------------------------------------------------------
 
@@ -128,6 +133,7 @@ class DeploymentContext:
                           runs: list) -> None:
         """Hand fetched data to the copier for persistence to local disk."""
         self.writeback_queue.append((lba, sector_count, runs))
+        self.copy_work.notify()
 
     def pop_writeback(self, max_sectors: int = 2048):
         """Pop the oldest write-back, coalescing LBA-adjacent successors.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.sim import Environment, Notifier, Resource
+from repro.sim import Environment, Notifier, Request, Resource
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.vmm.deploy import DeploymentContext
 
@@ -262,9 +262,10 @@ class DeviceMediator:
         span = self.telemetry.tracer.start(
             "mediated-read", lba=request.lba,
             sectors=request.sector_count)
-        with self._device_lock.request() as grant, \
-                self.telemetry.profiler.track("mediator", "redirect"):
-            yield grant
+        grant = Request(self._device_lock, queue=False)
+        with grant, self.telemetry.profiler.track("mediator", "redirect"):
+            if not self._device_lock.acquire(grant):
+                yield grant
             self.mode = MediatorMode.REDIRECTING
             try:
                 # 1. Retrieve the data from the server.
@@ -349,9 +350,11 @@ class DeviceMediator:
         span = self.telemetry.tracer.start(
             "vmm-request", op=request.op.value, lba=request.lba,
             sectors=request.sector_count)
-        with self._device_lock.request() as grant, \
-                self.telemetry.profiler.track("mediator", "vmm-request"):
-            yield grant
+        grant = Request(self._device_lock, queue=False)
+        with grant, self.telemetry.profiler.track("mediator",
+                                                  "vmm-request"):
+            if not self._device_lock.acquire(grant):
+                yield grant
             # 1. Find proper timing: wait until the device is idle.
             yield from self._wait_device_idle()
             self.mode = MediatorMode.VMM_OWNED
@@ -407,35 +410,19 @@ class DeviceMediator:
                                self.machine.disk_controller.completion)
 
     def _await(self, predicate, notifier):
-        """Generator: return at the first poll tick at which
-        ``predicate()`` holds, ticks counted from the call instant.
-
-        The paper's VMM polls with interrupts masked on the preemption
-        timer; this finds the tick at which that loop would notice the
-        change without an event per tick.  ``predicate`` may only turn
-        true when ``notifier`` fires (a controller completion, or the
-        release of a blocked context).  The predicate is re-checked at
-        every tick it returns on: the guest may make the device busy
-        again between the notification and the tick.  The VM exits the
-        polls cost are bulk-accounted by the VMM at de-virtualization.
-        """
+        """Generator: the VMM's poll loop, every
+        ``deployment.poll_interval``, until ``predicate()`` holds: a
+        first-tick timeout, then :meth:`Notifier.poll` on ``notifier``
+        from that tick.  The polls' VM exits are bulk-accounted by the
+        VMM at de-virtualization."""
         if predicate():
             return
-        env = self.env
         poll = self.deployment.poll_interval
-        # A request that finishes within one tick costs one timeout.
-        tick = env.now + poll
-        yield env.timeout(poll)
-        while not predicate():
-            tick += poll
-            yield notifier.wait()
-            # Tick by tick, so the float instants are the ones a loop of
-            # poll timeouts reaches; ``tick - now`` is exact (Sterbenz),
-            # so the timeout lands on ``tick`` itself.
-            now = env.now
-            while tick < now:
-                tick += poll
-            yield env.timeout(tick - now)
+        # Notifier.poll alone would find the same tick.  The first tick
+        # stays a timeout one poll long because perfbench counts those
+        # as ``vmm.poll_timeouts`` and its trace test expects some.
+        yield self.env.timeout(poll)
+        yield from notifier.poll(predicate, poll)
 
     def _drain_queue(self):
         while self._queued_commands:

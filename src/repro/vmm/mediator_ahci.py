@@ -162,7 +162,6 @@ class AhciMediator(DeviceMediator):
         for slot, request, action in special:
             yield from self._claim_blocked(slot)
             yield from self._serve_blocked(request, action)
-        yield self.env.timeout(0)
 
     def _decode_slot(self, slot: int) -> BlockRequest | None:
         """I/O interpretation: walk the guest's command structures."""

@@ -23,7 +23,10 @@ payload reached a port, a command completed), ``events`` is
 dropped kick-start changes.  The tie fuzz runs random switch scenarios
 against the receive leg as a process (``ReferenceSwitch``), and frame
 trains sent by callbacks against the frame path with every hop
-(``HopSwitch``), and pins the seeds whose instants differ.
+(``HopSwitch``), and pins the seeds whose instants differ.  Both
+references carry their bulk streams with every hop too (a grant event
+per lock request, and the two done hops), so the fuzz also checks the
+bulk locks taken in place and the done callbacks.
 """
 
 import pytest
@@ -35,7 +38,9 @@ from repro.aoe.server import AoeServer, ImageStore
 from repro.dist.peer import PeerChunkService, PeerDirectory
 from repro.hw.machine import Machine, MachineSpec
 from repro.net.e1000 import E1000Nic
-from repro.net.link import EthernetSwitch, LossModel, _FrameRequest
+from repro.net.link import (BULK_CHUNK_BYTES, EthernetSwitch, LossModel,
+                            _BulkStream, _FrameRequest, _PortLock, _Request)
+from repro.net.packet import Frame
 from repro.net.nic import Nic
 from repro.sim import Environment
 from repro.storage import ahci, ide, megaraid
@@ -676,7 +681,55 @@ def test_fewer_events_than_hops(name):
 # -- same-instant ties on the switch ----------------------------------------
 
 
-class ReferenceSwitch(EthernetSwitch):
+class HopLock(_PortLock):
+    """A port lock granting every bulk-stream request by an event."""
+
+    def acquire(self, request):
+        self._do_request(request)
+        return False
+
+
+class HopBulkSwitch(EthernetSwitch):
+    """A switch whose bulk streams take every hop they used to: a grant
+    event per lock request, a zero-delay event between the last chunk
+    leaving the sender and the forwarding-latency timer, and one
+    between the delivery and ``done``."""
+
+    def attach(self, name, nic):
+        super().attach(name, nic)
+        self._tx_locks[name] = HopLock(self.env, self)
+        self._rx_locks[name] = HopLock(self.env, self)
+
+    def start_bulk_transfer(self, src, dst, payload, payload_bytes,
+                            per_frame_payload, protocol, done):
+        self._check_ports(src, dst)
+        frames, wire_bytes = self._wire(payload_bytes, per_frame_payload)
+        chunks = max(1, -(-payload_bytes // BULK_CHUNK_BYTES))
+        per_chunk = wire_bytes * 8.0 / self.rate_bps / chunks
+        env = self.env
+        tx_done, rx_done = env.event(), env.event()
+
+        def deliver():
+            self._deliver(Frame(src, dst, payload, per_frame_payload,
+                                protocol=protocol), frames, wire_bytes)
+            rx_done.succeed()
+
+        def crossed(_event):
+            env.pooled_timeout(self.forward_latency).callbacks.append(
+                arrived)
+
+        def arrived(_event):
+            if rx_done.callbacks is None:
+                done()
+            else:
+                rx_done.callbacks.append(lambda _event: done())
+
+        tx_done.callbacks.append(crossed)
+        _BulkStream(self, src, dst, chunks, per_chunk, tx_done.succeed,
+                    deliver)
+
+
+class ReferenceSwitch(HopBulkSwitch):
     """A switch whose receive leg is the process it used to be."""
 
     def _forward(self, frame):
@@ -700,7 +753,7 @@ class ReferenceSwitch(EthernetSwitch):
         self._ports[frame.dst].deliver(frame)
 
 
-class HopSwitch(EthernetSwitch):
+class HopSwitch(HopBulkSwitch):
     """A switch whose frames take every hop they used to: a grant event
     for each port, and the forwarding-latency timer before the
     receiving port is asked for."""
@@ -715,14 +768,30 @@ class HopSwitch(EthernetSwitch):
                                 frame).callbacks.append(self._on_rx_arrived)
 
 
+class CountingLock(_PortLock):
+    """Counts the bulk-stream requests granted in place."""
+
+    def take(self, request=None):
+        granted = super().take(request)
+        if granted is not None and type(granted) is _Request:
+            self.switch.bulk_taken += 1
+        return granted
+
+
 class CountingSwitch(EthernetSwitch):
     """Counts the hops its frames skipped: sending ports taken in place
     (a grant event each), and receiving ports booked and kept to the
-    delivery (a latency timer and a grant event each)."""
+    delivery (a latency timer and a grant event each); and the grant
+    events its bulk streams skipped."""
 
     def __init__(self, env):
         super().__init__(env)
-        self.taken = self.kept = 0
+        self.taken = self.kept = self.bulk_taken = 0
+
+    def attach(self, name, nic):
+        super().attach(name, nic)
+        self._tx_locks[name] = CountingLock(self.env, self)
+        self._rx_locks[name] = CountingLock(self.env, self)
 
     def start_transmit(self, frame, done):
         self.taken += (not self._tx_locks[frame.src].users
@@ -831,9 +900,11 @@ def test_tie_fuzz_matches_reference_receive_leg():
         if got != reference:
             deviating.append(seed)
         # Two events fewer per frame, two more per kept booking; bulk
-        # streams are unchanged.
+        # streams skip one per lock taken in place and their two done
+        # hops.
         frames = sum(len(sizes) for _, _, _, _, sizes in scenario[1])
-        assert events == reference_events - 2 * frames - 2 * switch.kept
+        assert events == (reference_events - 2 * frames - 2 * switch.kept
+                          - switch.bulk_taken - 2 * len(scenario[2]))
     assert tuple(deviating) == FUZZ_DEVIATIONS
 
 
@@ -851,7 +922,9 @@ def test_tie_fuzz_matches_hop_frame_path():
                                                   callbacks=True)
         if got != reference:
             deviating.append(seed)
-        assert events == reference_events - switch.taken - 2 * switch.kept
+        assert events == (reference_events - switch.taken
+                          - 2 * switch.kept - switch.bulk_taken
+                          - 2 * len(scenario[2]))
     assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
 
 

@@ -1,6 +1,8 @@
 """Tests for repro.dist: selectors, peer directory, chunk service, router."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import params
 from repro.aoe.client import AoeInitiator, AoeNakError
@@ -78,6 +80,33 @@ def test_least_outstanding_prefers_idle_replica():
     selector.note_complete("server", 0.001)
     selector.note_sent("server-r2")
     assert selector.select(0, 8) == "server"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["sent", "complete", "select"]),
+                          st.integers(0, 4),
+                          st.lists(st.integers(0, 4), min_size=2,
+                                   max_size=6, unique=True)),
+                max_size=60))
+def test_least_outstanding_matches_two_pass_rule(ops):
+    """The one-pass choice is the two-pass rule's: the lowest count,
+    ties broken by a decision counter over the tied targets in pool
+    order."""
+    targets = [f"t{index}" for index in range(5)]
+    selector = make_selector("least-outstanding", targets)
+    tiebreak = 0
+    for op, index, pool_indices in ops:
+        if op == "sent":
+            selector.note_sent(targets[index])
+        elif op == "complete":
+            selector.note_complete(targets[index], 0.001)
+        else:
+            pool = [targets[i] for i in pool_indices]
+            best = min(selector.outstanding(t) for t in pool)
+            shortest = [t for t in pool if selector.outstanding(t) == best]
+            expected = shortest[tiebreak % len(shortest)]
+            tiebreak += 1
+            assert selector.select(0, 8, candidates=pool) == expected
 
 
 def test_rtt_aware_probes_then_prefers_fastest():

@@ -44,9 +44,9 @@ def test_irq_delivery_is_one_timer_per_waiter():
     env.run()
     for event in waits:
         assert event.processed and event.value == 14
-    # The raising timeout, one delivery timer and the waiter's event
-    # per waiter: no helper process per delivery.
-    assert env.events_processed == 1 + 2 * 2
+    # The raising timeout, then each waiter's own event scheduled at
+    # the delivery instant: no helper timer or process per delivery.
+    assert env.events_processed == 1 + 2
     assert env.now == 1 + IRQ_DELIVERY_SECONDS
 
 

@@ -2,8 +2,9 @@
 
 The VMM finds out that the device finished by polling every
 ``poll_interval`` with interrupts masked (paper 3.2-3.3).  The mediator
-models that as one wait on the controller's completion notification
-plus one timeout to the poll tick where the loop would have noticed.
+models that as a timeout to the loop's first tick and, if the device
+is still busy there, one event planned by the controller's completion
+notification on the tick where the loop would have noticed it.
 These tests pin the figures that wait must reproduce, bound the events
 it may cost, and check the re-check at the tick that keeps the VMM off
 a device the guest made busy again.
@@ -12,6 +13,8 @@ a device the guest made busy again.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import params
 from repro.cloud.provisioner import Provisioner
@@ -20,7 +23,7 @@ from repro.guest.driver_ahci import AhciDriver
 from repro.guest.driver_ide import IdeDriver
 from repro.guest.osimage import OsImage
 from repro.hw.machine import Machine, MachineSpec
-from repro.sim import Environment, SimulationError, Timeout
+from repro.sim import Environment, Notifier, SimulationError, Timeout
 from repro.storage.ahci import AhciController
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.disk import Disk
@@ -126,10 +129,10 @@ VMM_LBA = 8 * SECTORS_PER_MB
 RACE_POLL = 1e-3
 
 
-def mediated_machine(kind):
+def mediated_machine(kind, fast_lane=True):
     """A machine whose disk is mediated but not deploying: the guest
     drives the controller through the mediator's intercepts."""
-    env = Environment()
+    env = Environment(fast_lane=fast_lane)
     machine = Machine(env, MachineSpec(disk_controller=kind))
     controller_class = {"ahci": AhciController, "ide": IdeController}[kind]
     controller = controller_class(env, Disk(env), machine)
@@ -208,3 +211,95 @@ def test_guest_command_at_completion_keeps_vmm_off_busy_device(kind):
         (G2_LBA, G2_LBA + GUEST_SECTORS, "g2")]
     assert list(contents.runs_in(VMM_LBA, 8)) == [
         (VMM_LBA, VMM_LBA + 8, "vmm")]
+
+
+# -- one event per checked tick, against the poll loop -----------------------
+
+
+def grid(start, ticks):
+    """The poll loop's tick ``ticks`` polls after ``start``."""
+    for _ in range(ticks):
+        start += RACE_POLL
+    return start
+
+
+def device_wait(fast_lane, anchor, done_at, busy_again, reference):
+    """A device busy from t = 0 completes at ``done_at``; with
+    ``busy_again`` a guest command re-busies it at the first tick at or
+    after that, for ``busy_again`` polls.  A VMM wait starts at
+    ``anchor``: ``DeviceMediator._await``, or with ``reference`` a loop
+    of poll timeouts.  Every device event is planned at t = 0, as a
+    disk's service timer is planned when its command starts, so at a
+    shared instant it comes before the loop's timer.  Returns the wait's
+    return instant and the events that woke it."""
+    env, _, mediator, _ = mediated_machine("ahci", fast_lane)
+    completion = Notifier(env)
+    device = {"busy": True}
+
+    def complete(_timer):
+        device["busy"] = False
+        completion.notify()
+
+    def rebusy(_timer):
+        device["busy"] = True
+
+    env.timeout_at(done_at).callbacks.append(complete)
+    if busy_again:
+        at = anchor
+        while at < done_at:
+            at += RACE_POLL
+        env.timeout_at(at).callbacks.append(rebusy)
+        env.timeout_at(grid(at, busy_again) + RACE_POLL / 3).callbacks.append(
+            complete)
+
+    def idle():
+        return not device["busy"]
+
+    def loop():
+        while not idle():
+            yield env.timeout(RACE_POLL)
+
+    wakes = []
+
+    def count_wakes(_now, event):
+        if event is process.target:
+            wakes.append(event)
+
+    def vmm():
+        yield env.timeout_at(anchor)
+        env.trace_hook = count_wakes
+        yield from (loop() if reference else mediator._await(idle,
+                                                             completion))
+        env.trace_hook = None
+        return env.now
+
+    process = env.process(vmm())
+    return env.run(until=process), len(wakes)
+
+
+@pytest.mark.parametrize("fast_lane", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(anchor=st.floats(0.0, 3e-3),
+       ticks=st.integers(0, 4),
+       offset=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(1e-3, 0.999),
+       busy_again=st.sampled_from([0, 1, 3]))
+def test_await_returns_on_the_poll_loops_tick(
+        fast_lane, anchor, ticks, offset, busy_again):
+    """Completion before the first tick, exactly on a tick, or with the
+    guest busying the device again at the tick: ``_await`` returns at
+    the poll loop's instant bit for bit, taking one event per tick at
+    which it checks the device: the first tick, the tick after the
+    completion if that is a later one, and one more when it finds the
+    device busy again.  The loop takes one per tick."""
+    if ticks == 0 and offset == 0.0:
+        offset = 0.5   # a completion at the call instant needs no wait
+    done_at = grid(anchor, ticks) + offset * RACE_POLL
+    returned, wakes = device_wait(fast_lane, anchor, done_at, busy_again,
+                                  reference=False)
+    expected, loop_ticks = device_wait(fast_lane, anchor, done_at,
+                                       busy_again, reference=True)
+    assert returned == expected
+    first_tick = grid(anchor, 1)
+    assert wakes == ((1 if done_at <= first_tick else 2)
+                     + (1 if busy_again else 0))
+    assert loop_ticks >= wakes
