@@ -59,7 +59,7 @@ class _Transaction:
     __slots__ = ("client", "command", "target", "protocol", "rtt", "done",
                  "reassembly", "started", "sent_at", "last_activity",
                  "retries", "nak", "timer", "outbox", "sending", "replied",
-                 "finished", "span", "frame", "lane")
+                 "finished", "span")
 
     def __init__(self, client: "AoeInitiator", command: AoeCommand,
                  target: str, protocol: str):
@@ -85,14 +85,11 @@ class _Transaction:
         self.sending = False
         self.replied = False
         self.finished = False
-        telemetry = client.telemetry
-        self.span = telemetry.tracer.start(
-            f"aoe-{command.op}", lba=command.lba,
+        tracer = client.telemetry.tracer
+        self.span = tracer.start(
+            f"aoe-{command.op}", tracer.current(client.span_parent),
+            component="aoe-client", lba=command.lba,
             sectors=command.sector_count, target=target)
-        profiler = telemetry.profiler
-        parent, self.lane = profiler.here()
-        self.frame = profiler.begin("aoe-client", f"aoe-{command.op}",
-                                    parent)
 
     # -- the send ----------------------------------------------------------
 
@@ -121,8 +118,7 @@ class _Transaction:
         size = payload.frame_bytes() if payload is self.command \
             else payload.payload_bytes
         self.client.nic.start_send(self.target, payload, size,
-                                   self.protocol, self._sent, self.frame,
-                                   self.lane)
+                                   self.protocol, self._sent, self.span)
 
     def _sent(self, _delivered) -> None:
         if self.finished:
@@ -226,10 +222,7 @@ class _Transaction:
             self.timer = None
         client = self.client
         client._pending.pop(self.command.tag, None)
-        telemetry = client.telemetry
-        if self.frame is not None:
-            telemetry.profiler.end(self.frame, self.lane)
-        telemetry.tracer.end(self.span, retries=self.retries)
+        client.telemetry.tracer.end(self.span, retries=self.retries)
 
 
 class AoeInitiator:
@@ -273,6 +266,10 @@ class AoeInitiator:
         self.retransmissions = 0
         self.bytes_received = 0
         self.telemetry = telemetry
+        #: Where an exchange's span nests when its process has no span
+        #: open: the span open where the client was built (a
+        #: deployment's root), re-pointed by a VMM at its phase span.
+        self.span_parent = telemetry.tracer.current()
         registry = telemetry.registry
         self._m_rtt = {
             "read": registry.histogram("aoe_request_seconds", op="read",

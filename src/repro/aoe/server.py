@@ -52,11 +52,10 @@ class ImageStore:
     #: readahead keeps in cache (the background copier's bulk fetches).
     STREAMING_SECTORS = 1024
 
-    def start_read(self, lba: int, sector_count: int, done, parent=None,
-                   lane: str | None = None) -> None:
+    def start_read(self, lba: int, sector_count: int, done,
+                   parent=None) -> None:
         """Fetch runs for ``[lba, lba+sector_count)``: ``done(runs)``.
-        (``parent`` and ``lane`` place profiler frames; this store
-        makes none.)"""
+        (``parent`` places component spans; this store makes none.)"""
         self._request_index += 1
         self.reads += 1
         if sector_count >= self.STREAMING_SECTORS:
@@ -174,7 +173,7 @@ class AoeServer:
         """Fetch a read's runs; ``serve`` replies with them."""
         command = serve.command
         self.store.start_read(command.lba, command.sector_count,
-                              serve.runs_fetched, serve.span, serve.lane)
+                              serve.runs_fetched, serve.span)
 
     def _read_served(self) -> None:
         """A read's reply has left the server."""
@@ -192,7 +191,7 @@ class _Serve:
     """
 
     __slots__ = ("server", "command", "reply_to", "arrived", "started",
-                 "grant", "span", "lane", "fragments", "index")
+                 "grant", "span", "fragments", "index")
 
     def __init__(self, server: AoeServer, command: AoeCommand,
                  reply_to: str):
@@ -201,10 +200,12 @@ class _Serve:
         self.reply_to = reply_to
         self.arrived = server.env.now
         self.started = None
-        span = self.span = server.telemetry.profiler.begin(
-            server.COMPONENT, f"serve-{command.op}")
-        #: Trace lane of the profiler frames (only named when traced).
-        self.lane = None if span is None else f"aoe-serve-{command.tag}"
+        tracer = server.telemetry.tracer
+        #: The serve's component span, on a lane of its own (profiling
+        #: only).
+        self.span = tracer.start(
+            f"serve-{command.op}", None, component=server.COMPONENT,
+            lane=f"aoe-serve-{command.tag}") if tracer.profiling else None
         self.fragments = None
         self.index = 0
         grant = self.grant = Request(server.workers, queue=False)
@@ -255,7 +256,7 @@ class _Serve:
         fragment = self.fragments[self.index]
         server.nic.start_send(self.reply_to, fragment,
                               fragment.payload_bytes, server.PROTOCOL,
-                              self._fragment_sent, self.span, self.lane)
+                              self._fragment_sent, self.span)
 
     def _fragment_sent(self, _delivered) -> None:
         server = self.server
@@ -309,8 +310,7 @@ class _Serve:
         """Send one frame back, then finish."""
         server = self.server
         server.nic.start_send(self.reply_to, payload, payload_bytes,
-                              server.PROTOCOL, self.finish, self.span,
-                              self.lane)
+                              server.PROTOCOL, self.finish, self.span)
 
     def finish(self, _delivered=None) -> None:
         server = self.server
@@ -318,6 +318,6 @@ class _Serve:
         server._m_service[op].observe(server.env.now - self.started)
         server._m_commands[op].inc()
         if self.span is not None:
-            server.telemetry.profiler.end(self.span, self.lane)
+            server.telemetry.tracer.end(self.span)
         server.workers.release(self.grant)
         server.commands_served += 1

@@ -32,8 +32,8 @@ or :func:`repro.ctl.elasticity_scenario`, so ``--replay-check``
 the very callable that made it.  ``--sanitize`` attaches every runtime
 sanitizer (exit 1 on any violation); ``--metrics-out FILE`` exports
 :mod:`repro.obs` telemetry (JSON, or Prometheus text for ``.prom``);
-``--trace-out FILE`` also arms the forensics layer (causal tracer,
-profiler, provenance) and writes a Chrome-trace JSON.  ``lint`` and
+``--trace-out FILE`` also arms the forensics layer (component spans,
+causal tracer, provenance) and writes a Chrome-trace JSON.  ``lint`` and
 ``check`` hand their arguments to the analyzers' own command lines.
 """
 
@@ -51,7 +51,7 @@ from repro.ctl.placement import PLACEMENTS as CTL_PLACEMENTS
 from repro.ctl.policy import POLICIES as CTL_POLICIES
 from repro.dist.selector import POLICIES
 from repro.guest.osimage import OsImage
-from repro.obs import Telemetry, format_table
+from repro.obs import Telemetry, format_table, write_telemetry
 
 #: Every flag more than one command takes, declared once; a command
 #: picks its flags by name and sets its own defaults.
@@ -254,10 +254,16 @@ def _policy(args):
     return None
 
 
-def _write_trace(telemetry, path, process_name: str) -> None:
+def _write_metrics(path, runs) -> None:
+    """One telemetry bundle, or a dict of them by label, at ``path``."""
+    write_telemetry(path, runs)
+    print(f"telemetry written to {path}")
+
+
+def _write_trace(path, runs: dict) -> None:
+    """``runs`` (telemetry by label) as one Chrome trace at ``path``."""
     from repro.obs import write_chrome_trace
-    document = write_chrome_trace(telemetry, path, pid=1,
-                                  process_name=process_name)
+    document = write_chrome_trace(path, runs)
     print(f"chrome trace written to {path} "
           f"({len(document['traceEvents'])} events; open in "
           f"chrome://tracing or https://ui.perfetto.dev)")
@@ -276,10 +282,9 @@ def _finish(args, run, scenario, recorder, name: str = "") -> int:
     """Export the run (``name`` labels its Chrome trace), judge its
     sanitizers, finish its replay check; return the exit status."""
     if getattr(args, "metrics_out", None):
-        run.telemetry.write(args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
+        _write_metrics(args.metrics_out, run.telemetry)
     if getattr(args, "trace_out", None):
-        _write_trace(run.telemetry, args.trace_out, name or args.command)
+        _write_trace(args.trace_out, {name or args.command: run.telemetry})
     status = 0
     if run.sanitizers is not None:
         run.sanitizers.finalize()
@@ -356,7 +361,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_trace(args) -> int:
     run, status = _deploy(args)
-    _write_trace(run.telemetry, args.out, f"deploy:{args.method}")
+    _write_trace(args.out, {f"deploy:{args.method}": run.telemetry})
     if args.folded_out:
         from repro.obs import folded_stacks
         text = folded_stacks(run.telemetry)
@@ -374,15 +379,11 @@ def cmd_profile(args) -> int:
     print()
     print(format_profile(report))
     if args.out:
-        _write_json(args.out, report)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
         print(f"profile report written to {args.out}")
     return status
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def cmd_scaleout(args) -> int:
@@ -469,7 +470,7 @@ def cmd_compare(args) -> int:
     from repro.analysis import deployment_scenario
     from repro.baselines import OsNotSupportedError
     rows = []
-    exports = []
+    exports = {}
     for method in METHODS:
         scenario = deployment_scenario(
             lambda: _image(args.image_gb), method=method, wait=False,
@@ -484,45 +485,15 @@ def cmd_compare(args) -> int:
         rows.append([method, round(timeline.total, 1),
                      _segments(timeline)])
         if run.telemetry.enabled:
-            exports.append((method, run.telemetry))
+            exports[method] = run.telemetry
     print(format_table(["method", "ready (s)", "time spent on"], rows,
                        title=f"Startup comparison "
                        f"({args.image_gb:g}-GB image, warm firmware)"))
     if args.metrics_out and exports:
-        _write_compare_metrics(args.metrics_out, exports)
-        print(f"telemetry written to {args.metrics_out}")
+        _write_metrics(args.metrics_out, exports)
     if args.trace_out and exports:
-        _write_compare_trace(args.trace_out, exports)
+        _write_trace(args.trace_out, exports)
     return 0
-
-
-def _write_compare_trace(path: str, exports) -> None:
-    """All compare runs in one Chrome trace, one pid per method."""
-    from repro.obs import chrome_trace_document
-    merged = {"traceEvents": [], "displayTimeUnit": "ms"}
-    for index, (method, telemetry) in enumerate(exports):
-        document = chrome_trace_document(telemetry, pid=index + 1,
-                                         process_name=method)
-        merged["traceEvents"].extend(document["traceEvents"])
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(merged, handle, separators=(",", ":"))
-        handle.write("\n")
-    print(f"chrome trace written to {path} "
-          f"({len(merged['traceEvents'])} events; open in "
-          f"chrome://tracing or https://ui.perfetto.dev)")
-
-
-def _write_compare_metrics(path: str, exports) -> None:
-    """One file for all compare runs, keyed by method name."""
-    if path.endswith(".prom"):
-        text = "".join(
-            f"# method: {method}\n{telemetry.to_prometheus()}"
-            for method, telemetry in exports)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return
-    _write_json(path, {method: telemetry.to_dict()
-                       for method, telemetry in exports})
 
 
 def cmd_sweep(args) -> int:

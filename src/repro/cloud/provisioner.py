@@ -46,25 +46,25 @@ class Provisioner:
         node = self.testbed.nodes[node_index]
         timeline = StartupTimeline(power_on=self.env.now)
         spans = self.telemetry.tracer
-        deploy_span = spans.start(f"deploy:{method}", parent=None,
-                                  node=node_index)
-        spans.ambient = deploy_span
+        # The deployment's root, open on this process while it deploys:
+        # what is built and started here nests under it.
+        with spans.span(f"deploy:{method}", parent=None,
+                        node=node_index) as deploy_span:
+            firmware_span = spans.start("firmware-init")
+            if skip_firmware:
+                node.machine.firmware.initialized = True
+            else:
+                yield from node.machine.power_on()
+            spans.end(firmware_span, skipped=skip_firmware)
+            timeline.firmware_done = self.env.now
+            timeline.add_segment("firmware init",
+                                 timeline.firmware_done - timeline.power_on)
 
-        firmware_span = spans.start("firmware-init", parent=deploy_span)
-        if skip_firmware:
-            node.machine.firmware.initialized = True
-        else:
-            yield from node.machine.power_on()
-        spans.end(firmware_span, skipped=skip_firmware)
-        timeline.firmware_done = self.env.now
-        timeline.add_segment("firmware init",
-                             timeline.firmware_done - timeline.power_on)
-
-        handler = getattr(self, "_deploy_" + method.replace("-", "_"))
-        instance = yield from handler(node, timeline, policy=policy,
-                                      **options)
-        timeline.ready = self.env.now
-        spans.end(deploy_span, ready_seconds=timeline.total)
+            handler = getattr(self, "_deploy_" + method.replace("-", "_"))
+            instance = yield from handler(node, timeline, policy=policy,
+                                          **options)
+            timeline.ready = self.env.now
+            spans.end(deploy_span, ready_seconds=timeline.total)
         return instance
 
     # -- bare metal (pre-installed local disk) -----------------------------------------
@@ -112,19 +112,16 @@ class Provisioner:
             vmm.fluid.demote("sanitizers")
         self.telemetry.provenance.attach(vmm, node=node.machine.name)
         start = self.env.now
-        boot_span = spans.start("vmm-netboot")
-        with self.telemetry.profiler.track("vmm", "netboot"):
+        with spans.span("vmm-netboot", component="vmm"):
             yield from node.machine.firmware.network_boot()
             yield from vmm.boot()
-        spans.end(boot_span)
         timeline.platform_ready = self.env.now
         timeline.add_segment("VMM boot", self.env.now - start)
         guest = GuestOs(node.machine, image)
         timeline.os_boot_started = self.env.now
-        os_span = spans.start("guest-os-boot")
-        with self.telemetry.profiler.track("guest", "os-boot"):
+        with spans.span("guest-os-boot", vmm.deployment.span,
+                        component="guest"):
             yield from guest.boot()
-        spans.end(os_span)
         timeline.add_segment("OS boot", self.env.now
                              - timeline.os_boot_started)
         return Instance(node.machine, "bmcast", timeline,

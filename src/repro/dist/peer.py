@@ -114,15 +114,15 @@ class LocalChunkStore:
         self.disk = disk
         self.reads = 0
 
-    def start_read(self, lba: int, sector_count: int, done, parent=None,
-                   lane: str | None = None) -> None:
+    def start_read(self, lba: int, sector_count: int, done,
+                   parent=None) -> None:
         """Content runs from the local platters: ``done(runs)``.  The
-        disk's profiler frame nests under ``parent`` on ``lane``."""
+        disk's component span nests under ``parent``."""
         self.reads += 1
         request = BlockRequest(BlockOp.READ, lba, sector_count,
                                origin="peer")
         self.disk.start(request, lambda read: done(list(read.buffer.runs)),
-                        lane, parent)
+                        parent=parent)
 
     def start_write(self, lba: int, runs: list, done) -> None:
         raise RuntimeError("peer chunk service is read-only")

@@ -180,8 +180,7 @@ class FetchRouter:
         started = self.env.now
         self.selector.note_sent(peer)
         try:
-            with self.telemetry.profiler.track("peer-fabric",
-                                               "peer-fetch"):
+            with self.telemetry.tracer.track("peer-fabric", "peer-fetch"):
                 runs = yield from self.initiator.read_blocks(
                     lba, sector_count, bulk=bulk, target=peer,
                     protocol=PEER_PROTOCOL)
@@ -212,8 +211,7 @@ class FetchRouter:
         started = self.env.now
         self.selector.note_sent(target)
         try:
-            with self.telemetry.profiler.track("origin",
-                                               "origin-fetch"):
+            with self.telemetry.tracer.track("origin", "origin-fetch"):
                 runs = yield from self.initiator.read_blocks(
                     lba, sector_count, bulk=bulk, target=target,
                     fluid=fluid)

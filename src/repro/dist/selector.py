@@ -60,6 +60,9 @@ class ReplicaSelector:
         if not self.replicas:
             raise ValueError("need at least one replica")
         self.telemetry = telemetry
+        #: Where decision spans nest: the span open where the selector
+        #: was built, re-pointed by a VMM at its phase span.
+        self.span_parent = telemetry.tracer.current()
         self.decisions = 0
         #: Requests routed per target (the per-replica load counters).
         self.load: dict[str, int] = {}
@@ -89,8 +92,8 @@ class ReplicaSelector:
         self.decisions += 1
         self._m_decisions.inc()
         span = self.telemetry.tracer.start(
-            "select-replica", policy=self.policy, lba=lba,
-            candidates=len(pool))
+            "select-replica", self.span_parent, policy=self.policy,
+            lba=lba, candidates=len(pool))
         self.telemetry.tracer.end(span, target=choice)
         return choice
 

@@ -66,24 +66,24 @@ class Nic:
         # frames through here.
         frame = Frame(self.name, dst, payload, payload_bytes, protocol)
         switch = self.switch
-        with self.telemetry.profiler.track("nic", "tx"):
+        with self.telemetry.tracer.track("nic", "tx"):
             delivered = yield from switch.transmit(frame)
         self._count_tx(frame)
         return delivered
 
     def start_send(self, dst: str, payload, payload_bytes: int,
-                   protocol: str, done, parent=None,
-                   lane: str = "kernel") -> None:
+                   protocol: str, done, parent=None) -> None:
         """Callback form of :meth:`send`: ``done(delivered)`` runs where
-        the generator would have returned.  The profiler frame nests
-        under ``parent`` on the trace lane ``lane``."""
+        the generator would have returned.  Its component span nests
+        under ``parent``, on that span's trace lane."""
         frame = Frame(self.name, dst, payload, payload_bytes, protocol)
-        profiler = self.telemetry.profiler
-        span = profiler.begin("nic", "tx", parent)
+        tracer = self.telemetry.tracer
+        span = tracer.start("tx", parent, component="nic") \
+            if tracer.profiling else None
 
         def sent(delivered):
             if span is not None:
-                profiler.end(span, lane)
+                tracer.end(span)
             self._count_tx(frame)
             done(delivered)
 

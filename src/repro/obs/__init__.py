@@ -24,9 +24,8 @@ from repro.obs.export import (
     telemetry_summary,
     telemetry_to_dict,
     telemetry_to_prometheus,
-    write_json,
+    write_telemetry,
 )
-from repro.obs.profile import NULL_PROFILER, NullSimProfiler, SimProfiler
 from repro.obs.provenance import (
     NULL_PROVENANCE,
     BlockProvenance,
@@ -61,12 +60,11 @@ from repro.obs.trace_export import (
 __all__ = [
     "AMBIENT", "BlockProvenance", "CausalTracer", "Counter", "Gauge",
     "Histogram", "MetricsRegistry", "NullBlockProvenance",
-    "NullCausalTracer", "NullRegistry", "NullSimProfiler",
-    "NullSpanTracer", "NullTelemetry", "NULL_CAUSAL", "NULL_PROFILER",
-    "NULL_PROVENANCE", "NULL_REGISTRY", "NULL_TELEMETRY", "NULL_TRACER",
-    "Series", "SimProfiler", "Span", "SpanTracer", "Telemetry",
-    "TimeSeries", "chrome_trace_document", "classify_actor",
+    "NullCausalTracer", "NullRegistry", "NullSpanTracer",
+    "NullTelemetry", "NULL_CAUSAL", "NULL_PROVENANCE", "NULL_REGISTRY",
+    "NULL_TELEMETRY", "NULL_TRACER", "Series", "Span", "SpanTracer",
+    "Telemetry", "TimeSeries", "chrome_trace_document", "classify_actor",
     "folded_stacks", "format_profile", "format_table", "profile_report",
     "telemetry_summary", "telemetry_to_dict", "telemetry_to_prometheus",
-    "write_chrome_trace", "write_json",
+    "write_chrome_trace", "write_telemetry",
 ]

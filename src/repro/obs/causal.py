@@ -25,13 +25,7 @@ ACTOR_COMPONENTS = (
     ("copier-", "copier"),
     ("imagecopy-", "copier"),
     ("os-streaming-copier", "copier"),
-    ("aoe-dispatch", "aoe-client"),
-    ("aoe-serve", "aoe-server"),
-    ("switch-forward", "switch"),
     ("nic-mediator-poll", "mediator"),
-    ("megaraid-", "disk"),
-    ("ide-", "disk"),
-    ("ahci-", "disk"),
     ("cpu", "cpu"),
     ("mpi-", "app"),
     ("bmcast-devirt-watcher", "vmm"),
@@ -64,9 +58,11 @@ class CausalTracer:
 
     enabled = True
 
-    def __init__(self, env, profiler=None, capacity: int = 2_000_000):
+    def __init__(self, env, tracer=None, capacity: int = 2_000_000):
         self.env = env
-        self.profiler = profiler
+        #: Span tracer whose innermost component span on the active
+        #: process names the component of an event scheduled there.
+        self.tracer = tracer
         self.capacity = capacity
         self.dropped = 0
         # Parallel node arrays.
@@ -91,10 +87,6 @@ class CausalTracer:
         self.env.schedule_hook = self._on_schedule
         return self
 
-    def detach(self) -> None:
-        if self.env.schedule_hook is self._on_schedule:
-            self.env.schedule_hook = None
-
     # -- hot path ---------------------------------------------------------
 
     def _on_schedule(self, event, cause_event, fire_at: float) -> None:
@@ -104,8 +96,8 @@ class CausalTracer:
         process = self.env.active_process
         actor = process.name if process is not None else "kernel"
         component = None
-        if self.profiler is not None:
-            component = self.profiler.current_component()
+        if self.tracer is not None:
+            component = self.tracer.current_component()
         if component is None:
             component = classify_actor(actor)
         cause = -1
@@ -256,9 +248,6 @@ class NullCausalTracer:
 
     def attach(self):
         return self
-
-    def detach(self) -> None:
-        pass
 
     def mark(self, name: str) -> None:
         pass

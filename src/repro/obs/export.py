@@ -63,11 +63,26 @@ def _series_to_dict(series) -> dict:
     return entry
 
 
-def write_json(telemetry, path) -> None:
-    with open(path, "w") as handle:
-        json.dump(telemetry_to_dict(telemetry), handle, indent=2,
-                  sort_keys=True)
-        handle.write("\n")
+def write_telemetry(path, runs) -> None:
+    """Dump to ``path``: Prometheus text for ``.prom``, else JSON.
+
+    ``runs`` is one telemetry bundle, or a dict of bundles by label for
+    several runs in one file: one JSON key per label, a ``# run:
+    <label>`` line before each run's Prometheus text.
+    """
+    prometheus = str(path).endswith(".prom")
+    if not isinstance(runs, dict):
+        text = runs.to_prometheus() if prometheus \
+            else json.dumps(runs.to_dict(), indent=2, sort_keys=True) + "\n"
+    elif prometheus:
+        text = "".join(f"# run: {label}\n{telemetry.to_prometheus()}"
+                       for label, telemetry in runs.items())
+    else:
+        text = json.dumps({label: telemetry.to_dict()
+                           for label, telemetry in runs.items()},
+                          indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 # -- Prometheus text exposition ------------------------------------------------------

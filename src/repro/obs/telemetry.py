@@ -15,9 +15,8 @@ from repro.obs.export import (
     telemetry_summary,
     telemetry_to_dict,
     telemetry_to_prometheus,
-    write_json,
+    write_telemetry,
 )
-from repro.obs.profile import NULL_PROFILER, SimProfiler
 from repro.obs.provenance import NULL_PROVENANCE, BlockProvenance
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_TRACER, SpanTracer
@@ -27,30 +26,29 @@ class Telemetry:
     """Live telemetry for one simulation environment.
 
     ``forensics=True`` additionally arms the deployment-forensics
-    layer: the causal event tracer (attached to the environment's
-    ``schedule_hook``), the sim-time profiler, and the per-block
-    provenance recorder.  All three stay at their shared Null
-    stand-ins otherwise, so plain metric/span collection pays nothing
-    for them.
+    layer: the tracer's component spans (sim-time profiling), the
+    causal event tracer (attached to the environment's
+    ``schedule_hook``), and the per-block provenance recorder.  The
+    last two stay at their shared Null stand-ins otherwise, and the
+    tracer records only its plain span tree, so plain metric/span
+    collection pays nothing for them.
     """
 
     enabled = True
 
-    def __init__(self, env, span_capacity: int = 10_000,
+    def __init__(self, env, span_capacity: int = 200_000,
                  forensics: bool = False,
                  provenance_stride: int = 16):
         self.env = env
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(env, capacity=span_capacity)
+        self.tracer = SpanTracer(env, capacity=span_capacity,
+                                 profiling=forensics)
         self.forensics = forensics
         if forensics:
-            self.profiler = SimProfiler(env)
-            self.causal = CausalTracer(env,
-                                       profiler=self.profiler).attach()
+            self.causal = CausalTracer(env, tracer=self.tracer).attach()
             self.provenance = BlockProvenance(env,
                                               stride=provenance_stride)
         else:
-            self.profiler = NULL_PROFILER
             self.causal = NULL_CAUSAL
             self.provenance = NULL_PROVENANCE
 
@@ -65,11 +63,7 @@ class Telemetry:
 
     def write(self, path) -> None:
         """Dump to ``path``: Prometheus text for ``.prom``, else JSON."""
-        if str(path).endswith(".prom"):
-            with open(path, "w") as handle:
-                handle.write(self.to_prometheus())
-        else:
-            write_json(self, path)
+        write_telemetry(path, self)
 
 
 class NullTelemetry:
@@ -80,7 +74,6 @@ class NullTelemetry:
     env = None
     registry = NULL_REGISTRY
     tracer = NULL_TRACER
-    profiler = NULL_PROFILER
     causal = NULL_CAUSAL
     provenance = NULL_PROVENANCE
 

@@ -3,10 +3,10 @@
 Three output shapes:
 
 * **Chrome trace** — the ``{"traceEvents": [...]}`` JSON that
-  ``chrome://tracing`` / Perfetto open directly.  Span-tree spans
-  become one lane per deployment; profiler frames become one lane per
-  simulation process (or per callback-machine lane, e.g. one AoE
-  request).  Timestamps are microseconds of *simulated* time.
+  ``chrome://tracing`` / Perfetto open directly.  Plain spans go on one
+  lane per deployment (span-tree root); component spans go on one lane
+  per simulation process (or per callback-machine lane, e.g. one AoE
+  serve).  Timestamps are microseconds of *simulated* time.
 * **Folded stacks** — ``comp:name;comp:name self_us`` lines, the input
   format of ``flamegraph.pl`` and speedscope.
 * **Profile report** — the machine-readable dict behind
@@ -28,8 +28,9 @@ def chrome_trace_document(telemetry, pid: int = 1,
                           process_name: str = "repro") -> dict:
     """Build a Chrome-trace JSON document from one telemetry bundle.
 
-    Works with spans alone; profiler/causal lanes appear when the
-    bundle was built with ``forensics=True``.
+    Works with plain spans alone; component (``proc:``) lanes and the
+    causal marks appear when the bundle was built with
+    ``forensics=True``.
     """
     events: list[dict] = []
     tids: dict[str, int] = {}
@@ -50,46 +51,46 @@ def chrome_trace_document(telemetry, pid: int = 1,
     })
 
     now = telemetry.env.now if telemetry.env is not None else 0.0
+    tracer = telemetry.tracer
+    root_lanes = {id(root): f"spans:{root.name}#{index}"
+                  for index, root in enumerate(tracer.roots)}
 
-    # One lane per span-tree root (the deployments).
-    for index, root in enumerate(telemetry.tracer.roots):
-        tid = tid_for(f"spans:{root.name}#{index}")
-        stack = [root]
-        while stack:
-            span = stack.pop()
-            end = span.end if span.end is not None else now
-            event = {
-                "ph": "X", "pid": pid, "tid": tid,
-                "name": span.name,
-                "ts": _us(span.start),
-                "dur": _us(max(0.0, end - span.start)),
-                "cat": "span",
-            }
-            if span.attrs:
-                event["args"] = {key: value for key, value
-                                 in span.attrs.items()
-                                 if isinstance(value, (str, int, float,
-                                                       bool))}
-            events.append(event)
-            stack.extend(reversed(span.children))
-
-    # One lane per simulation process or callback-machine lane, from
-    # the profiler's frames.
-    profiler = getattr(telemetry, "profiler", None)
-    if profiler is not None:
-        for (lane, component, name, start, end, depth,
-             _self_time) in profiler.frames:
+    for span in tracer.spans:
+        if span.component is not None:
+            # A component span: a finished slice on its process lane.
+            if span.end is None:
+                continue
             events.append({
-                "ph": "X", "pid": pid, "tid": tid_for(f"proc:{lane}"),
-                "name": f"{component}:{name}",
-                "ts": _us(start),
-                "dur": _us(max(0.0, end - start)),
-                "cat": component,
+                "ph": "X", "pid": pid, "tid": tid_for(f"proc:{span.lane}"),
+                "name": f"{span.component}:{span.name}",
+                "ts": _us(span.start),
+                "dur": _us(max(0.0, span.end - span.start)),
+                "cat": span.component,
             })
+            continue
+        # A plain span: on the lane of its deployment (its root).
+        root = span
+        while root.parent is not None:
+            root = root.parent
+        end = span.end if span.end is not None else now
+        event = {
+            "ph": "X", "pid": pid,
+            "tid": tid_for(root_lanes.get(id(root), f"spans:{root.name}")),
+            "name": span.name,
+            "ts": _us(span.start),
+            "dur": _us(max(0.0, end - span.start)),
+            "cat": "span",
+        }
+        if span.attrs:
+            event["args"] = {key: value for key, value
+                             in span.attrs.items()
+                             if isinstance(value, (str, int, float,
+                                                   bool))}
+        events.append(event)
 
     # Critical-path marks as instant events on their own lane.
-    causal = getattr(telemetry, "causal", None)
-    if causal is not None and causal.marks:
+    causal = telemetry.causal
+    if causal.marks:
         tid = tid_for("marks")
         for name, (_node, at) in sorted(causal.marks.items(),
                                         key=lambda kv: kv[1][1]):
@@ -106,10 +107,22 @@ def chrome_trace_document(telemetry, pid: int = 1,
     }
 
 
-def write_chrome_trace(telemetry, path, pid: int = 1,
-                       process_name: str = "repro") -> dict:
-    document = chrome_trace_document(telemetry, pid=pid,
-                                     process_name=process_name)
+def write_chrome_trace(path, runs: dict) -> dict:
+    """Write ``runs`` (telemetry bundles by label) to ``path`` as one
+    Chrome trace, one pid per run, named by its label; returns it."""
+    events: list[dict] = []
+    total = 0.0
+    for index, (label, telemetry) in enumerate(runs.items()):
+        document = chrome_trace_document(telemetry, pid=index + 1,
+                                         process_name=label)
+        events.extend(document["traceEvents"])
+        total = max(total, document["otherData"]["total_sim_seconds"])
+    document = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"clock": "simulated-seconds",
+                      "total_sim_seconds": total},
+    }
     with open(path, "w") as handle:
         json.dump(document, handle, indent=None,
                   separators=(",", ":"), sort_keys=False)
@@ -118,13 +131,10 @@ def write_chrome_trace(telemetry, path, pid: int = 1,
 
 
 def folded_stacks(telemetry) -> str:
-    """Profiler stacks in ``flamegraph.pl`` folded format (µs weights)."""
-    profiler = getattr(telemetry, "profiler", None)
-    if profiler is None:
-        return ""
+    """Component stacks in ``flamegraph.pl`` folded format (µs weights)."""
     lines = [
         f"{stack} {max(1, round(seconds * 1e6))}"
-        for stack, seconds in sorted(profiler.folded.items())
+        for stack, seconds in sorted(telemetry.tracer.folded.items())
         if seconds > 0.0
     ]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -140,32 +150,19 @@ def profile_report(telemetry, anchor: str | None = None) -> dict:
     """
     env = telemetry.env
     total = env.now if env is not None else 0.0
-    causal = getattr(telemetry, "causal", None)
-    profiler = getattr(telemetry, "profiler", None)
-    provenance = getattr(telemetry, "provenance", None)
-    report = {
+    causal = telemetry.causal
+    provenance = telemetry.provenance
+    shares = causal.component_times(until=total)
+    return {
         "total_sim_seconds": total,
-        "components": {},
-        "critical_path": {"anchor": None, "anchor_seconds": 0.0,
-                          "steps": 0, "budget": []},
-        "tracked": {},
-        "provenance_sources": {},
-        "causal": {"nodes": 0, "dropped": 0, "marks": {}},
+        "components": dict(sorted(shares.items(),
+                                  key=lambda kv: (-kv[1], kv[0]))),
+        "critical_path": causal.latency_budget(anchor),
+        "tracked": dict(sorted(telemetry.tracer.component_self.items(),
+                               key=lambda kv: (-kv[1], kv[0]))),
+        "provenance_sources": provenance.sources(),
+        "causal": causal.to_dict(),
     }
-    if causal is not None:
-        shares = causal.component_times(until=total)
-        report["components"] = {component: seconds for component, seconds
-                                in sorted(shares.items(),
-                                          key=lambda kv: (-kv[1], kv[0]))}
-        report["critical_path"] = causal.latency_budget(anchor)
-        report["causal"] = causal.to_dict()
-    if profiler is not None:
-        report["tracked"] = dict(sorted(
-            profiler.component_self.items(),
-            key=lambda kv: (-kv[1], kv[0])))
-    if provenance is not None:
-        report["provenance_sources"] = provenance.sources()
-    return report
 
 
 def format_profile(report: dict) -> str:

@@ -55,7 +55,7 @@ COMMAND_SLOTS = 32
 #: Default interrupt line for the AHCI HBA.
 AHCI_IRQ = 11
 
-#: Profiler trace lane of each command slot.
+#: Trace lane of each command slot's disk spans.
 _SLOT_LANES = tuple(f"ahci-slot{slot}" for slot in range(COMMAND_SLOTS))
 
 

@@ -104,23 +104,24 @@ class Disk:
     def execute(self, request: BlockRequest):
         """Generator: perform ``request`` and wait for it; returns it.
 
-        A wait on :meth:`start`, whose profiler frame sits where a
-        ``track`` in the calling process would.
+        A wait on :meth:`start`, whose component span nests under the
+        innermost span open on the calling process.
         """
-        parent, lane = self.telemetry.profiler.here()
         done = self.env.event()
-        self.start(request, done.succeed, lane, parent)
+        self.start(request, done.succeed,
+                   parent=self.telemetry.tracer.current())
         return (yield done)
 
-    def start(self, request: BlockRequest, done, lane: str | None,
+    def start(self, request: BlockRequest, done, lane: str | None = None,
               parent=None) -> None:
         """Perform ``request`` by callbacks; ``done(request)`` runs when
         it is complete.
 
         Acquires the actuator, waits the mechanical time, then applies
         the content transfer: reads fill ``request.buffer`` from the
-        platter contents, writes store the buffer's runs.  The profiler
-        frame nests under ``parent`` on the trace lane ``lane``.
+        platter contents, writes store the buffer's runs.  The component
+        span nests under ``parent``, on the trace lane ``lane`` (default:
+        the parent's, else the active process's).
 
         A free actuator is taken in place, with no grant event, when
         nothing else is due at this instant (``Resource.acquire``).
@@ -129,9 +130,10 @@ class Disk:
             raise ValueError(
                 f"request beyond end of disk: lba={request.lba} "
                 f"n={request.sector_count}")
-        grant = _ArmRequest(self.arm, request, done, lane,
-                            self.telemetry.profiler.begin(
-                                "disk", request.op.value, parent))
+        tracer = self.telemetry.tracer
+        span = tracer.start(request.op.value, parent, component="disk",
+                            lane=lane) if tracer.profiling else None
+        grant = _ArmRequest(self.arm, request, done, span)
         if self.arm.acquire(grant):
             self._granted(grant)
         else:
@@ -154,7 +156,7 @@ class Disk:
         self.busy_seconds += grant.duration
         self.arm.release(grant)
         if grant.span is not None:
-            self.telemetry.profiler.end(grant.span, grant.lane)
+            self.telemetry.tracer.end(grant.span)
         grant.done(grant.io)
 
     def _apply(self, request: BlockRequest, cache_hit: bool) -> None:
@@ -200,13 +202,11 @@ class _ArmRequest(Request):
     """An I/O's claim on the actuator, carrying the I/O through its
     service and where to report it."""
 
-    __slots__ = ("io", "done", "lane", "span", "duration", "cache_hit")
+    __slots__ = ("io", "done", "span", "duration", "cache_hit")
 
-    def __init__(self, arm: Resource, io: BlockRequest, done,
-                 lane: str | None, span):
+    def __init__(self, arm: Resource, io: BlockRequest, done, span):
         self.io = io
         self.done = done
-        self.lane = lane
         self.span = span
         self.duration = 0.0
         self.cache_hit = False

@@ -103,9 +103,9 @@ class BmcastVmm:
 
         #: Metrics registry + span tracer (opt-in; see repro.obs).
         self.telemetry = telemetry
-        #: Parent for this VMM's phase spans: whatever deployment span
-        #: is ambient at construction (the provisioner's root), if any.
-        self._span_parent = telemetry.tracer.ambient
+        #: Parent for this VMM's phase spans: the span open where the
+        #: VMM is built (the provisioner's deployment root), if any.
+        self._span_parent = telemetry.tracer.current()
         self._phase_span = None
         # Fleet-deploy profiles raise the cold-start RTO (TCP-style):
         # a multi-megabyte coalesced fetch takes longer than the 50 ms
@@ -266,14 +266,16 @@ class BmcastVmm:
     def _enter_phase(self, phase: str) -> None:
         self.phase = phase
         self.phase_log.append((self.env.now, phase))
-        # One phase span open at a time; new work (AoE round-trips,
-        # mediated commands, the copier) attaches to the current phase.
+        # One phase span open at a time; this VMM's work (AoE
+        # round-trips, replica choices, mediated commands, the copier)
+        # nests under the current phase.
         spans = self.telemetry.tracer
         if self._phase_span is not None:
             spans.end(self._phase_span)
-        self._phase_span = spans.start(f"phase:{phase}",
-                                       parent=self._span_parent)
-        spans.ambient = self._phase_span
+        span = self._phase_span = spans.start(f"phase:{phase}",
+                                              parent=self._span_parent)
+        self.deployment.span = self.initiator.span_parent = \
+            self.router.selector.span_parent = span
 
     # -- initialization phase ---------------------------------------------------------------
 

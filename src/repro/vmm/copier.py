@@ -116,7 +116,7 @@ class BackgroundCopier:
             raise RuntimeError("copier already started")
         self.started_at = self.env.now
         self._span = self.telemetry.tracer.start(
-            "background-copy",
+            "background-copy", self.deployment.span,
             blocks=self.deployment.bitmap.block_count)
         self._retriever = self.env.process(self._retrieve_loop(),
                                            name="copier-retriever")
@@ -191,8 +191,8 @@ class BackgroundCopier:
                 count = min(claimed * bitmap.block_sectors,
                             bitmap.image_sectors - start)
                 try:
-                    with self.telemetry.profiler.track("copier",
-                                                       "fetch-block"):
+                    with self.telemetry.tracer.track("copier",
+                                                     "fetch-block"):
                         runs = yield from self.deployment.fetcher.read_blocks(
                             start, count, bulk=True,
                             fluid=self.fluid_state.active)
@@ -334,10 +334,10 @@ class BackgroundCopier:
         if policy.is_suspended(self.deployment):
             self.suspensions += 1
             self._m_suspensions.inc()
-            with self.telemetry.profiler.track("copier", "moderate-hold"):
+            with self.telemetry.tracer.track("copier", "moderate-hold"):
                 yield self.env.timeout(policy.suspend_interval)
         elif policy.write_interval > 0:
-            with self.telemetry.profiler.track("copier", "moderate-pace"):
+            with self.telemetry.tracer.track("copier", "moderate-pace"):
                 yield self.env.timeout(policy.write_interval)
 
     def _write_run(self, first_block: int, block_count: int, runs: list):
@@ -375,7 +375,8 @@ class BackgroundCopier:
                     clean.extend(clip_runs(runs, run_start, run_count))
             return clean
 
-        yield from self._vmm_write(request, revalidate, "write-block")
+        with self.telemetry.tracer.track("copier", "write-block"):
+            yield from self._vmm_write(request, revalidate)
         written = sum(end - begin for begin, end, _ in
                       request.buffer.runs)
         self.bytes_written += written * params.SECTOR_BYTES
@@ -413,8 +414,6 @@ class BackgroundCopier:
         excluded at write time, under device ownership.
         """
         bitmap = self.deployment.bitmap
-        span = self.telemetry.tracer.start("write-back", lba=lba,
-                                           sectors=sector_count)
         request = BlockRequest(BlockOp.WRITE, lba, sector_count,
                                origin="vmm")
         request.buffer.runs = list(runs)
@@ -434,14 +433,17 @@ class BackgroundCopier:
                 cursor = block_end
             return clean
 
-        yield from self._vmm_write(request, revalidate, "write-back")
+        tracer = self.telemetry.tracer
+        with tracer.span("write-back", tracer.current(self.deployment.span),
+                         component="copier", lba=lba,
+                         sectors=sector_count):
+            yield from self._vmm_write(request, revalidate)
         written = sum(end - begin for begin, end, _ in
                       request.buffer.runs)
         self.writeback_bytes += written * params.SECTOR_BYTES
         self._m_writeback_bytes.inc(written * params.SECTOR_BYTES)
-        self.telemetry.tracer.end(span)
 
-    def _vmm_write(self, request: BlockRequest, revalidate, activity: str):
+    def _vmm_write(self, request: BlockRequest, revalidate):
         """Generator: one write through the mediator's I/O multiplexing,
         shielded from ``stop()``.  An interrupt inside it would leave
         the VMM's command executing on a device the mediator has handed
@@ -450,8 +452,7 @@ class BackgroundCopier:
         writer = self.env.active_process
         self._device_writer = writer
         try:
-            with self.telemetry.profiler.track("copier", activity):
-                yield from self.mediator.vmm_request(request, revalidate)
+            yield from self.mediator.vmm_request(request, revalidate)
         finally:
             if self._device_writer is writer:
                 self._device_writer = None

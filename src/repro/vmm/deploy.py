@@ -53,6 +53,9 @@ class DeploymentContext:
         self.poll_interval = poll_interval
         #: Metrics/span telemetry shared by mediator and copier.
         self.telemetry = telemetry
+        #: The VMM's current phase span: where its mediator's and
+        #: copier's spans nest when their process has none open.
+        self.span = telemetry.tracer.current()
         self._m_fetch_latency = telemetry.registry.histogram(
             "redirect_fetch_seconds",
             help="server fetch latency for redirected guest reads")

@@ -259,11 +259,12 @@ class DeviceMediator:
         """
         bitmap = self.deployment.bitmap
         started = self.env.now
-        span = self.telemetry.tracer.start(
-            "mediated-read", lba=request.lba,
-            sectors=request.sector_count)
+        tracer = self.telemetry.tracer
         grant = Request(self._device_lock, queue=False)
-        with grant, self.telemetry.profiler.track("mediator", "redirect"):
+        with grant, tracer.span("mediated-read",
+                                tracer.current(self.deployment.span),
+                                component="mediator", lba=request.lba,
+                                sectors=request.sector_count):
             if not self._device_lock.acquire(grant):
                 yield grant
             self.mode = MediatorMode.REDIRECTING
@@ -295,7 +296,6 @@ class DeviceMediator:
                 self._m_redirected.inc()
             finally:
                 self.mode = MediatorMode.PASSTHROUGH
-                self.telemetry.tracer.end(span)
                 self._m_redirect_latency.observe(self.env.now - started)
         # Replay anything the guest issued while we were redirecting
         # (possible if the guest OS overlaps I/O across CPUs).
@@ -347,12 +347,13 @@ class DeviceMediator:
         """
         request.origin = "vmm"
         started = self.env.now
-        span = self.telemetry.tracer.start(
-            "vmm-request", op=request.op.value, lba=request.lba,
-            sectors=request.sector_count)
+        tracer = self.telemetry.tracer
         grant = Request(self._device_lock, queue=False)
-        with grant, self.telemetry.profiler.track("mediator",
-                                                  "vmm-request"):
+        with grant, tracer.span("vmm-request",
+                                tracer.current(self.deployment.span),
+                                component="mediator", op=request.op.value,
+                                lba=request.lba,
+                                sectors=request.sector_count):
             if not self._device_lock.acquire(grant):
                 yield grant
             # 1. Find proper timing: wait until the device is idle.
@@ -385,7 +386,6 @@ class DeviceMediator:
                     interrupts.clear_pending(self.irq_line)
                 interrupts.unmask(self.irq_line)
                 self.mode = MediatorMode.PASSTHROUGH
-                self.telemetry.tracer.end(span)
                 self._m_multiplex_latency.observe(self.env.now - started)
         # 4. Send queued guest requests to the device.
         yield from self._drain_queue()

@@ -34,8 +34,7 @@ class SharedNicPort:
         return self._mediator.vmm_receiver
 
     def start_send(self, dst: str, payload, payload_bytes: int,
-                   protocol: str, done, parent=None,
-                   lane: str = "kernel") -> None:
+                   protocol: str, done, parent=None) -> None:
         """Transmit through the shadow ring: ``done(True)`` once the
         frame is on the wire."""
         self._mediator.vmm_start_send(dst, payload, payload_bytes,

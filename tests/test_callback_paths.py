@@ -928,7 +928,7 @@ def test_tie_fuzz_matches_hop_frame_path():
     assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
 
 
-# -- profiler attribution -----------------------------------------------------
+# -- component-span attribution ----------------------------------------------
 
 
 def test_callback_frames_keep_their_lane_and_nesting():
@@ -953,10 +953,15 @@ def test_callback_frames_keep_their_lane_and_nesting():
 
     env.process(ask())
     env.run(until=1.0)
-    profiler = telemetry.profiler
-    frames = {(component, name): (lane, start, end, depth, self_time)
-              for lane, component, name, start, end, depth, self_time
-              in profiler.frames}
+    tracer = telemetry.tracer
+
+    def depth(span):
+        return 0 if span.parent is None else 1 + depth(span.parent)
+
+    frames = {(span.component, span.name):
+              (span.lane, span.start, span.end, depth(span),
+               span.end - span.start - span.child_time)
+              for span in tracer.spans}
     assert {lane for lane, *_ in frames.values()} == {"aoe-serve-7"}
     serve = frames[("peer-fabric", "serve-read")]
     read = frames[("disk", "read")]
@@ -966,6 +971,6 @@ def test_callback_frames_keep_their_lane_and_nesting():
     # The serve's self time excludes its children's spans.
     children = (read[2] - read[1]) + (tx[2] - tx[1])
     assert serve[4] == pytest.approx(serve[2] - serve[1] - children)
-    assert set(profiler.folded) == {"peer-fabric:serve-read",
-                                    "peer-fabric:serve-read;disk:read",
-                                    "peer-fabric:serve-read;nic:tx"}
+    assert set(tracer.folded) == {"peer-fabric:serve-read",
+                                  "peer-fabric:serve-read;disk:read",
+                                  "peer-fabric:serve-read;nic:tx"}

@@ -1,5 +1,5 @@
-"""Tests for the deployment-forensics layer (causal tracer, profiler,
-provenance, trace export) and its CLI surface."""
+"""Tests for the deployment-forensics layer (causal tracer, component
+spans, provenance, trace export) and its CLI surface."""
 
 import json
 
@@ -10,9 +10,9 @@ from repro.cli import main
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
 from repro.guest.osimage import OsImage
-from repro.obs import (NULL_CAUSAL, NULL_PROFILER, NULL_PROVENANCE,
-                       NULL_TELEMETRY, CausalTracer, SimProfiler,
-                       Telemetry, chrome_trace_document, classify_actor,
+from repro.obs import (NULL_CAUSAL, NULL_PROVENANCE, NULL_TELEMETRY,
+                       NULL_TRACER, CausalTracer, SpanTracer, Telemetry,
+                       chrome_trace_document, classify_actor,
                        folded_stacks, format_profile, profile_report)
 from repro.sim import Environment, Timeout
 
@@ -89,9 +89,9 @@ def test_component_times_partition_total_sim_time(forensic_run):
 
 def test_classify_actor_table():
     assert classify_actor("copier-node0") == "copier"
-    assert classify_actor("aoe-dispatch-3") == "aoe-client"
-    assert classify_actor("aoe-serve-server-1") == "aoe-server"
-    assert classify_actor("megaraid-exec") == "disk"
+    assert classify_actor("nic-mediator-poll") == "mediator"
+    assert classify_actor("bmcast-devirt-watcher") == "vmm"
+    assert classify_actor("deploy-0") == "provisioner"
     assert classify_actor("node0-eth1-tx") == "nic"
     assert classify_actor("whatever") == "other"
 
@@ -102,30 +102,69 @@ def test_deploy_records_both_marks(forensic_run):
     assert "deploy-complete" in telemetry.causal.marks
 
 
-# -- profiler ---------------------------------------------------------------
+# -- component spans --------------------------------------------------------
 
 
 def test_profiler_nested_tracking_self_time():
     env = Environment()
-    profiler = SimProfiler(env)
+    tracer = SpanTracer(env, profiling=True)
 
     def work():
-        with profiler.track("outer", "all"):
+        with tracer.track("outer", "all"):
             yield Timeout(env, 1.0)
-            with profiler.track("inner", "sub"):
+            with tracer.track("inner", "sub"):
                 yield Timeout(env, 3.0)
             yield Timeout(env, 1.0)
 
     env.run(until=env.process(work(), name="w"))
-    assert profiler.component_self["outer"] == pytest.approx(2.0)
-    assert profiler.component_self["inner"] == pytest.approx(3.0)
-    assert profiler.folded["outer:all"] == pytest.approx(2.0)
-    assert profiler.folded["outer:all;inner:sub"] == pytest.approx(3.0)
+    assert tracer.component_self["outer"] == pytest.approx(2.0)
+    assert tracer.component_self["inner"] == pytest.approx(3.0)
+    assert tracer.folded["outer:all"] == pytest.approx(2.0)
+    assert tracer.folded["outer:all;inner:sub"] == pytest.approx(3.0)
+
+
+def test_plain_spans_between_component_spans_are_skipped():
+    env = Environment()
+    tracer = SpanTracer(env, profiling=True)
+
+    def work():
+        with tracer.track("outer", "all"):
+            with tracer.span("plain"):
+                with tracer.track("inner", "sub"):
+                    yield Timeout(env, 3.0)
+            yield Timeout(env, 1.0)
+
+    env.run(until=env.process(work(), name="w"))
+    # The plain span nests between them but not in the folded stacks,
+    # and the inner span's time still leaves the outer's self time.
+    assert [span.name for span in tracer.spans] == ["all", "plain", "sub"]
+    assert set(tracer.folded) == {"outer:all", "outer:all;inner:sub"}
+    assert tracer.folded["outer:all"] == pytest.approx(1.0)
+    assert tracer.component_self == {"outer": pytest.approx(1.0),
+                                     "inner": pytest.approx(3.0)}
+
+
+def test_component_spans_need_profiling():
+    env = Environment()
+    tracer = SpanTracer(env)
+
+    def work():
+        with tracer.track("outer", "all"):
+            span = tracer.start("aoe-read", component="aoe-client")
+            yield Timeout(env, 1.0)
+            tracer.end(span)
+
+    env.run(until=env.process(work(), name="w"))
+    # Without profiling ``track`` records nothing and ``component=``
+    # leaves a plain span: plain telemetry keeps its span tree.
+    assert [(span.name, span.component) for span in tracer.walk()] \
+        == [("aoe-read", None)]
+    assert tracer.component_self == {} and tracer.folded == {}
 
 
 def test_profiler_tracks_deploy_components(forensic_run):
     _, telemetry, _ = forensic_run
-    tracked = telemetry.profiler.component_self
+    tracked = telemetry.tracer.component_self
     for component in ("vmm", "guest", "copier", "mediator",
                       "aoe-client", "aoe-server", "disk"):
         assert tracked.get(component, 0.0) > 0.0, component
@@ -198,11 +237,12 @@ def test_profile_report_attribution(forensic_run):
 
 def test_null_telemetry_exposes_null_forensics():
     assert NULL_TELEMETRY.forensics is False
-    assert NULL_TELEMETRY.profiler is NULL_PROFILER
+    assert NULL_TELEMETRY.tracer is NULL_TRACER
     assert NULL_TELEMETRY.causal is NULL_CAUSAL
     assert NULL_TELEMETRY.provenance is NULL_PROVENANCE
-    with NULL_PROFILER.track("x", "y"):
+    with NULL_TRACER.track("x", "y"):
         pass
+    assert NULL_TRACER.component_self == {} and NULL_TRACER.folded == {}
     NULL_CAUSAL.mark("anything")
     NULL_PROVENANCE.note_fetch("n", 0, 8, "server", "origin", 0.0)
     assert NULL_CAUSAL.marks == {}
@@ -211,7 +251,8 @@ def test_null_telemetry_exposes_null_forensics():
 def test_plain_telemetry_keeps_forensics_off():
     telemetry = Telemetry(Environment())
     assert telemetry.forensics is False
-    assert telemetry.profiler is NULL_PROFILER
+    assert telemetry.tracer.profiling is False
+    assert not hasattr(telemetry, "profiler")
 
 
 # -- non-perturbation (the replay-divergence proof) -------------------------
@@ -246,6 +287,36 @@ def test_cli_deploy_trace_out(tmp_path, capsys):
     assert document["traceEvents"]
 
 
+#: Folded stacks of the 0.0625 GiB deploy, pinned: folding the
+#: profiler into the span tracer renamed three frames to their span's
+#: name and must change nothing else.
+SMALL_DEPLOY_STACKS = {
+    "aoe-server:serve-read",
+    "aoe-server:serve-read;nic:tx",
+    "copier:fetch-block;origin:origin-fetch",
+    "copier:fetch-block;origin:origin-fetch;aoe-client:aoe-read",
+    "copier:fetch-block;origin:origin-fetch;aoe-client:aoe-read;nic:tx",
+    "copier:moderate-pace",
+    "copier:write-back;mediator:vmm-request",
+    "copier:write-block;mediator:mediated-read;origin:origin-fetch",
+    "copier:write-block;mediator:mediated-read;origin:origin-fetch;"
+    "aoe-client:aoe-read",
+    "copier:write-block;mediator:mediated-read;origin:origin-fetch;"
+    "aoe-client:aoe-read;nic:tx",
+    "copier:write-block;mediator:vmm-request",
+    "disk:read",
+    "disk:write",
+    "guest:guest-os-boot",
+    "guest:guest-os-boot;mediator:mediated-read",
+    "guest:guest-os-boot;mediator:mediated-read;origin:origin-fetch",
+    "guest:guest-os-boot;mediator:mediated-read;origin:origin-fetch;"
+    "aoe-client:aoe-read",
+    "guest:guest-os-boot;mediator:mediated-read;origin:origin-fetch;"
+    "aoe-client:aoe-read;nic:tx",
+    "vmm:vmm-netboot",
+}
+
+
 def test_cli_trace_subcommand(tmp_path, capsys):
     out = tmp_path / "trace.json"
     folded = tmp_path / "folded.txt"
@@ -254,8 +325,17 @@ def test_cli_trace_subcommand(tmp_path, capsys):
     output = capsys.readouterr().out
     assert "chrome trace written" in output
     assert "folded stacks written" in output
-    assert json.loads(out.read_text())["traceEvents"]
-    assert folded.read_text().strip()
+    events = json.loads(out.read_text())["traceEvents"]
+    lanes = {event["args"]["name"].split(":")[0] for event in events
+             if event["name"] == "thread_name"}
+    assert {"spans", "proc"} <= lanes
+    stacks = {line.rpartition(" ")[0]
+              for line in folded.read_text().splitlines()}
+    assert stacks == SMALL_DEPLOY_STACKS
+
+
+def _rounded(shares: dict) -> dict:
+    return {key: round(value, 6) for key, value in shares.items()}
 
 
 def test_cli_profile_subcommand(tmp_path, capsys):
@@ -266,7 +346,23 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     assert "Critical path" in output
     assert "Component wall partition" in output
     report = json.loads(out.read_text())
-    assert report["critical_path"]["anchor"] == "devirtualize"
+    # Pinned to the figures of the two-recorder profiler: one span per
+    # interval attributes the same time.
+    assert _rounded(report["tracked"]) == {
+        "aoe-client": 0.776628, "aoe-server": 0.772544, "copier": 0.7,
+        "disk": 1.424639, "guest": 23.865438, "mediator": 0.662428,
+        "nic": 0.001105, "origin": 0.004, "vmm": 7.0}
+    assert _rounded(report["components"]) == {
+        "copier": 0.410376, "guest": 22.576418, "mediator": 0.437486,
+        "origin": 4.7e-05, "other": 10.499244, "vmm": 7.00024}
+    path = report["critical_path"]
+    assert path["anchor"] == "devirtualize"
+    assert round(path["anchor_seconds"], 6) == 8.372283
+    assert path["steps"] == 624
+    assert [(entry["component"], round(entry["seconds"], 6))
+            for entry in path["budget"]] == [
+        ("vmm", 7.00024), ("guest", 0.650989), ("mediator", 0.335208),
+        ("copier", 0.318047), ("other", 0.067789), ("origin", 9e-06)]
 
 
 def test_cli_compare_trace_out(tmp_path, capsys):

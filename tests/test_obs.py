@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import deployment_scenario
 from repro.cli import main
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
@@ -140,13 +141,12 @@ def test_timeseries_time_weighted_mean():
 def test_span_nesting_and_ordering():
     env = Environment()
     tracer = SpanTracer(env)
-    root = tracer.start("deploy", parent=None)
-    tracer.ambient = root
-    child = tracer.start("phase:one")
-    grandchild = tracer.start("aoe-read", parent=child)
-    tracer.end(grandchild)
-    tracer.end(child)
-    tracer.end(root)
+    with tracer.span("deploy", parent=None) as root:
+        child = tracer.start("phase:one")
+        grandchild = tracer.start("aoe-read", parent=child)
+        tracer.end(grandchild)
+        tracer.end(child)
+    assert tracer.current() is None
     assert child.parent is root
     assert grandchild in child.children
     assert [span.name for span in tracer.walk()] \
@@ -159,21 +159,31 @@ def test_span_capacity_drops_leaves_keeps_structure():
     tracer = SpanTracer(env, capacity=5)
     root = tracer.start("deploy", parent=None)
     phase = tracer.start("phase:one", parent=root)
-    tracer.ambient = phase
     for _ in range(10):
-        tracer.end(tracer.start("leaf"))
+        tracer.end(tracer.start("leaf", parent=phase))
     assert tracer.dropped_spans == 7  # 5 recorded, rest dropped
     # A late phase transition still records despite the full buffer.
     late = tracer.start("phase:two", parent=root)
     assert late in root.children
-    assert tracer.find("phase:two")
     payload = tracer.to_dict()
     assert payload["dropped"] == 7
 
 
+def test_component_spans_are_never_structural():
+    env = Environment()
+    tracer = SpanTracer(env, capacity=1, profiling=True)
+    root = tracer.start("deploy", parent=None)
+    boot = tracer.start("vmm-netboot", parent=root, component="vmm")
+    env.run(until=2.0)
+    tracer.end(boot)
+    # Dropped from the tree, yet its self time still counts.
+    assert root.children == [] and tracer.dropped_spans == 1
+    assert tracer.component_self == {"vmm": 2.0}
+
+
 def test_null_tracer_is_stateless():
-    NULL_TRACER.ambient = object()  # silently ignored
-    assert NULL_TRACER.ambient is None
+    with NULL_TRACER.span("x"):
+        assert NULL_TRACER.current() is None
     span = NULL_TRACER.start("x")
     NULL_TRACER.end(span)
     assert len(NULL_TRACER) == 0
@@ -312,6 +322,37 @@ def test_deploy_records_phase_tree_and_instruments():
     rtt = telemetry.registry.histogram("aoe_request_seconds", op="read")
     assert rtt.count > 0
     assert rtt.summary()["p50"] > 0
+
+
+def test_concurrent_deploys_keep_their_spans_apart():
+    run = deployment_scenario(
+        lambda: OsImage(size_bytes=32 * 2**20,
+                        boot_read_bytes=16 * 2**20),
+        node_count=3, wait=True, telemetry_factory=Telemetry)()
+    tracer = run.telemetry.tracer
+    assert sorted(root.attrs["node"] for root in tracer.roots) == [0, 1, 2]
+    held = 0
+    for root in tracer.roots:
+        machine = run.testbed.nodes[root.attrs["node"]].machine
+        vmm, = [instance.platform for instance in run.cluster.instances
+                if instance.machine is machine]
+        names: dict = {}
+        stack = [root]
+        while stack:
+            span = stack.pop()
+            stack.extend(span.children)
+            names[span.name] = names.get(span.name, 0) + 1
+        # Each deployment's root holds its own VMM's exchanges and
+        # mediated reads, and no other node's.
+        assert names.get("aoe-read") == vmm.initiator.reads_completed > 0
+        assert names.get("mediated-read") \
+            == vmm.mediator.redirected_reads > 0
+        held += sum(names.get(name, 0) for name
+                    in ("aoe-read", "mediated-read", "vmm-request"))
+    # None of them was left outside a deployment.
+    assert held == sum(span.name in ("aoe-read", "mediated-read",
+                                     "vmm-request")
+                       for span in tracer.spans)
 
 
 # -- CLI acceptance ---------------------------------------------------------
