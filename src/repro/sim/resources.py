@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from repro.sim.events import Event, Notifier
+from repro.sim.events import Event
 
 
 class Request(Event):
@@ -53,20 +53,6 @@ class Resource:
         self.capacity = capacity
         self.users: list[Request] = []
         self.queue: list[Request] = []
-        self._contended: Notifier | None = None
-
-    @property
-    def contended(self) -> Notifier:
-        """Notified whenever a request has to queue.
-
-        How a holder that planned a long hold learns it must give the
-        slot up early.  Created on first use, so a resource nobody
-        watches pays nothing.
-        """
-        notifier = self._contended
-        if notifier is None:
-            notifier = self._contended = Notifier(self.env)
-        return notifier
 
     @property
     def count(self) -> int:
@@ -122,8 +108,6 @@ class Resource:
             request.succeed()
         else:
             self.queue.append(request)
-            if self._contended is not None:
-                self._contended.notify()
 
     def _grant_waiters(self) -> None:
         while self.queue and len(self.users) < self.capacity:

@@ -15,9 +15,11 @@ resolved in another order than the loop's (see ``_BulkStream``).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import params
-from repro.net.link import EthernetSwitch
+from repro.net.link import EthernetSwitch, _BulkStream
 from repro.net.nic import Nic
 from repro.sim import Environment
 
@@ -206,9 +208,39 @@ def test_tie_order_deviation_pinned(name):
 
 
 def test_solo_transfer_is_a_handful_of_events():
-    # Eight chunks per side; the loop took 55 events.
+    # Eight chunks per side; the loop took 55 events.  The stream takes
+    # three (the sender's hold, the receiver's wake-up for the first
+    # chunk and its hold); the rest are the harness's: the process's
+    # start and exit, the receive ring's put and the done event.
     _, _, events = run(**SCENARIOS["solo"][0])
-    assert events <= 17
+    assert events == 7
+
+
+def test_port_lock_tells_its_holder_when_a_request_queues():
+    env = Environment()
+    switch = EthernetSwitch(env)
+    for name in "abc":
+        Nic(env, switch, name)
+    switch.start_bulk_transfer("a", "b", None, MB, PER_FRAME, "aoe",
+                               lambda: None)
+    lock = switch._tx_locks["a"]
+    told = []
+
+    def trace(now, event):
+        told.extend(now for callback in event.callbacks
+                    if getattr(callback, "__func__", None)
+                    is _BulkStream._contended)
+
+    env.trace_hook = trace
+
+    def ask():
+        yield env.timeout(2.5e-3)
+        assert lock.holder is not None
+        lock.request()
+
+    env.process(ask())
+    env.run()
+    assert told == [2.5e-3]
 
 
 def test_sequential_transfers_leave_no_subscriptions():
@@ -225,8 +257,82 @@ def test_sequential_transfers_leave_no_subscriptions():
     locks = [switch._tx_locks[name] for name in "ab"] \
         + [switch._rx_locks[name] for name in "ab"]
     for lock in locks:
-        for notifier in (lock.contended, lock.fluid_changed):
-            event = notifier._event if notifier is not None else None
-            assert event is None or not event.callbacks
+        assert lock.holder is None
         assert not lock.users and not lock.queue
         assert lock.rejoining == 0
+    # No split or re-pricing event is left pending either.
+    assert env.peek() == float("inf")
+
+
+class ArrivalTimerStream(_BulkStream):
+    """A bulk stream that plans the last chunk's arrival timer even
+    where the delivery is sure to come later."""
+
+    def _sent(self):
+        self.env.pooled_timeout(self.switch.forward_latency).callbacks.append(
+            self._landed)
+
+
+class ArrivalTimerSwitch(EthernetSwitch):
+    def start_bulk_transfer(self, src, dst, *transfer):
+        self._check_ports(src, dst)
+        ArrivalTimerStream(self, src, dst, *transfer)
+
+
+def arrival_run(switch_class, sectors, rate_bps, latency, frame):
+    """Two bulk streams into b's port, the second starting mid-way
+    through the first, and optionally a frame crossing a's sending or
+    b's receiving port.  Returns every ``done`` and delivery in order,
+    with its instant."""
+    env = Environment()
+    switch = switch_class(env, rate_bps=rate_bps, forward_latency=latency)
+    seen = []
+
+    class RecordingNic(Nic):
+        def deliver(self, frame):
+            seen.append(("arrived:" + frame.payload, env.now))
+            super().deliver(frame)
+
+    for name in "abc":
+        RecordingNic(env, switch, name, rx_ring_size=64)
+    size = sectors * params.SECTOR_BYTES
+    wire_s = size * 8.0 / rate_bps
+
+    def bulk(label, src, start):
+        def go(_timer):
+            switch.start_bulk_transfer(
+                src, "b", label, size, PER_FRAME, "aoe",
+                lambda: seen.append(("done:" + label, env.now)))
+        env.timeout(start).callbacks.append(go)
+
+    bulk("x", "a", 0.0)
+    bulk("y", "c", wire_s / 3)
+    if frame is not None:
+        src, dst, fraction = frame
+
+        def send():
+            yield env.timeout(wire_s * fraction)
+            yield from switch._ports[src].send(dst, "f", FRAME_BYTES)
+            seen.append(("sent:f", env.now))
+
+        env.process(send())
+    env.run()
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(sectors=st.integers(1, 8192),
+       rate_bps=st.sampled_from([params.GBE_BITS_PER_SECOND,
+                                 10 * params.GBE_BITS_PER_SECOND]),
+       latency=st.one_of(st.just(0.0), st.just(params.SWITCH_LATENCY_SECONDS),
+                         st.floats(0.0, 5e-3)),
+       frame=st.one_of(st.none(),
+                       st.tuples(st.sampled_from(["ac", "cb"]),
+                                 st.floats(0.0, 1.5))
+                       .map(lambda pick: (*pick[0], pick[1]))))
+def test_done_waits_on_the_later_of_arrival_and_delivery(sectors, rate_bps,
+                                                          latency, frame):
+    got = arrival_run(EthernetSwitch, sectors, rate_bps, latency, frame)
+    reference = arrival_run(ArrivalTimerSwitch, sectors, rate_bps, latency,
+                            frame)
+    assert got == reference

@@ -25,8 +25,10 @@ against the receive leg as a process (``ReferenceSwitch``), and frame
 trains sent by callbacks against the frame path with every hop
 (``HopSwitch``), and pins the seeds whose instants differ.  Both
 references carry their bulk streams with every hop too (a grant event
-per lock request, and the two done hops), so the fuzz also checks the
-bulk locks taken in place and the done callbacks.
+per lock request, a hop before each re-request, the forwarding-latency
+timer and the two done hops), so the fuzz also checks the bulk locks
+taken and re-requested in place, the arrival timers not planned and
+the done callbacks.
 """
 
 import pytest
@@ -40,7 +42,6 @@ from repro.hw.machine import Machine, MachineSpec
 from repro.net.e1000 import E1000Nic
 from repro.net.link import (BULK_CHUNK_BYTES, EthernetSwitch, LossModel,
                             _BulkStream, _FrameRequest, _PortLock, _Request)
-from repro.net.packet import Frame
 from repro.net.nic import Nic
 from repro.sim import Environment
 from repro.storage import ahci, ide, megaraid
@@ -689,44 +690,46 @@ class HopLock(_PortLock):
         return False
 
 
+class HopStream(_BulkStream):
+    """A bulk stream taking every hop it used to: a zero-delay event
+    before each re-request of a lock, one between the last chunk
+    leaving the sender and the forwarding-latency timer, that timer
+    even where the delivery is sure to come later, and one between the
+    delivery and ``done``."""
+
+    def _hop(self, side, trigger):
+        side.trigger = trigger
+        side.lock.rejoining += 1
+        self._tell(side, self._rejoin)
+
+    def _sent(self):
+        env = self.env
+
+        def crossed(_event):
+            env.pooled_timeout(self.switch.forward_latency).callbacks.append(
+                self._landed)
+
+        env.event().succeed().callbacks.append(crossed)
+
+    def _deliver(self):
+        # ``done`` also waits for the hop after the delivery.
+        self.pending += 1
+        super()._deliver()
+        self.env.event().succeed().callbacks.append(self._landed)
+
+
 class HopBulkSwitch(EthernetSwitch):
     """A switch whose bulk streams take every hop they used to: a grant
-    event per lock request, a zero-delay event between the last chunk
-    leaving the sender and the forwarding-latency timer, and one
-    between the delivery and ``done``."""
+    event per lock request, and the hops of :class:`HopStream`."""
 
     def attach(self, name, nic):
         super().attach(name, nic)
         self._tx_locks[name] = HopLock(self.env, self)
         self._rx_locks[name] = HopLock(self.env, self)
 
-    def start_bulk_transfer(self, src, dst, payload, payload_bytes,
-                            per_frame_payload, protocol, done):
+    def start_bulk_transfer(self, src, dst, *transfer):
         self._check_ports(src, dst)
-        frames, wire_bytes = self._wire(payload_bytes, per_frame_payload)
-        chunks = max(1, -(-payload_bytes // BULK_CHUNK_BYTES))
-        per_chunk = wire_bytes * 8.0 / self.rate_bps / chunks
-        env = self.env
-        tx_done, rx_done = env.event(), env.event()
-
-        def deliver():
-            self._deliver(Frame(src, dst, payload, per_frame_payload,
-                                protocol=protocol), frames, wire_bytes)
-            rx_done.succeed()
-
-        def crossed(_event):
-            env.pooled_timeout(self.forward_latency).callbacks.append(
-                arrived)
-
-        def arrived(_event):
-            if rx_done.callbacks is None:
-                done()
-            else:
-                rx_done.callbacks.append(lambda _event: done())
-
-        tx_done.callbacks.append(crossed)
-        _BulkStream(self, src, dst, chunks, per_chunk, tx_done.succeed,
-                    deliver)
+        HopStream(self, src, dst, *transfer)
 
 
 class ReferenceSwitch(HopBulkSwitch):
@@ -778,15 +781,36 @@ class CountingLock(_PortLock):
         return granted
 
 
+class CountingStream(_BulkStream):
+    """Counts the re-requests made in place (a hop each) and the
+    arrival timers not planned."""
+
+    def _hop(self, side, trigger):
+        self.switch.rejoined += not side.is_tx and self.env.settled
+        super()._hop(side, trigger)
+
+    def _sent(self):
+        super()._sent()
+        # The arrival is counted as come when no timer was planned for
+        # it (the delivery is still to come).
+        self.switch.unplanned += self.pending == 1
+
+
 class CountingSwitch(EthernetSwitch):
     """Counts the hops its frames skipped: sending ports taken in place
     (a grant event each), and receiving ports booked and kept to the
-    delivery (a latency timer and a grant event each); and the grant
-    events its bulk streams skipped."""
+    delivery (a latency timer and a grant event each); and the events
+    its bulk streams skipped: grants taken in place, re-requests made
+    in place and arrival timers not planned."""
 
     def __init__(self, env):
         super().__init__(env)
         self.taken = self.kept = self.bulk_taken = 0
+        self.rejoined = self.unplanned = 0
+
+    def start_bulk_transfer(self, src, dst, *transfer):
+        self._check_ports(src, dst)
+        CountingStream(self, src, dst, *transfer)
 
     def attach(self, name, nic):
         super().attach(name, nic)
@@ -900,11 +924,13 @@ def test_tie_fuzz_matches_reference_receive_leg():
         if got != reference:
             deviating.append(seed)
         # Two events fewer per frame, two more per kept booking; bulk
-        # streams skip one per lock taken in place and their two done
+        # streams skip one per lock taken in place, per re-request made
+        # in place and per arrival timer not planned, and their two done
         # hops.
         frames = sum(len(sizes) for _, _, _, _, sizes in scenario[1])
         assert events == (reference_events - 2 * frames - 2 * switch.kept
-                          - switch.bulk_taken - 2 * len(scenario[2]))
+                          - switch.bulk_taken - switch.rejoined
+                          - switch.unplanned - 2 * len(scenario[2]))
     assert tuple(deviating) == FUZZ_DEVIATIONS
 
 
@@ -924,6 +950,7 @@ def test_tie_fuzz_matches_hop_frame_path():
             deviating.append(seed)
         assert events == (reference_events - switch.taken
                           - 2 * switch.kept - switch.bulk_taken
+                          - switch.rejoined - switch.unplanned
                           - 2 * len(scenario[2]))
     assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
 

@@ -1,0 +1,108 @@
+"""The network's per-block machines leave no reference cycle.
+
+A bulk stream and a frame's port requests and timers are allocated
+once per block or frame, so any of them left in a reference cycle is
+freed only by the cyclic collector, whose collections then scale with
+the image.  Each scenario runs with ``gc.DEBUG_SAVEALL``, which keeps
+everything a collection finds unreachable in ``gc.garbage``; none of
+these objects may be there.  Each scenario returns its switch or
+testbed, kept alive through the final collection: what the simulation
+still holds (frames in receive rings, the timeout pool) is not
+garbage.
+"""
+
+import gc
+
+import pytest
+
+from repro import params
+from repro.cloud import build_testbed
+from repro.cloud.provisioner import Provisioner
+from repro.guest.osimage import OsImage
+from repro.net.link import EthernetSwitch, _BulkStream, _FrameRequest, _Side
+from repro.net.nic import Nic
+from repro.net.packet import Frame
+from repro.sim import Environment, Timeout
+
+MIB = 2**20
+PER_FRAME = 8740
+FRAME_BYTES = 9000
+
+PER_BLOCK = (_BulkStream, _Side, _FrameRequest, Frame, Timeout)
+
+
+def bulk_transfer(switch, src, dst, payload_bytes):
+    done = switch.env.event()
+    switch.start_bulk_transfer(src, dst, None, payload_bytes, PER_FRAME,
+                               "aoe", done.succeed)
+    yield done
+
+
+def switch_with(ports):
+    env = Environment()
+    switch = EthernetSwitch(env)
+    for name in ports:
+        Nic(env, switch, name, rx_ring_size=4096)
+    return env, switch
+
+
+def sequential_transfers():
+    env, switch = switch_with("ab")
+
+    def transfers():
+        for _ in range(1000):
+            yield from bulk_transfer(switch, "a", "b", MIB)
+
+    env.run(until=env.process(transfers()))
+    return switch
+
+
+def contended_streams():
+    # Two streams share b's receiving port, and frames cross both
+    # sending ports and that receiving port while they run.
+    env, switch = switch_with("abcd")
+
+    def later(start, body):
+        yield env.timeout(start)
+        yield from body
+
+    env.process(bulk_transfer(switch, "a", "b", MIB))
+    env.process(later(0.4e-3, bulk_transfer(switch, "c", "b", MIB)))
+    nics = switch._ports
+    for index, (src, dst) in enumerate(["ad", "db", "cd", "db"]):
+        env.process(later(1e-3 + index * 0.7e-3,
+                          nics[src].send(dst, index, FRAME_BYTES)))
+    env.run()
+    return switch
+
+
+def ahci_deploy():
+    image = OsImage(size_bytes=64 * MIB, seed=20150314,
+                    boot_read_bytes=8 * MIB, boot_think_seconds=1.0)
+    testbed = build_testbed(node_count=1, disk_controller="ahci",
+                            mtu=params.GBE_MTU, image=image)
+    env = testbed.env
+    provisioner = Provisioner(testbed)
+    deployed = env.process(provisioner.deploy("bmcast", skip_firmware=True))
+    instance = env.run(until=deployed)
+    env.run(until=instance.platform.copier.done)
+    assert instance.platform.copier.blocks_filled > 0
+    return testbed
+
+
+@pytest.mark.parametrize("scenario", [sequential_transfers,
+                                      contended_streams, ahci_deploy])
+def test_no_per_block_object_left_in_a_cycle(scenario):
+    gc.collect()
+    del gc.garbage[:]
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        alive = scenario()
+        gc.collect()
+        cyclic = [type(obj).__name__ for obj in gc.garbage
+                  if isinstance(obj, PER_BLOCK)]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+    assert alive is not None
+    assert cyclic == []

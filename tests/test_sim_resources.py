@@ -65,17 +65,6 @@ def test_resource_fifo_queueing():
     assert order == list("abcd")
 
 
-def test_resource_contended_fires_when_a_request_queues():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    resource.request()
-    seen = []
-    resource.contended.subscribe(lambda event: seen.append(env.now))
-    resource.request()
-    env.run()
-    assert seen == [0.0]
-
-
 def test_notifier_unsubscribe_leaves_nothing_to_schedule():
     env = Environment()
     notifier = Notifier(env)
