@@ -42,8 +42,11 @@ class AoeCommand:
     #: For writes: the data runs being sent (carried across fragments;
     #: the model attaches them to the logical command).
     payload_runs: tuple = ()
-    #: Bulk transfers use the switch's aggregate path (same wire time,
-    #: fewer simulation events) — used by the background copier.
+    #: Bulk transfers use the switch's aggregate path — used by the
+    #: background copier.  Far fewer simulation events, and the same
+    #: wire bytes, but not the fragment train's latency: the server's
+    #: per-frame CPU time is paid up front and the payload crosses the
+    #: receiver on a 128 KiB chunk grid (see ``AoeInitiator.read_blocks``).
     bulk: bool = False
     #: Fluid transfers price the data leg analytically (max-min fair
     #: flow model, no per-chunk events); only valid with ``bulk`` and

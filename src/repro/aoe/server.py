@@ -181,8 +181,8 @@ class AoeServer:
 
 class _Serve:
     """One AoE command served by callbacks: a worker, the store, the
-    reply (a bulk stream or a train of fragments, each after its
-    per-frame CPU time), then the worker back.
+    reply (a bulk stream, or a train of fragments each after its
+    per-frame CPU time: ``Nic.start_train``), then the worker back.
 
     Started in the step that delivers the command, with no zero-delay
     hop: a free worker is taken in place (``Resource.acquire``),
@@ -191,7 +191,7 @@ class _Serve:
     """
 
     __slots__ = ("server", "command", "reply_to", "arrived", "started",
-                 "grant", "span", "fragments", "index")
+                 "grant", "span")
 
     def __init__(self, server: AoeServer, command: AoeCommand,
                  reply_to: str):
@@ -206,8 +206,6 @@ class _Serve:
         self.span = tracer.start(
             f"serve-{command.op}", None, component=server.COMPONENT,
             lane=f"aoe-serve-{command.tag}") if tracer.profiling else None
-        self.fragments = None
-        self.index = 0
         grant = self.grant = Request(server.workers, queue=False)
         if server.workers.acquire(grant):
             self._granted(None)
@@ -237,33 +235,22 @@ class _Serve:
         if command.bulk:
             self._send_bulk(runs)
             return
-        self.fragments = split_read_reply(command.tag, command.lba, runs,
-                                          server.mtu)
-        self._next_fragment()
+        fragments = split_read_reply(command.tag, command.lba, runs,
+                                     server.mtu)
+        server.nic.start_train(
+            self.reply_to, fragments,
+            [fragment.payload_bytes for fragment in fragments],
+            server.PROTOCOL, server.PER_FRAME_CPU_SECONDS,
+            self._fragments_sent, self._read_sent, self.span)
 
-    def _next_fragment(self) -> None:
-        if self.index == len(self.fragments):
-            self.server._read_served()
-            self.finish()
-            return
+    def _fragments_sent(self, count: int) -> None:
         server = self.server
-        server.env.pooled_timeout(
-            server.PER_FRAME_CPU_SECONDS).callbacks.append(
-                self._send_fragment)
+        server.fragments_sent += count
+        server._m_fragments.inc(count)
 
-    def _send_fragment(self, _timer) -> None:
-        server = self.server
-        fragment = self.fragments[self.index]
-        server.nic.start_send(self.reply_to, fragment,
-                              fragment.payload_bytes, server.PROTOCOL,
-                              self._fragment_sent, self.span)
-
-    def _fragment_sent(self, _delivered) -> None:
-        server = self.server
-        server.fragments_sent += 1
-        server._m_fragments.inc()
-        self.index += 1
-        self._next_fragment()
+    def _read_sent(self) -> None:
+        self.server._read_served()
+        self.finish()
 
     def _send_bulk(self, runs: list) -> None:
         """Aggregate path: one logical fragment, full wire time."""
@@ -292,11 +279,8 @@ class _Serve:
             frames * server.PER_FRAME_CPU_SECONDS).callbacks.append(send)
 
     def _bulk_sent(self) -> None:
-        server = self.server
-        server.fragments_sent += 1
-        server._m_fragments.inc()
-        server._read_served()
-        self.finish()
+        self._fragments_sent(1)
+        self._read_sent()
 
     # -- write --------------------------------------------------------------
 

@@ -84,6 +84,7 @@ class FlowNetwork:
         self._tx_count: dict[str, int] = {}
         self._rx_count: dict[str, int] = {}
         self._last_settle = env.now
+        self._on_complete = self._complete  # bound once
         # Metrics.
         self.flows_started = 0
         self.flows_completed = 0
@@ -186,9 +187,7 @@ class FlowNetwork:
             delay = 0.0
             if flow.remaining_bytes > 0.0:
                 delay = flow.remaining_bytes * 8.0 / flow.rate_bps
-            timer = env.timeout(delay)
-            timer.callbacks.append(self._completion_of(flow))
-            flow.timer = timer
+            self._arm(flow, delay)
 
     def _solve_rates(self) -> None:
         """Water-filling: assign each flow its max-min fair rate.
@@ -231,32 +230,36 @@ class FlowNetwork:
                     residual[(flow.src, 0)] -= share
                     residual[(flow.dst, 1)] -= share
 
-    def _completion_of(self, flow: Flow):
-        def complete(event) -> None:
-            if flow.timer is not event:
-                return  # stale timer that escaped cancellation
-            flow.timer = None
-            self._settle()
-            if flow.remaining_bytes > 0.5:
-                # Packet cross-traffic charged debt since this timer
-                # was priced (note_packet_bytes) — push completion out
-                # by the debt instead of finishing early.
-                timer = self.env.timeout(
-                    flow.remaining_bytes * 8.0 / flow.rate_bps)
-                timer.callbacks.append(complete)
-                flow.timer = timer
-                return
-            flow.remaining_bytes = 0.0
-            self._flows.remove(flow)
-            self._tx_count[flow.src] -= 1
-            self._rx_count[flow.dst] -= 1
-            self.flows_completed += 1
-            self._m_active.set(len(self._flows))
-            if self._on_change is not None:
-                self._on_change(flow.src, flow.dst)
-            flow.done.succeed()
-            self._resolve()
-        return complete
+    def _complete(self, timer) -> None:
+        """A flow's completion timer fired (the timer's value is the
+        flow): finish it, or push it out by the debt packet frames
+        charged meanwhile."""
+        flow = timer._value
+        if flow.timer is not timer:
+            return  # stale timer that escaped cancellation
+        flow.timer = None
+        self._settle()
+        if flow.remaining_bytes > 0.5:
+            # Packet cross-traffic charged debt since this timer
+            # was priced (note_packet_bytes) — push completion out
+            # by the debt instead of finishing early.
+            self._arm(flow, flow.remaining_bytes * 8.0 / flow.rate_bps)
+            return
+        flow.remaining_bytes = 0.0
+        self._flows.remove(flow)
+        self._tx_count[flow.src] -= 1
+        self._rx_count[flow.dst] -= 1
+        self.flows_completed += 1
+        self._m_active.set(len(self._flows))
+        if self._on_change is not None:
+            self._on_change(flow.src, flow.dst)
+        flow.done.succeed()
+        self._resolve()
+
+    def _arm(self, flow: Flow, delay: float) -> None:
+        """Schedule ``flow``'s completion ``delay`` from now."""
+        timer = flow.timer = self.env.timeout(delay, flow)
+        timer.callbacks.append(self._on_complete)
 
 
 class FluidState:

@@ -138,13 +138,13 @@ class EthernetSwitch:
         """
         self._check_frame(frame)
         lock = self._tx_locks[frame.src]
-        if self._flow_network is None and self.env.settled:
-            request = lock.take(
-                _FrameRequest(lock, frame, done, queue=False))
-            if request is not None:
+        request = _FrameRequest(lock, frame, done, queue=False)
+        if self._flow_network is None:
+            if lock.acquire(request):
                 self._tx_granted(request)
                 return
-        request = _FrameRequest(lock, frame, done)
+        else:
+            lock._do_request(request)
         request.callbacks.append(self._on_tx_granted)
 
     def _tx_granted(self, request: "_FrameRequest") -> None:
@@ -228,7 +228,11 @@ class EthernetSwitch:
         if lock.booking is request:
             lock.booking = None
         lock.release(request)
-        frame = request.frame
+        self._arrive(request.frame)
+
+    def _arrive(self, frame: Frame) -> None:
+        """``frame`` has crossed its receiving port: count it and hand
+        it to the port's NIC."""
         wire_bytes = frame.wire_bytes
         if self._flow_network is not None:
             self._charge_fluid(frame.dst, False, wire_bytes)
@@ -415,10 +419,13 @@ class _PortLock(Resource):
     nothing more than a plain :class:`Resource`.
     """
 
-    #: The bulk stream one of whose sides holds this lock.  A request
-    #: queueing behind it, or a fluid flow starting or ending on the
-    #: link, reaches that side through it (``_BulkStream._queued``,
-    #: ``_BulkStream._fluid_changed``).
+    #: The bulk stream one of whose sides holds this lock, or the frame
+    #: train planned across it.  A request queueing behind a bulk
+    #: stream, or a fluid flow starting or ending on the link, reaches
+    #: that side through it (``_BulkStream._queued``,
+    #: ``_BulkStream._fluid_changed``).  A train holds the lock with no
+    #: request in ``users``; anyone asking for it, or taking it, makes
+    #: the train hand it over first (``_FrameTrain._hand_over``).
     holder = None
     #: Bulk sides that gave the lock up at this instant and ask for it
     #: again after a zero-delay hop.  A side granted the lock meanwhile
@@ -432,7 +439,24 @@ class _PortLock(Resource):
         super().__init__(env, capacity=1)
         self.switch = switch
 
+    def take(self, request: Request | None = None) -> Request | None:
+        self._unplan()
+        return super().take(request)
+
+    def acquire(self, request: Request) -> bool:
+        # Handed over first, the train's timers due now count as due
+        # (``Environment.settled``), as the loop's were.
+        self._unplan()
+        return super().acquire(request)
+
+    def _unplan(self) -> None:
+        """Make a frame train planned across this lock hand it over."""
+        holder = self.holder
+        if holder is not None and not self.users:
+            holder._hand_over()
+
     def _do_request(self, request: Request) -> None:
+        self._unplan()
         booking = self.booking
         if booking is not None:
             self.booking = None
@@ -607,9 +631,12 @@ class _BulkStream:
         wake its receiver, which the hop orders first.
         """
         side.trigger = trigger
-        if not side.is_tx and self.env.settled:
-            self._ask(side)
-            return
+        if not side.is_tx:
+            # A frame train's timers due now count as due.
+            side.lock._unplan()
+            if self.env.settled:
+                self._ask(side)
+                return
         side.lock.rejoining += 1
         self._tell(side, self._rejoin)
 

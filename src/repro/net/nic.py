@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.net.link import EthernetSwitch
 from repro.net.packet import Frame
+from repro.net.train import _FrameTrain
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment, Store
 
@@ -68,7 +69,7 @@ class Nic:
         switch = self.switch
         with self.telemetry.tracer.track("nic", "tx"):
             delivered = yield from switch.transmit(frame)
-        self._count_tx(frame)
+        self._count_tx(frame.wire_bytes)
         return delivered
 
     def start_send(self, dst: str, payload, payload_bytes: int,
@@ -84,14 +85,37 @@ class Nic:
         def sent(delivered):
             if span is not None:
                 tracer.end(span)
-            self._count_tx(frame)
+            self._count_tx(frame.wire_bytes)
             done(delivered)
 
         self.switch.start_transmit(frame, sent)
 
-    def _count_tx(self, frame: Frame) -> None:
-        wire_bytes = frame.wire_bytes
-        self.tx_frames += 1
+    def start_train(self, dst: str, payloads: list, sizes: list,
+                    protocol: str, gap: float, sent, done,
+                    parent=None) -> None:
+        """Send ``payloads`` (of ``sizes`` payload bytes) to ``dst`` one
+        frame each, every frame after ``gap`` seconds of CPU time: an
+        AoE read reply.
+
+        Equivalent to a loop that waits ``gap``, sends a frame with
+        :meth:`start_send` and waits for it to leave before the next
+        gap: each frame reaches ``dst`` where the loop's would, and
+        this NIC's transmit counters and ``nic:tx`` spans (under
+        ``parent``, profiling only) are kept as that loop keeps them.
+        ``sent(n)`` counts ``n`` more frames gone from the sender;
+        ``done()`` runs once the last one has left.  See
+        ``repro.net.train._FrameTrain`` for how the frames are run.
+        """
+        switch = self.switch
+        switch._check_ports(self.name, dst)
+        if max(sizes) > switch.mtu:
+            raise ValueError(
+                f"frame payload {max(sizes)} exceeds MTU {switch.mtu}")
+        _FrameTrain(switch, self, dst, payloads, sizes, protocol, gap, sent,
+                    done, parent)
+
+    def _count_tx(self, wire_bytes: int, frames: int = 1) -> None:
+        self.tx_frames += frames
         self.tx_bytes += wire_bytes
         self._m_tx_bytes.inc(wire_bytes)
 

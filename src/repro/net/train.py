@@ -1,0 +1,350 @@
+"""Frame trains: an AoE read reply's frames run as one callback machine.
+
+A reply of ``N`` fragments sent the way any frame is sent (a CPU gap,
+``EthernetSwitch.start_transmit``, the next gap once the frame has
+left) costs ``5N - 2`` events.  :class:`_FrameTrain` plans the same
+frames with the same float additions, holds both ports while nobody
+else wants them, and costs ``N + 1`` events; it hands the rest of the
+reply to that per-frame path as soon as anybody else asks for either
+port.  ``Nic.start_train`` starts one.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+
+from repro import params
+from repro.net.link import EthernetSwitch, _FrameRequest, _PortLock
+from repro.net.packet import Frame
+
+
+class _FrameTrain:
+    """One reply's frames from a sender port to a receiver port, run by
+    callbacks.
+
+    The reference is the per-frame loop: a ``gap`` timer (the sender's
+    CPU time), then the frame sent by ``start_transmit`` (the sending
+    port for one serialization time, the forwarding latency, the
+    receiving port for one serialization time, then delivery), the next
+    gap starting once the frame has left the sender.  An ``N``-frame
+    reply costs that loop ``5N - 2`` events: per frame a gap timer, a
+    sending hold, an arrival, a grant and a delivery (the first frame
+    books its receiving port and has neither of the middle two).
+
+    A reply starts *planned* when both ports are free (nobody holds,
+    has booked or is about to take back either), the switch draws no
+    loss and no fluid flow network exists.  It then plans every
+    frame's instants by the loop's own float additions, up front: gap
+    end ``c[k]`` (``e[k-1] + gap``), send end ``e[k] = c[k] + ser``,
+    arrival ``a[k] = e[k] + latency`` and delivery ``d[k]``, which is
+    ``a[k] + ser`` when the receiving port is free on arrival and
+    ``d[k-1] + ser`` when the frame queues behind its predecessor.  It
+    holds both locks as their ``holder`` with no request in ``users``
+    and schedules one event per frame, its delivery (chained: each
+    delivery schedules the next), plus one at the last frame's send
+    end, where ``done`` runs.  ``N + 1`` events in all.  Frames are
+    counted (``sent``, the NIC's transmit counters and ``nic:tx``
+    spans at their planned instants) there, or at a hand-over.
+
+    Anyone asking for or taking either lock, and a fluid flow starting
+    or ending on either link, makes the train hand over
+    (:meth:`_hand_over`): it builds the loop's state at that instant,
+    as the loop would hold it, and runs the rest of the reply as the
+    loop (*stepped*).  Inside a gap the sending port is free and the
+    gap's timer is pending; inside a frame the port is held by that
+    frame's request until its send-end timer, so the asker gets in
+    there.  On the receiving side each frame that has left the sender
+    is, by its planned instants, booked (its cancelled arrival still
+    revivable), on its way (arrival timer pending), queued, or
+    crossing the port (the delivery event becomes the loop's delivery
+    timer).
+
+    A planned instant equal to the hand-over instant counts as passed
+    when the loop would have processed its event first: when that
+    event was scheduled no later than the current one (a timer's
+    ``_delay`` tells how long ago it was scheduled).  Within one
+    scheduling instant the loop's order is not known here.  The
+    loop's event is taken to come second: the loop's previous event
+    scheduled it, itself at most a frame time earlier, while what
+    else was scheduled then was mostly planned longer ago.  A plan in which two of the
+    train's own events tie (a frame's send end or arrival on its
+    predecessor's delivery, the last send end on a delivery) is not
+    started planned: the loop's order there would depend on when each
+    was scheduled.
+
+    The delivery events are scheduled when the previous one fires, and
+    the last send end at the train's last event before the last gap
+    ends, rather than where the loop scheduled its timers.  So against
+    other events due at the very same instant they can keep another
+    order than the loop's timers did.  A train's fields are its own and its timers are
+    dropped once fired or cancelled, so a finished train holds no
+    reference cycle.
+    """
+
+    __slots__ = ("env", "switch", "nic", "dst", "payloads", "sizes",
+                 "protocol", "gap", "on_sent", "done", "parent",
+                 "tx_lock", "rx_lock", "planned", "began", "ends",
+                 "deliveries", "booked", "finish_after", "sent",
+                 "delivered", "timer", "finish", "frame", "span")
+
+    def __init__(self, switch: EthernetSwitch, nic, dst: str,
+                 payloads: list, sizes: list, protocol: str, gap: float,
+                 sent, done, parent):
+        env = self.env = switch.env
+        self.switch = switch
+        self.nic = nic
+        self.dst = dst
+        self.payloads = payloads
+        self.sizes = sizes
+        self.protocol = protocol
+        self.gap = gap
+        self.on_sent = sent
+        self.done = done
+        self.parent = parent
+        tx = self.tx_lock = switch._tx_locks[nic.name]
+        rx = self.rx_lock = switch._rx_locks[dst]
+        #: Frames gone from the sender (and counted), and delivered.
+        self.sent = 0
+        self.delivered = 0
+        #: The pending delivery event, and the last frame's send end.
+        self.timer = None
+        self.finish = None
+        #: The frame on the sending port, and its span (stepped).
+        self.frame = None
+        self.span = None
+        self.began = env.now
+        self.planned = (switch._flow_network is None
+                        and switch.loss.loss_probability == 0.0
+                        and _free(tx) and _free(rx) and self._plan())
+        if self.planned:
+            tx.holder = rx.holder = self
+            timer = self.timer = env.timeout_at(self.deliveries[0])
+            timer.callbacks.append(self._delivery)
+            if not self.finish_after:
+                self._plan_finish()
+        else:
+            self._step()
+
+    # -- the plan -----------------------------------------------------------
+
+    def _plan(self) -> bool:
+        """Plan every frame's send end and delivery, and after which
+        delivery the last send end is scheduled; False on a tie between
+        two of the train's own events."""
+        latency = self.switch.forward_latency
+        rate = self.switch.rate_bps
+        gap = self.gap
+        end = self.began
+        last = None
+        ends = self.ends = []
+        deliveries = self.deliveries = []
+        booked = self.booked = []
+        for size in self.sizes:
+            ser = (size + params.ETH_FRAME_OVERHEAD) * 8.0 / rate
+            end = end + gap + ser
+            arrival = end + latency
+            if last is None or last < end:
+                # The receiving port is free when the frame leaves the
+                # sender: booked from its arrival to its delivery.
+                booked.append(True)
+                last = arrival + ser
+            elif last == end or last == arrival:
+                return False
+            else:
+                booked.append(False)
+                last = (arrival if last < arrival else last) + ser
+            ends.append(end)
+            deliveries.append(last)
+        if end in deliveries:
+            return False
+        # The loop schedules the last send end where the last gap ends;
+        # the train does at its last event before that: after this
+        # many deliveries (none: at its start).
+        self.finish_after = bisect_left(deliveries,
+                                        self._start(len(ends) - 1))
+        return True
+
+    def _start(self, k: int) -> float:
+        """The instant frame ``k``'s gap ends."""
+        return (self.ends[k - 1] if k else self.began) + self.gap
+
+    def _past(self, at: float, delay: float) -> bool:
+        """Whether the loop's event due at ``at``, scheduled ``delay``
+        before it, was processed before the current event: it is due
+        earlier, or due now and was scheduled before the current one."""
+        env = self.env
+        now = env.now
+        if at != now:
+            return at < now
+        current = env.current_event
+        return current is not None and \
+            delay > getattr(current, "_delay", 0.0)
+
+    def _passed(self) -> int:
+        """How many frames have left the sender by now (the last one
+        leaves with the finish event)."""
+        k = self.sent
+        last = len(self.sizes) - 1
+        rate = self.switch.rate_bps
+        while k < last and self._past(
+                self.ends[k],
+                (self.sizes[k] + params.ETH_FRAME_OVERHEAD) * 8.0 / rate):
+            k += 1
+        return k
+
+    def _count(self, upto: int) -> None:
+        """Count frames up to ``upto`` as gone from the sender, their
+        ``nic:tx`` spans at their planned instants."""
+        k = self.sent
+        if upto == k:
+            return
+        nic = self.nic
+        tracer = nic.telemetry.tracer
+        if tracer.profiling:
+            for index in range(k, upto):
+                tracer.end(tracer.start("tx", self.parent, component="nic",
+                                        at=self._start(index)),
+                           at=self.ends[index])
+        count = upto - k
+        nic._count_tx(sum(self.sizes[k:upto])
+                      + count * params.ETH_FRAME_OVERHEAD, count)
+        self.sent = upto
+        self.on_sent(count)
+
+    def _frame(self, k: int) -> Frame:
+        return Frame(self.nic.name, self.dst, self.payloads[k],
+                     self.sizes[k], self.protocol)
+
+    # -- planned ------------------------------------------------------------
+
+    def _plan_finish(self) -> None:
+        finish = self.finish = self.env.timeout_at(self.ends[-1])
+        finish.callbacks.append(self._finished)
+
+    def _delivery(self, _timer) -> None:
+        self.timer = None
+        k = self.delivered + 1
+        self.delivered = k
+        last = k == len(self.sizes)
+        if last:
+            self.rx_lock.holder = None
+        self.switch._arrive(self._frame(k - 1))
+        if self.planned and not last:
+            timer = self.timer = self.env.timeout_at(self.deliveries[k])
+            timer.callbacks.append(self._delivery)
+            if k == self.finish_after:
+                self._plan_finish()
+
+    def _finished(self, _timer) -> None:
+        self.finish = None
+        self.tx_lock.holder = None
+        self._count(len(self.sizes))
+        self.done()
+
+    # -- hand-over ------------------------------------------------------------
+
+    def _fluid_changed(self, _lock) -> None:
+        self._hand_over()
+
+    def _hand_over(self) -> None:
+        """Build the per-frame loop's state now and step from here on."""
+        self.planned = False
+        env = self.env
+        switch = self.switch
+        tx, rx = self.tx_lock, self.rx_lock
+        for lock in (tx, rx):
+            if lock.holder is self:
+                lock.holder = None
+        self._count(self._passed())
+        k = self.sent
+        timer, finish = self.timer, self.finish
+        self.timer = self.finish = None
+        # The sending side: frame k in its gap, or on the port.
+        if k < len(self.sizes):
+            start = self._start(k)
+            if self._past(start, self.gap):
+                frame = self.frame = self._frame(k)
+                tracer = self.nic.telemetry.tracer
+                if tracer.profiling:
+                    self.span = tracer.start("tx", self.parent,
+                                             component="nic", at=start)
+                request = _FrameRequest(tx, frame, self._frame_sent,
+                                        queue=False)
+                tx.users.append(request)
+                if k < len(self.sizes) - 1:
+                    self._cancel(finish)
+                    finish = None
+                self._retime(finish, self.ends[k], request,
+                             switch._on_tx_sent)
+            else:
+                self._cancel(finish)
+                env.timeout_at(start).callbacks.append(self._send)
+        # The receiving side: every frame that has left the sender.
+        for j in range(self.delivered, k):
+            frame = self._frame(j)
+            arrival = self.ends[j] + switch.forward_latency
+            arrived = self._past(arrival, switch.forward_latency)
+            if j == self.delivered and (arrived or self.booked[j]):
+                request = _FrameRequest(rx, frame, queue=False)
+                rx.users.append(request)
+                done = self._retime(timer, self.deliveries[j], request,
+                                    switch._on_rx_done)
+                timer = None
+                if not arrived:
+                    held = env.timeout_at(arrival, frame)
+                    env.cancel(held)
+                    request.arrival = held
+                    request.done = done
+                    rx.booking = request
+            elif arrived:
+                request = _FrameRequest(rx, frame, queue=False)
+                request.callbacks.append(switch._on_rx_granted)
+                rx.queue.append(request)
+            else:
+                env.timeout_at(arrival, frame).callbacks.append(
+                    switch._on_rx_arrived)
+        self._cancel(timer)
+
+    def _cancel(self, timer) -> None:
+        if timer is not None:
+            self.env.cancel(timer)
+
+    def _retime(self, timer, at: float, value, callback):
+        """Turn one of the train's pending events, due at ``at``, into
+        the loop's timer there (made if there is none)."""
+        if timer is None:
+            timer = self.env.timeout_at(at)
+        timer._value = value
+        timer.callbacks[:] = [callback]
+        return timer
+
+    # -- stepped --------------------------------------------------------------
+
+    def _step(self) -> None:
+        if self.sent == len(self.sizes):
+            self.done()
+            return
+        self.env.pooled_timeout(self.gap).callbacks.append(self._send)
+
+    def _send(self, _timer) -> None:
+        frame = self.frame = self._frame(self.sent)
+        tracer = self.nic.telemetry.tracer
+        self.span = tracer.start("tx", self.parent, component="nic") \
+            if tracer.profiling else None
+        self.switch.start_transmit(frame, self._frame_sent)
+
+    def _frame_sent(self, _delivered) -> None:
+        span = self.span
+        if span is not None:
+            self.span = None
+            self.nic.telemetry.tracer.end(span)
+        self.nic._count_tx(self.frame.wire_bytes)
+        self.frame = None
+        self.sent += 1
+        self.on_sent(1)
+        self._step()
+
+
+def _free(lock: _PortLock) -> bool:
+    """Nobody holds, has booked or is about to take back ``lock``."""
+    return not lock.users and lock.holder is None and not lock.rejoining

@@ -147,9 +147,11 @@ class SpanTracer:
     # -- recording ---------------------------------------------------------------
 
     def start(self, name: str, parent=AMBIENT, component: str | None = None,
-              lane: str | None = None, **attrs) -> Span:
-        """Open a span now under ``parent`` (default: the innermost span
-        open on the active process's stack).
+              lane: str | None = None, at: float | None = None,
+              **attrs) -> Span:
+        """Open a span now (or at the past instant ``at``) under
+        ``parent`` (default: the innermost span open on the active
+        process's stack).
 
         With ``component`` (while profiling) the span attributes self
         time; its trace lane is ``lane``, else its parent's, else the
@@ -163,7 +165,8 @@ class SpanTracer:
             lane = parent.lane if parent is not None else None
             if lane is None:
                 lane = self._process_label()
-        span = Span(name, self.env.now, parent, attrs, component, lane)
+        span = Span(name, self.env.now if at is None else at, parent, attrs,
+                    component, lane)
         structural = component is None and (
             parent is None
             or (parent.parent is None and parent.component is None))
@@ -177,10 +180,11 @@ class SpanTracer:
             self.roots.append(span)
         return span
 
-    def end(self, span: Span, **attrs) -> Span:
-        """Close a span now (idempotent; late attrs are merged in)."""
+    def end(self, span: Span, at: float | None = None, **attrs) -> Span:
+        """Close a span now, or at the past instant ``at`` (idempotent;
+        late attrs are merged in)."""
         if span.end is None:
-            end = span.end = self.env.now
+            end = span.end = self.env.now if at is None else at
             if span.component is not None:
                 self._attribute(span, end - span.start)
         if attrs:
@@ -303,10 +307,10 @@ class NullSpanTracer:
     folded: dict = {}
 
     def start(self, name: str, parent=AMBIENT, component=None, lane=None,
-              **attrs) -> Span:
+              at=None, **attrs) -> Span:
         return _NULL_SPAN
 
-    def end(self, span: Span, **attrs) -> Span:
+    def end(self, span: Span, at=None, **attrs) -> Span:
         return span
 
     def span(self, name: str, parent=AMBIENT, component=None, **attrs):

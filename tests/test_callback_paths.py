@@ -29,6 +29,13 @@ per lock request, a hop before each re-request, the forwarding-latency
 timer and the two done hops), so the fuzz also checks the bulk locks
 taken and re-requested in place, the arrival timers not planned and
 the done callbacks.
+
+An AoE read reply runs as a frame train (``repro.net.train``).  The
+train fuzz runs it against the per-fragment loop it replaced
+(:func:`loop_train`) with frames, bulk streams, other trains and fluid
+flows asking for its ports on its own instants and between them, and
+pins the seeds whose instants differ (``TRAIN_FUZZ_DEVIATIONS``, each
+with its reason).
 """
 
 import pytest
@@ -43,6 +50,7 @@ from repro.net.e1000 import E1000Nic
 from repro.net.link import (BULK_CHUNK_BYTES, EthernetSwitch, LossModel,
                             _BulkStream, _FrameRequest, _PortLock, _Request)
 from repro.net.nic import Nic
+from repro.net.train import _FrameTrain
 from repro.sim import Environment
 from repro.storage import ahci, ide, megaraid
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
@@ -392,10 +400,14 @@ def frames_meet_bulk_at_boundary():
 
 
 class DropFirstFragment(LossModel):
-    """Drops the first AoE data fragment put on the wire."""
+    """Drops the first AoE data fragment put on the wire.
+
+    It declares a loss probability, as any lossy model does, so replies
+    take the per-frame path, which asks it about every frame.
+    """
 
     def __init__(self):
-        super().__init__(0.0)
+        super().__init__(0.5)
         self.armed = True
 
     def drops(self, frame):
@@ -953,6 +965,408 @@ def test_tie_fuzz_matches_hop_frame_path():
                           - switch.rejoined - switch.unplanned
                           - 2 * len(scenario[2]))
     assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
+
+
+# -- frame trains -------------------------------------------------------------
+
+
+def loop_train(nic, dst, payloads, sizes, protocol, gap, sent, done,
+               parent=None):
+    """A reply run as the per-fragment loop it used to be: a gap timer,
+    the frame sent by ``Nic.start_send``, and the next gap once the
+    frame has left the sender."""
+    env = nic.env
+
+    def next_fragment(index):
+        if index == len(payloads):
+            done()
+            return
+        env.pooled_timeout(gap).callbacks.append(
+            lambda _timer: nic.start_send(
+                dst, payloads[index], sizes[index], protocol,
+                lambda _delivered: fragment_sent(index), parent))
+
+    def fragment_sent(index):
+        sent(1)
+        next_fragment(index + 1)
+
+    next_fragment(0)
+
+
+class WatchedTrain(_FrameTrain):
+    """Records where each train was when it handed over: its sending
+    side in a gap or on a frame, on one of its own instants or between
+    them, and the state each frame past the sender took on the
+    receiving side."""
+
+    def _hand_over(self):
+        k = self._passed()
+        phase = "done"
+        if k < len(self.sizes):
+            phase = "frame" if self._past(self._start(k), self.gap) \
+                else "gap"
+        latency = self.switch.forward_latency
+        planned = [self._start(j) for j in range(len(self.sizes))] \
+            + self.ends + self.deliveries \
+            + [end + latency for end in self.ends]
+        tie = "tie" if self.env.now in planned else "inside"
+        self.switch.hand_overs.append((phase, tie))
+        for j in range(self.delivered, k):
+            arrived = self._past(self.ends[j] + latency, latency)
+            if j == self.delivered and (arrived or self.booked[j]):
+                state = "crossing" if arrived else "booked"
+            else:
+                state = "queued" if arrived else "flying"
+            self.switch.rx_states.add(state)
+        super()._hand_over()
+
+
+class WatchedSwitch(EthernetSwitch):
+    """Runs replies as :class:`WatchedTrain`: counts those started
+    planned, and records their hand-overs."""
+
+    def __init__(self, env, **kwargs):
+        super().__init__(env, **kwargs)
+        self.planned = 0
+        self.hand_overs = []
+        self.rx_states = set()
+
+    def start_train(self, nic, *reply):
+        train = WatchedTrain(self, nic, *reply, None)
+        self.planned += train.planned
+
+
+class LoopTrainSwitch(EthernetSwitch):
+    """Runs replies as the per-fragment loop (:func:`loop_train`)."""
+
+    @staticmethod
+    def start_train(nic, *reply):
+        loop_train(nic, *reply)
+
+
+GAP = AoeServer.PER_FRAME_CPU_SECONDS
+LATENCY = params.SWITCH_LATENCY_SECONDS
+
+
+def ser(size):
+    return (size + params.ETH_FRAME_OVERHEAD) * 8.0 \
+        / params.GBE_BITS_PER_SECOND
+
+
+def landing(target, *steps):
+    """An instant from which adding ``steps`` in turn, as the simulator
+    does, lands exactly on ``target`` (None before 0)."""
+    import math
+    start = target - sum(steps)
+    for _ in range(16):
+        at = start
+        for step in steps:
+            at = at + step
+        if at == target:
+            break
+        start = math.nextafter(start, math.inf if at < target else -math.inf)
+    return start if start >= 0.0 else None
+
+
+def train_run(switch_class, trains, ops=(), loss=None):
+    """Trains ``(label, src, dst, start, sizes)`` sent by the switch
+    class's ``start_train`` (a frame train or the loop) and contenders ``(kind, label, src, dst, start,
+    size)`` of kind ``frame``, ``bulk`` or ``fluid``, each started at
+    its instant by a timer.  Returns the observable instants and
+    counters, the event count and the switch."""
+    env = Environment()
+    switch = switch_class(env, loss=loss) if loss else switch_class(env)
+    instants = {}
+
+    class RecordingNic(Nic):
+        def deliver(self, frame):
+            instants["arrived:" + str(frame.payload)] = env.now
+            super().deliver(frame)
+
+    nics = {name: RecordingNic(env, switch, name, rx_ring_size=4096)
+            for name in "scxy"}
+    sent = {}
+
+    def record(label):
+        def done(_delivered=None):
+            instants["sent:" + label] = env.now
+        return done
+
+    def train(label, src, dst, start, sizes):
+        def counted(count):
+            sent[label] = sent.get(label, 0) + count
+
+        def go(_timer):
+            switch.start_train(
+                nics[src], dst, [f"{label}.{k}" for k in range(len(sizes))],
+                sizes, "aoe", GAP, counted, record(label))
+        env.timeout_at(start).callbacks.append(go)
+
+    def op(kind, label, src, dst, start, size):
+        def go(_timer):
+            if kind == "frame":
+                nics[src].start_send(dst, label, size, "aoe", record(label))
+            else:
+                begin = switch.start_bulk_transfer if kind == "bulk" \
+                    else switch.start_fluid_transfer
+                begin(src, dst, label, size, PER_FRAME, "aoe",
+                      record(label))
+        env.timeout_at(start).callbacks.append(go)
+
+    for spec in trains:
+        train(*spec)
+    for spec in ops:
+        op(*spec)
+    env.run()
+    instants["sent"] = sent
+    instants["switch"] = (switch.frames_forwarded, switch.bytes_forwarded,
+                          dict(switch.bytes_by_protocol))
+    instants["nics"] = {name: (nic.tx_frames, nic.tx_bytes, nic.rx_frames,
+                               nic.rx_bytes, nic.fluid_tx_bytes)
+                        for name, nic in nics.items()}
+    return instants, env.events_processed, switch
+
+
+#: Seeds of the train fuzz.
+TRAIN_SEEDS = range(400)
+
+
+def train_scenario(seed):
+    """A train of 1-8 fragments from s to c, and 1-3 contenders whose
+    first request on s's sending or c's receiving port lands on one of
+    the train's own instants, or inside its gaps and frames."""
+    import random
+    rng = random.Random(seed)
+    count = rng.randint(1, 8)
+    sizes = [PER_FRAME] * (count - 1) \
+        + [rng.choice((64, 1060, 4132, PER_FRAME))]
+    # Late starts let a bulk stream's receiver, which asks one chunk
+    # after its start, land on the train's first frames.
+    start = rng.choice((0.0, 1e-4, 3 * GRID, 1.2e-3, 2e-3))
+    trains = [("t", "s", "c", start, sizes)]
+    reference, _, _ = train_run(LoopTrainSwitch, trains)
+    # The train's own instants: gap ends, send ends and arrivals by the
+    # loop's additions, deliveries from the loop's run.
+    sends, gaps = [], []
+    at = start
+    for size in sizes:
+        gaps.append(at + GAP)
+        at = at + GAP + ser(size)
+        sends.append(at)
+    arrivals = [end + LATENCY for end in sends]
+    deliveries = [reference[f"arrived:t.{k}"] for k in range(count)]
+    marks = gaps + sends + arrivals + deliveries
+    inside = [gap + ser(size) / 2 for gap, size in zip(gaps, sizes)] \
+        + [end + GAP / 2 for end in sends] \
+        + [done + 1e-6 for done in deliveries]
+    ops, extra = [], []
+    for index in range(rng.randint(1, 3)):
+        label = f"o{index}"
+        target = rng.choice(marks if rng.random() < 0.6 else inside)
+        kind = rng.choice(("frame", "frame", "bulk", "train", "fluid"))
+        on_tx = rng.random() < 0.5
+        size = rng.choice((64, 1500, FRAME_BYTES))
+        if kind == "fluid":
+            src, dst = ("s", "y") if on_tx else ("x", "c")
+            if rng.random() < 0.25:
+                src, dst = "x", "y"     # a flow network, not on our links
+            ops.append(("fluid", label, src, dst, target,
+                        rng.choice((MB // 8, MB // 2))))
+        elif kind == "frame":
+            if on_tx:
+                ops.append(("frame", label, "s", "y", target, size))
+            else:
+                begin = landing(target, ser(size))
+                if begin is not None:
+                    ops.append(("frame", label, "x", "c", begin, size))
+        elif kind == "bulk":
+            payload = rng.choice((MB // 8, MB // 4))
+            if on_tx:
+                ops.append(("bulk", label, "s", "y", target, payload))
+            else:
+                frames = -(-payload // PER_FRAME)
+                chunks = -(-payload // BULK_CHUNK_BYTES)
+                per_chunk = (payload + frames * params.ETH_FRAME_OVERHEAD) \
+                    * 8.0 / params.GBE_BITS_PER_SECOND / chunks
+                begin = landing(target, per_chunk)
+                if begin is not None:
+                    ops.append(("bulk", label, "x", "c", begin, payload))
+        else:
+            more = [rng.choice((64, 1060, PER_FRAME))
+                    for _ in range(rng.randint(1, 3))]
+            if on_tx:
+                begin = landing(target, GAP)
+                route = ("s", "y")
+            else:
+                begin = landing(target, GAP, ser(more[0]))
+                route = ("x", "c")
+            if begin is not None:
+                extra.append((label, *route, begin, more))
+    return trains + extra, ops
+
+
+#: Why a hand-over can order a same-instant tie otherwise than the loop.
+#: The asker's request and the loop's event were scheduled at one
+#: instant, and the loop ran its own first (the train takes the loop's
+#: event second there).
+SAME_SCHEDULING_INSTANT = "asker and loop event scheduled at one instant"
+#: The train's send-end or delivery event was scheduled at the train's
+#: previous event, before the asker's; the loop scheduled its timer
+#: later, after the asker's, and so ran it second.
+EARLIER_TRAIN_EVENT = "train event due with the asker, scheduled earlier"
+#: The gap timer due at the hand-over instant is made there, after
+#: another train's gap timer already due then; the loop had it first.
+TIMER_MADE_AT_HAND_OVER = "gap timer made at the hand-over instant"
+
+#: Train fuzz seeds whose instants differ from the loop's, and why.
+#: Each is a tie at the hand-over instant; counters never differ.
+TRAIN_FUZZ_DEVIATIONS = {
+    57: TIMER_MADE_AT_HAND_OVER, 89: SAME_SCHEDULING_INSTANT,
+    94: SAME_SCHEDULING_INSTANT, 154: SAME_SCHEDULING_INSTANT,
+    168: EARLIER_TRAIN_EVENT, 269: SAME_SCHEDULING_INSTANT,
+    276: SAME_SCHEDULING_INSTANT, 375: SAME_SCHEDULING_INSTANT,
+}
+
+
+def test_train_fuzz_matches_fragment_loop():
+    deviating = []
+    hand_overs = set()
+    rx_states = set()
+    planned = 0
+    for seed in TRAIN_SEEDS:
+        trains, ops = train_scenario(seed)
+        got, events, switch = train_run(WatchedSwitch, trains, ops)
+        reference, reference_events, _ = train_run(LoopTrainSwitch, trains,
+                                                   ops)
+        for key in ("sent", "switch", "nics"):
+            assert got.pop(key) == reference.pop(key), seed
+        if got != reference:
+            deviating.append(seed)
+        planned += switch.planned
+        hand_overs.update(switch.hand_overs)
+        rx_states |= switch.rx_states
+        if not switch.planned:
+            assert events == reference_events
+    assert tuple(deviating) == tuple(TRAIN_FUZZ_DEVIATIONS)
+    # The fuzz reaches every kind of hand-over.
+    assert planned > len(TRAIN_SEEDS)
+    assert hand_overs >= {(phase, tie) for phase in ("gap", "frame")
+                          for tie in ("tie", "inside")}
+    assert rx_states == {"booked", "crossing", "queued", "flying"}
+
+
+def test_lone_train_costs_one_event_per_frame_and_one_more():
+    sizes = [PER_FRAME] * 6 + [1060]
+    trains = [("t", "s", "c", 0.0, sizes)]
+    got, events, switch = train_run(WatchedSwitch, trains)
+    reference, reference_events, _ = train_run(LoopTrainSwitch, trains)
+    assert got == reference
+    assert switch.planned == 1 and switch.hand_overs == []
+    # A start timer and a ring put per frame each; the loop's 5N - 2
+    # events against the train's N + 1.
+    count = len(sizes)
+    assert reference_events == 1 + count + 5 * count - 2
+    assert events == 1 + count + count + 1
+
+
+@pytest.mark.parametrize("busy", ["sending", "booked", "receiving"])
+def test_train_finding_its_port_taken_is_the_loop(busy):
+    # A frame holds s's sending port, has booked c's receiving port, or
+    # a bulk stream crosses it, when the reply starts.
+    ops = {"sending": [("frame", "f", "s", "y", 0.0, FRAME_BYTES)],
+           "booked": [("frame", "f", "x", "c", 0.0, FRAME_BYTES)],
+           "receiving": [("bulk", "b", "x", "c", 0.0, MB // 4)]}[busy]
+    start = {"sending": 1e-6, "booked": ser(FRAME_BYTES) + 1e-6,
+             "receiving": 1.5e-3}[busy]
+    trains = [("t", "s", "c", start, [PER_FRAME] * 3 + [64])]
+    got, events, switch = train_run(WatchedSwitch, trains, ops)
+    reference, reference_events, _ = train_run(LoopTrainSwitch, trains, ops)
+    assert got == reference
+    assert switch.planned == 0
+    assert events == reference_events
+
+
+def test_lossy_switch_sends_replies_frame_by_frame():
+    trains = [("t", "s", "c", 0.0, [PER_FRAME] * 8),
+              ("u", "x", "c", 2e-4, [PER_FRAME] * 4 + [64])]
+    got, events, switch = train_run(WatchedSwitch, trains,
+                                    loss=LossModel(0.2, seed=7))
+    reference, reference_events, _ = train_run(
+        LoopTrainSwitch, trains, loss=LossModel(0.2, seed=7))
+    assert got == reference
+    assert got["switch"][0] < 8 + 5    # some frames were lost
+    assert switch.planned == 0
+    assert events == reference_events
+
+
+class LoopNic(Nic):
+    """A NIC whose replies run as the per-fragment loop."""
+
+    def start_train(self, *reply):
+        loop_train(self, *reply)
+
+
+def aoe_reads(server_nic, fast_lane=True, forensics=False):
+    """Overlapping multi-fragment AoE reads (and a bulk one) from two
+    clients to a two-worker server, so replies start as trains and
+    hand over.  Returns the replay digest, the client-side instants,
+    and, with ``forensics``, the ``nic:tx`` slices and self times."""
+    from repro.analysis.replay import ReplayRecorder
+    from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+    env = Environment(fast_lane=fast_lane)
+    telemetry = Telemetry(env, forensics=True) if forensics \
+        else NULL_TELEMETRY
+    recorder = ReplayRecorder().attach(env)
+    switch = EthernetSwitch(env)
+    contents = IntervalMap()
+    contents.set_range(0, 1 << 16, "img")
+    store = ImageStore(env, contents, 1 << 16, cache_hit_ratio=0.5)
+    server = AoeServer(env, server_nic(env, switch, "server",
+                                       telemetry=telemetry),
+                       store, workers=2, telemetry=telemetry)
+    server.start()
+    clients = [AoeInitiator(env, Nic(env, switch, name), "server",
+                            poll_interval=100e-6) for name in ("c0", "c1")]
+    instants = {}
+
+    def read(label, client, start, lba, sectors, bulk=False):
+        yield env.timeout(start)
+        runs = yield from client.read_blocks(lba, sectors, bulk=bulk)
+        assert runs == [(lba, lba + sectors, "img")]
+        instants[label] = env.now
+
+    for label, client, start, lba, sectors, *bulk in [
+            ("r0", 0, 0.0, 0, 2048), ("r1", 1, 4e-3, 4096, 128),
+            ("r2", 0, 12e-3, 8192, 256, True), ("r3", 1, 12.5e-3, 100, 64),
+            ("r4", 1, 30e-3, 20000, 512), ("r5", 0, 31e-3, 30000, 17)]:
+        env.process(read(label, clients[client], start, lba, sectors, *bulk))
+    env.run()
+    instants["fragments"] = server.fragments_sent
+    slices = self_times = None
+    if forensics:
+        tracer = telemetry.tracer
+        slices = sorted((span.lane, span.start, span.end)
+                        for span in tracer.spans if span.component == "nic")
+        self_times = (tracer.component_self, tracer.folded)
+    return recorder.digest(), instants, slices, self_times
+
+
+def test_trains_replay_identically_across_schedulers_and_forensics():
+    digest, instants, _, _ = aoe_reads(Nic)
+    assert aoe_reads(Nic, fast_lane=False)[:2] == (digest, instants)
+    assert aoe_reads(Nic, forensics=True)[:2] == (digest, instants)
+
+
+def test_trains_keep_the_loops_tx_slices_and_self_times():
+    _, instants, slices, (component_self, folded) = aoe_reads(
+        Nic, forensics=True)
+    _, loop_instants, loop_slices, (loop_self, loop_folded) = aoe_reads(
+        LoopNic, forensics=True)
+    assert instants == loop_instants
+    # One slice per frame; the bulk reply counts a fragment, no frame.
+    assert len(slices) == instants["fragments"] - 1
+    assert slices == loop_slices
+    assert (component_self, folded) == (loop_self, loop_folded)
 
 
 # -- component-span attribution ----------------------------------------------

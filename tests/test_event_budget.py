@@ -16,14 +16,27 @@ lock, bulk port and FIFO put produced, at 22.40; and the ones the code
 with five events per bulk stream (a re-request hop before the
 receiver's first chunk and a forwarding-latency timer before ``done``)
 produced, at 15.34.
+
+A guest read of a block not yet copied is redirected to the storage
+server, whose reply is a train of jumbo frames.  The per-frame path
+spent five events on each (a CPU gap timer, a sending hold, an
+arrival, a grant and a delivery; the first frame three), a frame train
+one and one more for the whole reply.  Its instants must stay the
+per-frame path's.
 """
 
 import pytest
 
 from repro import params
 from repro.cloud import build_testbed
+from repro.aoe.client import AoeInitiator
+from repro.aoe.server import AoeServer, ImageStore
 from repro.cloud.provisioner import Provisioner
 from repro.guest.osimage import OsImage
+from repro.net.link import EthernetSwitch
+from repro.net.nic import Nic
+from repro.sim import Environment
+from repro.util.intervalmap import IntervalMap
 
 GIB = 2**30
 MIB = 2**20
@@ -72,3 +85,75 @@ def test_events_per_copied_block(deploys):
     blocks = GIB // params.COPY_BLOCK_BYTES
     per_block = (deploys[2][0] - deploys[1][0]) / blocks
     assert per_block <= BLOCK_BUDGET
+
+
+# -- redirected reads -----------------------------------------------------------
+
+#: A 1 MiB read (121 jumbo fragments) between two NICs on an idle
+#: switch: the per-frame path's latency and events (603 for the reply).
+IDLE_READ = (0.010392368000000011, 609)
+#: The same read as a bulk transfer: fewer events, but later.
+IDLE_BULK_READ = (0.011320127999999999, 10)
+#: A 1 MiB guest read the mediator redirects, right at the 1 GiB
+#: deploy's ready: the per-frame path's start, end and events.
+REDIRECTED_READ = (13.52221889403982, 13.532793262039752, 616)
+
+
+def idle_switch_read(bulk=False):
+    """(latency, events) of a 1 MiB AoE read on an idle switch."""
+    env = Environment()
+    switch = EthernetSwitch(env)
+    contents = IntervalMap()
+    contents.set_range(0, 1 << 16, "img")
+    server = AoeServer(env, Nic(env, switch, "server"),
+                       ImageStore(env, contents, 1 << 16))
+    server.start()
+    client = AoeInitiator(env, Nic(env, switch, "client"), "server")
+
+    def read():
+        runs = yield from client.read_blocks(0, MIB // 512, bulk=bulk)
+        assert runs == [(0, MIB // 512, "img")]
+        return env.now
+
+    latency = env.run(until=env.process(read()))
+    return latency, env.events_processed
+
+
+def test_idle_switch_read_keeps_the_frame_path_instant():
+    latency, events = idle_switch_read()
+    assert latency == IDLE_READ[0]
+    # 121 deliveries and the last send end, against the per-frame 603.
+    assert events <= 130
+
+
+def test_bulk_read_is_not_the_frame_path():
+    # Why redirected reads stay frames: the bulk path pays every
+    # frame's server CPU time up front and crosses the receiver on a
+    # 128 KiB chunk grid.
+    assert idle_switch_read(bulk=True) == IDLE_BULK_READ
+    assert IDLE_BULK_READ[0] > IDLE_READ[0]
+
+
+def test_redirected_guest_read_keeps_the_frame_path_instants():
+    image = OsImage(size_bytes=GIB, seed=SEED, boot_read_bytes=8 * MIB,
+                    boot_think_seconds=3.0)
+    testbed = build_testbed(node_count=1, disk_controller="ahci",
+                            mtu=params.GBE_MTU, image=image)
+    env = testbed.env
+    deployed = env.process(Provisioner(testbed).deploy("bmcast",
+                                                       skip_firmware=True))
+    instance = env.run(until=deployed)
+    lba = (GIB - MIB) // params.SECTOR_BYTES
+    assert not instance.platform.bitmap.sectors_local(lba, MIB // 512)
+
+    def read():
+        start = env.now
+        runs = yield from instance.read(lba, MIB // params.SECTOR_BYTES)
+        assert runs == list(image.contents.runs_in(lba, MIB // 512))
+        return start, env.now
+
+    before = env.events_processed
+    start, end = env.run(until=env.process(read()))
+    events = env.events_processed - before
+    assert (start, end) == REDIRECTED_READ[:2]
+    assert events <= 140

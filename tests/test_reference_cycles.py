@@ -1,7 +1,8 @@
 """The network's per-block machines leave no reference cycle.
 
-A bulk stream and a frame's port requests and timers are allocated
-once per block or frame, so any of them left in a reference cycle is
+A bulk stream, a reply's frame train, a fluid flow, and a frame's port
+requests and timers are allocated once per block, reply or frame, so
+any of them left in a reference cycle is
 freed only by the cyclic collector, whose collections then scale with
 the image.  Each scenario runs with ``gc.DEBUG_SAVEALL``, which keeps
 everything a collection finds unreachable in ``gc.garbage``; none of
@@ -19,16 +20,19 @@ from repro import params
 from repro.cloud import build_testbed
 from repro.cloud.provisioner import Provisioner
 from repro.guest.osimage import OsImage
+from repro.net.flow import Flow
 from repro.net.link import EthernetSwitch, _BulkStream, _FrameRequest, _Side
 from repro.net.nic import Nic
 from repro.net.packet import Frame
+from repro.net.train import _FrameTrain
 from repro.sim import Environment, Timeout
 
 MIB = 2**20
 PER_FRAME = 8740
 FRAME_BYTES = 9000
 
-PER_BLOCK = (_BulkStream, _Side, _FrameRequest, Frame, Timeout)
+PER_BLOCK = (_BulkStream, _Side, _FrameTrain, Flow, _FrameRequest, Frame,
+             Timeout)
 
 
 def bulk_transfer(switch, src, dst, payload_bytes):
@@ -76,6 +80,82 @@ def contended_streams():
     return switch
 
 
+def train(env, nic, dst, count):
+    """Send a ``count``-fragment reply from ``nic`` to ``dst``."""
+    event = env.event()
+    nic.start_train(dst, list(range(count)), [PER_FRAME] * count, "aoe",
+                    3e-6, lambda _count: None, event.succeed)
+    return event
+
+
+def sequential_trains():
+    env, switch = switch_with("ab")
+    nic = switch._ports["a"]
+
+    def replies():
+        for count in range(1, 200):
+            yield train(env, nic, "b", count % 9 + 1)
+            yield env.timeout(0.5e-3)
+
+    env.run(until=env.process(replies()))
+    return switch
+
+
+def handed_over_trains():
+    # Frames and a bulk stream ask for the sending and the receiving
+    # port in gaps and mid-frame, and a fluid flow starts on the
+    # receiving port, while replies are planned as trains.
+    env, switch = switch_with("abcd")
+    nics = switch._ports
+
+    def later(start, body):
+        yield env.timeout(start)
+        yield from body
+
+    def replies():
+        for _ in range(20):
+            yield train(env, nics["a"], "b", 8)
+            yield env.timeout(0.5e-3)
+
+    def fluid():
+        done = env.event()
+        switch.start_fluid_transfer("c", "b", None, MIB // 4, PER_FRAME,
+                                    "aoe", done.succeed)
+        yield done
+
+    env.process(replies())
+    for index, (src, dst) in enumerate(["ad", "cb", "ad", "cb"]):
+        env.process(later(1e-4 + index * 1.3e-3,
+                          nics[src].send(dst, index, FRAME_BYTES)))
+    env.process(later(6.1e-3, bulk_transfer(switch, "a", "d", MIB)))
+    env.process(later(2.5e-2, fluid()))
+    env.run()
+    return switch
+
+
+def fluid_flows():
+    # Flows share ports and come and go, and frames charge them debt.
+    env, switch = switch_with("abcd")
+    nics = switch._ports
+
+    def flow(start, src, dst, size):
+        yield env.timeout(start)
+        done = env.event()
+        switch.start_fluid_transfer(src, dst, None, size, PER_FRAME, "aoe",
+                                    done.succeed)
+        yield done
+
+    for index in range(40):
+        env.process(flow(index * 2e-3, "abc"[index % 3], "d",
+                         MIB // (1 + index % 4)))
+    for index in range(20):
+        env.process(flow(index * 1e-3, "d", "abc"[index % 3], MIB // 8))
+    for index in range(30):
+        env.process(nics["c"].send("d", index, FRAME_BYTES))
+    env.run()
+    return switch
+
+
 def ahci_deploy():
     image = OsImage(size_bytes=64 * MIB, seed=20150314,
                     boot_read_bytes=8 * MIB, boot_think_seconds=1.0)
@@ -91,7 +171,9 @@ def ahci_deploy():
 
 
 @pytest.mark.parametrize("scenario", [sequential_transfers,
-                                      contended_streams, ahci_deploy])
+                                      contended_streams, sequential_trains,
+                                      handed_over_trains, fluid_flows,
+                                      ahci_deploy])
 def test_no_per_block_object_left_in_a_cycle(scenario):
     gc.collect()
     del gc.garbage[:]
