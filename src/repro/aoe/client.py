@@ -327,12 +327,13 @@ class AoeInitiator:
 
         ``bulk=True`` selects the aggregate wire path, used for
         background-copy streaming: a handful of events however large the
-        read, but not the fragment train's timing.  The server pays
-        every frame's CPU time before the first byte leaves, and the
-        payload crosses the receiving port on a 128 KiB chunk grid, so
-        on an idle switch a 1 MiB read takes 11.320128 ms where the
-        fragment train takes 10.392368 ms.  Reads a guest waits on
-        (redirected reads) therefore stay non-bulk.
+        read (its reply one while nobody else wants the reply's ports,
+        four once somebody does), but not the fragment train's timing.
+        The server pays every frame's CPU time before the first byte
+        leaves, and the payload crosses the receiving port on a 128 KiB
+        chunk grid, so on an idle switch a 1 MiB read takes 11.320128 ms
+        where the fragment train takes 10.392368 ms.  Reads a guest
+        waits on (redirected reads) therefore stay non-bulk.
         ``fluid=True`` (bulk only) prices the data leg analytically via
         the switch's fluid-flow model and skips the retransmission
         machinery — callers must demote to packet mode before loss or

@@ -152,28 +152,41 @@ class ReassemblyBuffer:
 def split_read_reply(tag: int, lba: int, runs: list, mtu: int):
     """Split a read reply's runs into per-frame fragments.
 
-    ``runs`` tile ``[lba, lba + total)``; each fragment carries the runs
-    clipped to its own sector window.
+    ``runs`` tile ``[lba, lba + total)`` in order; each fragment
+    carries the runs clipped to its own sector window.  One pass: the
+    first run a window needs is where the previous window's last run
+    was.
     """
     total = sum(end - start for start, end, _ in runs)
     per_frame = sectors_per_frame(mtu)
     count = fragment_count(total, mtu)
+    limit = lba + total
     fragments = []
+    first = 0
     for index in range(count):
         window_start = lba + index * per_frame
-        window_end = min(lba + total, window_start + per_frame)
-        clipped = tuple(
-            (max(start, window_start), min(end, window_end), token)
-            for start, end, token in runs
-            if start < window_end and end > window_start
-        )
+        window_end = min(limit, window_start + per_frame)
+        while runs[first][1] <= window_start:
+            first += 1
+        clipped = []
+        k = first
+        while k < len(runs):
+            start, end, token = runs[k]
+            if start >= window_end:
+                break
+            # On a tie the run's own bound is kept, as ``max``/``min``
+            # would: it is shared with the image map, and reassembled
+            # runs outlive the reply.
+            clipped.append((start if start >= window_start else window_start,
+                            end if end <= window_end else window_end, token))
+            k += 1
         fragments.append(AoeDataFragment(
             tag=tag,
             fragment_index=index,
             fragment_total=count,
             lba=window_start,
             sector_count=window_end - window_start,
-            runs=clipped,
+            runs=tuple(clipped),
         ))
     return fragments
 

@@ -181,8 +181,15 @@ class AoeServer:
 
 class _Serve:
     """One AoE command served by callbacks: a worker, the store, the
-    reply (a bulk stream, or a train of fragments each after its
-    per-frame CPU time: ``Nic.start_train``), then the worker back.
+    reply, then the worker back.
+
+    A read's reply goes through ``Nic.start_train``: a train of
+    fragments, each after its per-frame CPU time, or one bulk payload
+    after every frame's CPU time.  While nobody else wants the reply's
+    ports a train costs one event per fragment and one more, a bulk
+    reply one in all; the stepped path they hand over to costs five
+    per fragment, or four per bulk reply.  A fluid reply waits out the
+    same CPU time on a timer and starts a fluid flow.
 
     Started in the step that delivers the command, with no zero-delay
     hop: a free worker is taken in place (``Resource.acquire``),
@@ -191,7 +198,7 @@ class _Serve:
     """
 
     __slots__ = ("server", "command", "reply_to", "arrived", "started",
-                 "grant", "span")
+                 "grant", "span", "fluid_reply")
 
     def __init__(self, server: AoeServer, command: AoeCommand,
                  reply_to: str):
@@ -200,6 +207,9 @@ class _Serve:
         self.reply_to = reply_to
         self.arrived = server.env.now
         self.started = None
+        #: A fluid reply's fragment and wire sizes, until its CPU time
+        #: is over.
+        self.fluid_reply = None
         tracer = server.telemetry.tracer
         #: The serve's component span, on a lane of its own (profiling
         #: only).
@@ -232,16 +242,44 @@ class _Serve:
     def runs_fetched(self, runs: list) -> None:
         server = self.server
         command = self.command
-        if command.bulk:
-            self._send_bulk(runs)
+        if not command.bulk:
+            fragments = split_read_reply(command.tag, command.lba, runs,
+                                         server.mtu)
+            server.nic.start_train(
+                self.reply_to, fragments,
+                [fragment.payload_bytes for fragment in fragments],
+                server.PROTOCOL, server.PER_FRAME_CPU_SECONDS,
+                self._fragments_sent, self._read_sent, self.span)
             return
-        fragments = split_read_reply(command.tag, command.lba, runs,
-                                     server.mtu)
-        server.nic.start_train(
-            self.reply_to, fragments,
-            [fragment.payload_bytes for fragment in fragments],
-            server.PROTOCOL, server.PER_FRAME_CPU_SECONDS,
-            self._fragments_sent, self._read_sent, self.span)
+        # A bulk reply is one logical fragment with the full wire time.
+        payload_bytes = command.sector_count * params.SECTOR_BYTES
+        per_frame_payload = sectors_per_frame(server.mtu) \
+            * params.SECTOR_BYTES + params.AOE_HEADER_BYTES
+        fragment = AoeDataFragment(
+            tag=command.tag, fragment_index=0, fragment_total=1,
+            lba=command.lba, sector_count=command.sector_count,
+            runs=tuple(runs))
+        if not command.fluid:
+            server.nic.start_train(
+                self.reply_to, [fragment], [payload_bytes], server.PROTOCOL,
+                server.PER_FRAME_CPU_SECONDS, self._fragments_sent,
+                self._read_sent, self.span, per_frame_payload)
+            return
+        # Fluid commands price the data leg analytically; the worker
+        # grant is held either way, so replica fan-out contention (the
+        # dominant queueing effect) is identical in both modes.
+        self.fluid_reply = (fragment, payload_bytes, per_frame_payload)
+        frames = max(1, -(-payload_bytes // per_frame_payload))
+        server.env.pooled_timeout(
+            frames * server.PER_FRAME_CPU_SECONDS).callbacks.append(
+                self._send_fluid)
+
+    def _send_fluid(self, _timer) -> None:
+        server = self.server
+        reply, self.fluid_reply = self.fluid_reply, None
+        server.nic.switch.start_fluid_transfer(
+            server.nic.name, self.reply_to, *reply, server.PROTOCOL,
+            self._fluid_sent)
 
     def _fragments_sent(self, count: int) -> None:
         server = self.server
@@ -252,33 +290,7 @@ class _Serve:
         self.server._read_served()
         self.finish()
 
-    def _send_bulk(self, runs: list) -> None:
-        """Aggregate path: one logical fragment, full wire time."""
-        server = self.server
-        command = self.command
-        payload_bytes = command.sector_count * params.SECTOR_BYTES
-        per_frame_payload = sectors_per_frame(server.mtu) \
-            * params.SECTOR_BYTES + params.AOE_HEADER_BYTES
-        frames = max(1, -(-payload_bytes // per_frame_payload))
-        fragment = AoeDataFragment(
-            tag=command.tag, fragment_index=0, fragment_total=1,
-            lba=command.lba, sector_count=command.sector_count,
-            runs=tuple(runs))
-        # Fluid commands price the data leg analytically; the worker
-        # grant is held either way, so replica fan-out contention (the
-        # dominant queueing effect) is identical in both modes.
-        switch = server.nic.switch
-        start = switch.start_fluid_transfer if command.fluid \
-            else switch.start_bulk_transfer
-
-        def send(_timer):
-            start(server.nic.name, self.reply_to, fragment, payload_bytes,
-                  per_frame_payload, server.PROTOCOL, self._bulk_sent)
-
-        server.env.pooled_timeout(
-            frames * server.PER_FRAME_CPU_SECONDS).callbacks.append(send)
-
-    def _bulk_sent(self) -> None:
+    def _fluid_sent(self) -> None:
         self._fragments_sent(1)
         self._read_sent()
 

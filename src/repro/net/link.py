@@ -257,13 +257,12 @@ class EthernetSwitch:
         receiver's port, and any other user of either port gets in at
         the next chunk boundary.
 
-        Each side holds its port across a whole run of chunks with one
-        timer and splits the run at a chunk boundary only where the
-        chunk loop would have let somebody in (see
-        :class:`_BulkStream`), so an uncontended transfer costs three
-        events however many chunks it spans: the sender's hold, the
-        receiver's wake-up for the first chunk and the receiver's hold.
-        One known deviation: where chunk boundaries of several streams
+        Each side holds its port across a run of chunks with one timer
+        and splits it at a chunk boundary only where the chunk loop
+        would have let somebody in (see :class:`_BulkStream`): three
+        events uncontended, however many chunks.  An AoE bulk reply
+        (``Nic.start_train``) plans the stream while its ports are free
+        and costs one.  Where chunk boundaries of several streams
         coincide exactly, their holds can end in another order than the
         loop's chunk timers did, and a port then goes to another waiter
         one chunk earlier or later.  ``done()`` runs once the last chunk
@@ -419,13 +418,13 @@ class _PortLock(Resource):
     nothing more than a plain :class:`Resource`.
     """
 
-    #: The bulk stream one of whose sides holds this lock, or the frame
-    #: train planned across it.  A request queueing behind a bulk
-    #: stream, or a fluid flow starting or ending on the link, reaches
-    #: that side through it (``_BulkStream._queued``,
-    #: ``_BulkStream._fluid_changed``).  A train holds the lock with no
+    #: The bulk stream one of whose sides holds this lock, or the reply
+    #: (a frame train or a bulk reply) planned across it.  A request
+    #: queueing behind a bulk stream, or a fluid flow starting or ending
+    #: on the link, reaches that side through it (``_BulkStream._queued``,
+    #: ``_BulkStream._fluid_changed``).  A reply holds the lock with no
     #: request in ``users``; anyone asking for it, or taking it, makes
-    #: the train hand it over first (``_FrameTrain._hand_over``).
+    #: the reply hand it over first (``_FrameTrain._hand_over``).
     holder = None
     #: Bulk sides that gave the lock up at this instant and ask for it
     #: again after a zero-delay hop.  A side granted the lock meanwhile
@@ -560,7 +559,7 @@ class _BulkStream:
     runs with the delivery and no arrival timer is planned.  An
     uncontended transfer thus costs three events: the sender's hold,
     the receiver's wake-up for the first chunk, and the receiver's
-    hold.
+    hold (one, planned, as a bulk reply: ``repro.net.train``).
 
     The stream keeps its transfer's fields itself and its callbacks are
     bound when they are scheduled, so a finished stream holds no
@@ -583,7 +582,7 @@ class _BulkStream:
 
     def __init__(self, switch: EthernetSwitch, src: str, dst: str, payload,
                  payload_bytes: int, per_frame_payload: int, protocol: str,
-                 done):
+                 done, ask: bool = True):
         self.env = switch.env
         self.switch = switch
         self.payload = payload
@@ -605,7 +604,8 @@ class _BulkStream:
         self.rx_waiting = True
         self.rx_ready = None
         self.rx_ready_at = None
-        self._ask(self.tx)
+        if ask:
+            self._ask(self.tx)
 
     # -- lock hand-offs ---------------------------------------------------
 

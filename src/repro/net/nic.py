@@ -92,7 +92,8 @@ class Nic:
 
     def start_train(self, dst: str, payloads: list, sizes: list,
                     protocol: str, gap: float, sent, done,
-                    parent=None) -> None:
+                    parent=None, per_frame_payload: int | None = None
+                    ) -> None:
         """Send ``payloads`` (of ``sizes`` payload bytes) to ``dst`` one
         frame each, every frame after ``gap`` seconds of CPU time: an
         AoE read reply.
@@ -103,16 +104,22 @@ class Nic:
         this NIC's transmit counters and ``nic:tx`` spans (under
         ``parent``, profiling only) are kept as that loop keeps them.
         ``sent(n)`` counts ``n`` more frames gone from the sender;
-        ``done()`` runs once the last one has left.  See
-        ``repro.net.train._FrameTrain`` for how the frames are run.
+        ``done()`` runs once the last one has left.
+
+        With ``per_frame_payload`` the reply is a bulk one: its one
+        payload, split into frames of that many bytes, is sent after
+        every frame's CPU time as ``EthernetSwitch.start_bulk_transfer``
+        sends it, and ``sent(1)`` and ``done()`` run once the receiver
+        holds it.  See ``repro.net.train._FrameTrain`` for how replies
+        are run.
         """
         switch = self.switch
         switch._check_ports(self.name, dst)
-        if max(sizes) > switch.mtu:
+        if per_frame_payload is None and max(sizes) > switch.mtu:
             raise ValueError(
                 f"frame payload {max(sizes)} exceeds MTU {switch.mtu}")
         _FrameTrain(switch, self, dst, payloads, sizes, protocol, gap, sent,
-                    done, parent)
+                    done, parent, per_frame_payload)
 
     def _count_tx(self, wire_bytes: int, frames: int = 1) -> None:
         self.tx_frames += frames

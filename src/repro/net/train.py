@@ -1,12 +1,14 @@
-"""Frame trains: an AoE read reply's frames run as one callback machine.
+"""Planned replies: an AoE read reply run as one callback machine.
 
 A reply of ``N`` fragments sent the way any frame is sent (a CPU gap,
 ``EthernetSwitch.start_transmit``, the next gap once the frame has
-left) costs ``5N - 2`` events.  :class:`_FrameTrain` plans the same
-frames with the same float additions, holds both ports while nobody
-else wants them, and costs ``N + 1`` events; it hands the rest of the
-reply to that per-frame path as soon as anybody else asks for either
-port.  ``Nic.start_train`` starts one.
+left) costs ``5N - 2`` events, and a bulk reply (every frame's CPU
+time, then ``EthernetSwitch.start_bulk_transfer``'s stream) four.
+:class:`_FrameTrain` plans the same frames, or the same 128 KiB
+chunks, with the same float additions, holds both ports while nobody
+else wants them, and costs ``N + 1`` events, or one; it hands the rest
+of the reply to that stepped path as soon as anybody else asks for
+either port.  ``Nic.start_train`` starts one.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from repro import params
-from repro.net.link import EthernetSwitch, _FrameRequest, _PortLock
+from repro.net.link import (BULK_CHUNK_BYTES, EthernetSwitch, _BulkStream,
+                            _FrameRequest, _PortLock, _Request)
 from repro.net.packet import Frame
 
 
 class _FrameTrain:
-    """One reply's frames from a sender port to a receiver port, run by
-    callbacks.
+    """One reply from a sender port to a receiver port, run by
+    callbacks: a train of frames, or with ``per_frame_payload`` one bulk
+    payload on the 128 KiB chunk grid (see *Bulk replies* below).
 
     The reference is the per-frame loop: a ``gap`` timer (the sender's
     CPU time), then the frame sent by ``start_transmit`` (the sending
@@ -76,20 +80,36 @@ class _FrameTrain:
     the last send end at the train's last event before the last gap
     ends, rather than where the loop scheduled its timers.  So against
     other events due at the very same instant they can keep another
-    order than the loop's timers did.  A train's fields are its own and its timers are
-    dropped once fired or cancelled, so a finished train holds no
-    reference cycle.
+    order than the loop's timers did.  A train's fields are its own and
+    its timers are dropped once fired or cancelled, so a finished train
+    holds no reference cycle.
+
+    *Bulk replies.*  The stepped reply is one gap timer of every
+    frame's CPU time (``gap`` becomes ``frames * gap``), then a
+    :class:`_BulkStream`: four events when uncontended.  Planned, the
+    chunks' send ends ``e[j]`` and the receiver's hold ends ``f[j]``
+    come from the stream's own additions (``e[0] = c + per_chunk``, the
+    receiver's hold from ``e[0]``), planned only when every chunk
+    follows on (``e[j] <= f[j-1]``) and the last one's arrival comes
+    before the delivery, so that one event, at ``f[-1]``, delivers the
+    payload and runs ``sent(1)`` and ``done``.  A hand-over builds the
+    stream as it would be now: not started (the gap timer pending),
+    its lock request granted with the grant event to come (on the gap
+    end), or the sender's hold with its ``ends``, and the receiver
+    waiting for its first chunk, about to re-request its port (on that
+    chunk's send end), or holding it (the planned event becomes the
+    hold's timer).  The stream runs on from there.
     """
 
     __slots__ = ("env", "switch", "nic", "dst", "payloads", "sizes",
                  "protocol", "gap", "on_sent", "done", "parent",
-                 "tx_lock", "rx_lock", "planned", "began", "ends",
-                 "deliveries", "booked", "finish_after", "sent",
-                 "delivered", "timer", "finish", "frame", "span")
+                 "per_frame_payload", "tx_lock", "rx_lock", "planned",
+                 "began", "ends", "deliveries", "booked", "finish_after",
+                 "sent", "delivered", "timer", "finish", "frame", "span")
 
     def __init__(self, switch: EthernetSwitch, nic, dst: str,
                  payloads: list, sizes: list, protocol: str, gap: float,
-                 sent, done, parent):
+                 sent, done, parent, per_frame_payload: int | None = None):
         env = self.env = switch.env
         self.switch = switch
         self.nic = nic
@@ -101,6 +121,9 @@ class _FrameTrain:
         self.on_sent = sent
         self.done = done
         self.parent = parent
+        self.per_frame_payload = per_frame_payload
+        if per_frame_payload is not None:
+            self.gap = switch._wire(sizes[0], per_frame_payload)[0] * gap
         tx = self.tx_lock = switch._tx_locks[nic.name]
         rx = self.rx_lock = switch._rx_locks[dst]
         #: Frames gone from the sender (and counted), and delivered.
@@ -115,15 +138,21 @@ class _FrameTrain:
         self.began = env.now
         self.planned = (switch._flow_network is None
                         and switch.loss.loss_probability == 0.0
-                        and _free(tx) and _free(rx) and self._plan())
-        if self.planned:
-            tx.holder = rx.holder = self
-            timer = self.timer = env.timeout_at(self.deliveries[0])
-            timer.callbacks.append(self._delivery)
-            if not self.finish_after:
-                self._plan_finish()
-        else:
+                        and _free(tx) and _free(rx)
+                        and (self._plan() if per_frame_payload is None
+                             else self._plan_chunks()))
+        if not self.planned:
             self._step()
+            return
+        tx.holder = rx.holder = self
+        if per_frame_payload is not None:
+            timer = self.timer = env.timeout_at(self.deliveries[-1])
+            timer.callbacks.append(self._bulk_delivery)
+            return
+        timer = self.timer = env.timeout_at(self.deliveries[0])
+        timer.callbacks.append(self._delivery)
+        if not self.finish_after:
+            self._plan_finish()
 
     # -- the plan -----------------------------------------------------------
 
@@ -163,6 +192,28 @@ class _FrameTrain:
         self.finish_after = bisect_left(deliveries,
                                         self._start(len(ends) - 1))
         return True
+
+    def _plan_chunks(self) -> bool:
+        """Plan a bulk reply's chunk ends on both sides; False where a
+        chunk would not follow on or the arrival would come last."""
+        switch = self.switch
+        size = self.sizes[0]
+        chunks = max(1, -(-size // BULK_CHUNK_BYTES))
+        per_chunk = switch._wire(size, self.per_frame_payload)[1] * 8.0 \
+            / switch.rate_bps / chunks
+        end = self._start(0)
+        ends = self.ends = []
+        for _ in range(chunks):
+            end = end + per_chunk
+            ends.append(end)
+        held = ends[0]
+        deliveries = self.deliveries = []
+        for end in ends:
+            if end > held:
+                return False
+            held = held + per_chunk
+            deliveries.append(held)
+        return end + switch.forward_latency < end + per_chunk
 
     def _start(self, k: int) -> float:
         """The instant frame ``k``'s gap ends."""
@@ -241,20 +292,47 @@ class _FrameTrain:
         self._count(len(self.sizes))
         self.done()
 
+    def _bulk_delivery(self, _timer) -> None:
+        """The bulk payload has crossed the receiving port."""
+        self.timer = None
+        self.tx_lock.holder = self.rx_lock.holder = None
+        switch = self.switch
+        size, per_frame = self.sizes[0], self.per_frame_payload
+        switch._deliver(Frame(self.nic.name, self.dst, self.payloads[0],
+                              per_frame, protocol=self.protocol),
+                        *switch._wire(size, per_frame))
+        self._streamed()
+
+    def _streamed(self) -> None:
+        """A bulk reply is done: one fragment sent."""
+        self.on_sent(1)
+        self.done()
+
     # -- hand-over ------------------------------------------------------------
 
-    def _fluid_changed(self, _lock) -> None:
+    def _fluid_changed(self, lock: _PortLock) -> None:
         self._hand_over()
+        holder = lock.holder
+        if holder is not None:
+            # The bulk stream now holding the link is told in turn.
+            holder._fluid_changed(lock)
 
     def _hand_over(self) -> None:
-        """Build the per-frame loop's state now and step from here on."""
+        """Build the stepped reply's state now and step from here on."""
         self.planned = False
-        env = self.env
-        switch = self.switch
         tx, rx = self.tx_lock, self.rx_lock
         for lock in (tx, rx):
             if lock.holder is self:
                 lock.holder = None
+        if self.per_frame_payload is None:
+            self._hand_over_frames()
+        else:
+            self._hand_over_chunks()
+
+    def _hand_over_frames(self) -> None:
+        env = self.env
+        switch = self.switch
+        tx, rx = self.tx_lock, self.rx_lock
         self._count(self._passed())
         k = self.sent
         timer, finish = self.timer, self.finish
@@ -305,6 +383,66 @@ class _FrameTrain:
                     switch._on_rx_arrived)
         self._cancel(timer)
 
+    def _hand_over_chunks(self) -> None:
+        env = self.env
+        timer = self.timer
+        self.timer = None
+        began = self._start(0)
+        if not self._past(began, self.gap):
+            self._cancel(timer)
+            env.timeout_at(began).callbacks.append(self._stream)
+            return
+        stream = _BulkStream(self.switch, self.nic.name, self.dst,
+                             self.payloads[0], self.sizes[0],
+                             self.per_frame_payload, self.protocol,
+                             self._streamed, ask=False)
+        tx, rx = stream.tx, stream.rx
+        if env.now == began:
+            # Asked for when the gap ended, with the current event due:
+            # granted, its grant event still to come.
+            self._cancel(timer)
+            request = tx.request = _Request(tx.lock, None)
+            tx.lock._do_request(request)
+            request.callbacks.append(stream._tx_granted)
+            return
+        ends = self.ends
+        tx.ends = list(ends)
+        if self._past(ends[-1], ends[-1] - began):
+            # The last chunk has left; it arrives before the delivery.
+            stream.pending = 1
+        else:
+            self._hold(stream, tx, began)
+            stream._arm(tx)
+        first = ends[0]
+        if not self._past(first, first - began):
+            self._cancel(timer)
+            stream._rx_watch()
+            return
+        stream.rx_waiting = False
+        rx.trigger = began
+        if env.now == first:
+            # Woken for the first chunk with the current event due: its
+            # re-request hop is still to come.
+            self._cancel(timer)
+            rx.lock.rejoining += 1
+            stream._tell(rx, stream._rejoin)
+            return
+        rx.ends = list(self.deliveries)
+        self._hold(stream, rx, first)
+        rx.timer = self._retime(timer, rx.ends[-1], None, stream._rx_end)
+
+    @staticmethod
+    def _hold(stream: _BulkStream, side, began: float) -> None:
+        """Put ``side`` in the hold over all its chunks begun at
+        ``began``, as its grant did."""
+        lock = side.lock
+        request = side.request = _Request(lock, side.trigger)
+        lock.users.append(request)
+        lock.holder = stream
+        side.began = began
+        if len(side.ends) > 1:
+            stream._watch(side)
+
     def _cancel(self, timer) -> None:
         if timer is not None:
             self.env.cancel(timer)
@@ -321,10 +459,20 @@ class _FrameTrain:
     # -- stepped --------------------------------------------------------------
 
     def _step(self) -> None:
-        if self.sent == len(self.sizes):
+        if self.per_frame_payload is not None:
+            step = self._stream
+        elif self.sent == len(self.sizes):
             self.done()
             return
-        self.env.pooled_timeout(self.gap).callbacks.append(self._send)
+        else:
+            step = self._send
+        self.env.pooled_timeout(self.gap).callbacks.append(step)
+
+    def _stream(self, _timer) -> None:
+        """The bulk reply's CPU time is over: its stream starts."""
+        self.switch.start_bulk_transfer(
+            self.nic.name, self.dst, self.payloads[0], self.sizes[0],
+            self.per_frame_payload, self.protocol, self._streamed)
 
     def _send(self, _timer) -> None:
         frame = self.frame = self._frame(self.sent)

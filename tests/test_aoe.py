@@ -11,10 +11,12 @@ from repro.aoe.protocol import (
     fragment_count,
     sectors_per_frame,
     split_read_reply,
+    split_write_payload,
 )
 from repro.aoe.server import AoeServer, ImageStore
 from repro.net import EthernetSwitch, LossModel, Nic
 from repro.sim import Environment
+from repro.storage.blockdev import clip_runs
 from repro.util.intervalmap import IntervalMap
 
 
@@ -80,6 +82,75 @@ def test_incomplete_assemble_rejected():
     buffer = ReassemblyBuffer(1)
     with pytest.raises(ValueError):
         buffer.assemble()
+
+
+def clipping_split(tag, lba, runs, mtu):
+    """The split as it was: every run clipped against every window."""
+    from repro.aoe.protocol import AoeDataFragment
+    total = sum(end - start for start, end, _ in runs)
+    per_frame = sectors_per_frame(mtu)
+    count = fragment_count(total, mtu)
+    fragments = []
+    for index in range(count):
+        window_start = lba + index * per_frame
+        window_end = min(lba + total, window_start + per_frame)
+        clipped = tuple(
+            (max(start, window_start), min(end, window_end), token)
+            for start, end, token in runs
+            if start < window_end and end > window_start)
+        fragments.append(AoeDataFragment(
+            tag=tag, fragment_index=index, fragment_total=count,
+            lba=window_start, sector_count=window_end - window_start,
+            runs=clipped))
+    return fragments
+
+
+def tiling(lba, lengths, tokens):
+    """Runs of ``lengths`` laid end to end from ``lba``."""
+    runs = []
+    for length, token in zip(lengths, tokens):
+        runs.append((lba, lba + length, token))
+        lba += length
+    return runs
+
+
+run_lengths = st.lists(st.integers(1, 60), min_size=1, max_size=40)
+run_tokens = st.lists(st.sampled_from(["a", "b", None]), min_size=40,
+                      max_size=40)
+mtus = st.sampled_from([1024, 1500, 4000, 9000])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lba=st.integers(0, 5000), lengths=run_lengths, tokens=run_tokens,
+       mtu=mtus)
+def test_split_walk_matches_clipping_every_run(lba, lengths, tokens, mtu):
+    runs = tiling(lba, lengths, tokens)
+    assert split_read_reply(3, lba, runs, mtu) \
+        == clipping_split(3, lba, runs, mtu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, 5000), lengths=run_lengths, tokens=run_tokens,
+       mtu=mtus, offset=st.integers(0, 100), count=st.integers(1, 800))
+def test_split_write_payload_matches_clipping_every_run(start, lengths,
+                                                         tokens, mtu, offset,
+                                                         count):
+    runs = tiling(start, lengths, tokens)
+    total = sum(lengths)
+    lba = start + offset % total
+    count = min(count, start + total - lba)
+    assert split_write_payload(5, lba, count, runs, mtu) \
+        == clipping_split(5, lba, clip_runs(runs, lba, count), mtu)
+
+
+def test_split_keeps_the_runs_own_bounds():
+    # Reassembled runs outlive the reply: where a window ends on a run's
+    # bound, the fragment holds the run's own int, not an equal copy.
+    lba = 13_444_510
+    runs = [(lba, lba + 16, "t")]
+    [fragment] = split_read_reply(1, lba, runs, params.GBE_MTU)
+    start, end, _ = fragment.runs[0]
+    assert start is runs[0][0] and end is runs[0][1]
 
 
 @settings(max_examples=100, deadline=None)

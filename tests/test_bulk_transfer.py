@@ -12,6 +12,11 @@ produced; every scenario must reproduce them bit for bit with no more
 events than that loop processed.  ``TIE_ORDER_DEVIATIONS`` pins, at
 today's instants, cases where exactly coinciding chunk boundaries are
 resolved in another order than the loop's (see ``_BulkStream``).
+
+An AoE bulk reply (``Nic.start_train`` with ``per_frame_payload``) is
+planned in one event while its ports are free and hands over to a
+bulk stream when anybody asks for one; it must be the stepped reply (a
+gap timer, then the stream) at every instant.
 """
 
 import pytest
@@ -336,3 +341,79 @@ def test_done_waits_on_the_later_of_arrival_and_delivery(sectors, rate_bps,
     reference = arrival_run(ArrivalTimerSwitch, sectors, rate_bps, latency,
                             frame)
     assert got == reference
+
+
+# -- bulk replies -------------------------------------------------------------
+
+
+def reply_run(stepped, sectors, rate_bps, latency, contender):
+    """A bulk reply from a to b sent by ``Nic.start_train`` (planned when
+    it can be), or ``stepped`` as it used to be sent (a gap timer, then
+    a bulk stream), and a frame or a second bulk stream asking for a's
+    sending or b's receiving port part-way through.  Returns every
+    delivery, ``sent`` and ``done`` in order, with its instant."""
+    env = Environment()
+    switch = EthernetSwitch(env, rate_bps=rate_bps, forward_latency=latency)
+    seen = []
+
+    class RecordingNic(Nic):
+        def deliver(self, frame):
+            seen.append(("arrived:" + frame.payload, env.now))
+            super().deliver(frame)
+
+    nics = {name: RecordingNic(env, switch, name, rx_ring_size=64)
+            for name in "abcd"}
+    size = sectors * params.SECTOR_BYTES
+    gap = 3e-6
+
+    def sent(count):
+        seen.append(("sent:x", count, env.now))
+
+    def done():
+        seen.append(("done:x", env.now))
+
+    if stepped:
+        frames = -(-size // PER_FRAME)
+
+        def streamed():
+            sent(1)
+            done()
+
+        env.pooled_timeout(frames * gap).callbacks.append(
+            lambda _timer: switch.start_bulk_transfer(
+                "a", "b", "x", size, PER_FRAME, "aoe", streamed))
+    else:
+        nics["a"].start_train("b", ["x"], [size], "aoe", gap, sent, done,
+                              per_frame_payload=PER_FRAME)
+    if contender is not None:
+        kind, port, at = contender
+        src, dst = ("a", "c") if port == "tx" else ("d", "b")
+
+        def go(_timer):
+            if kind == "frame":
+                nics[src].start_send(
+                    dst, "f", FRAME_BYTES, "aoe",
+                    lambda _delivered: seen.append(("sent:f", env.now)))
+            else:
+                switch.start_bulk_transfer(
+                    src, dst, "y", MB // 4, PER_FRAME, "aoe",
+                    lambda: seen.append(("done:y", env.now)))
+        env.timeout(at).callbacks.append(go)
+    env.run()
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(sectors=st.integers(1, 4096),
+       rate_bps=st.sampled_from([params.GBE_BITS_PER_SECOND,
+                                 10 * params.GBE_BITS_PER_SECOND]),
+       latency=st.one_of(st.just(params.SWITCH_LATENCY_SECONDS),
+                         st.floats(0.0, 2e-3)),
+       contender=st.one_of(st.none(),
+                           st.tuples(st.sampled_from(["frame", "bulk"]),
+                                     st.sampled_from(["tx", "rx"]),
+                                     st.floats(0.0, 6e-3))))
+def test_bulk_reply_is_the_stepped_stream(sectors, rate_bps, latency,
+                                          contender):
+    assert reply_run(False, sectors, rate_bps, latency, contender) \
+        == reply_run(True, sectors, rate_bps, latency, contender)

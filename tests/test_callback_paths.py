@@ -35,7 +35,14 @@ train fuzz runs it against the per-fragment loop it replaced
 (:func:`loop_train`) with frames, bulk streams, other trains and fluid
 flows asking for its ports on its own instants and between them, and
 pins the seeds whose instants differ (``TRAIN_FUZZ_DEVIATIONS``, each
-with its reason).
+with its reason).  A bulk reply runs through the same machine on the
+128 KiB chunk grid; it is checked against the stepped reply it
+replaced (a gap timer, then a bulk stream) with a frame, a train, a
+bulk stream and a fluid flow asking for either port at each of its
+own instants and between them (a same-instant tie a hand-over orders
+otherwise is pinned in ``BULK_HAND_OVER_DEVIATIONS``), and the switch
+tie fuzz runs its bulk streams as bulk replies too
+(``REPLY_FUZZ_DEVIATIONS``).
 """
 
 import pytest
@@ -871,9 +878,12 @@ def fuzz_scenario(seed):
     return ports, trains, bulks
 
 
-def fuzz_run(switch_class, ports, trains, bulks, callbacks=False):
+def fuzz_run(switch_class, ports, trains, bulks, callbacks=False,
+             replies=None):
     """Run a fuzz scenario; trains are sent by generator processes, or
-    with ``callbacks`` by chains of ``Nic.start_send``."""
+    with ``callbacks`` by chains of ``Nic.start_send``.  With
+    ``replies`` (``Nic.start_train``'s arguments after the NIC) the
+    bulk streams are bulk replies sent by it."""
     env = Environment()
     switch = switch_class(env)
     instants = {}
@@ -903,7 +913,13 @@ def fuzz_run(switch_class, ports, trains, bulks, callbacks=False):
 
     def bulk(label, src, dst, start, size):
         yield env.timeout(start)
-        yield from bulk_transfer(switch, src, dst, label, size, PER_FRAME)
+        if replies is None:
+            yield from bulk_transfer(switch, src, dst, label, size, PER_FRAME)
+        else:
+            done = env.event()
+            replies(nics[src], dst, [label], [size], "aoe", GAP,
+                    lambda _count: None, done.succeed, None, PER_FRAME)
+            yield done
         instants["sent:" + label] = env.now
 
     for op in trains:
@@ -967,15 +983,72 @@ def test_tie_fuzz_matches_hop_frame_path():
     assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
 
 
+#: Fuzz seeds whose instants differ from the references' where the
+#: bulk streams are bulk replies, with the generator-sent trains
+#: against ``ReferenceSwitch`` and the callback-sent ones against
+#: ``HopSwitch``.
+REPLY_FUZZ_DEVIATIONS = {"reference": (), "hop": ()}
+
+
+@pytest.mark.parametrize("reference_switch", ["reference", "hop"])
+def test_tie_fuzz_with_bulk_replies(reference_switch):
+    callbacks = reference_switch == "hop"
+    reference_class = HopSwitch if callbacks else ReferenceSwitch
+    deviating = []
+    planned_seeds = 0
+    for seed in FUZZ_SEEDS:
+        scenario = fuzz_scenario(seed)
+        planned = []
+
+        def reply(nic, *args):
+            planned.append(_FrameTrain(nic.switch, nic, *args).planned)
+
+        got, events, switch = fuzz_run(CountingSwitch, *scenario,
+                                       callbacks=callbacks, replies=reply)
+        reference, reference_events, _ = fuzz_run(
+            reference_class, *scenario, callbacks=callbacks,
+            replies=loop_train)
+        if got != reference:
+            deviating.append(seed)
+        if any(planned):
+            planned_seeds += 1
+            assert events < reference_events
+            continue
+        # Stepped replies are bulk streams behind their gap timers.
+        frames = 0 if callbacks else sum(
+            len(sizes) for _, _, _, _, sizes in scenario[1])
+        taken = switch.taken if callbacks else 0
+        assert events == (reference_events - 2 * frames - taken
+                          - 2 * switch.kept - switch.bulk_taken
+                          - switch.rejoined - switch.unplanned
+                          - 2 * len(scenario[2]))
+    assert tuple(deviating) == REPLY_FUZZ_DEVIATIONS[reference_switch]
+    assert planned_seeds > len(FUZZ_SEEDS) // 4
+
+
 # -- frame trains -------------------------------------------------------------
 
 
 def loop_train(nic, dst, payloads, sizes, protocol, gap, sent, done,
-               parent=None):
+               parent=None, per_frame_payload=None):
     """A reply run as the per-fragment loop it used to be: a gap timer,
     the frame sent by ``Nic.start_send``, and the next gap once the
-    frame has left the sender."""
+    frame has left the sender.  A bulk reply (``per_frame_payload``)
+    runs as it used to: one gap timer of every frame's CPU time, then
+    a bulk stream (``EthernetSwitch.start_bulk_transfer``)."""
     env = nic.env
+    if per_frame_payload is not None:
+        frames = max(1, -(-sizes[0] // per_frame_payload))
+
+        def streamed():
+            sent(1)
+            done()
+
+        env.pooled_timeout(frames * gap).callbacks.append(
+            lambda _timer: nic.switch.start_bulk_transfer(
+                nic.name, dst, payloads[0], sizes[0], per_frame_payload,
+                protocol, streamed))
+        return
 
     def next_fragment(index):
         if index == len(payloads):
@@ -1000,6 +1073,10 @@ class WatchedTrain(_FrameTrain):
     receiving side."""
 
     def _hand_over(self):
+        if self.per_frame_payload is not None:
+            self._watch_chunks()
+            super()._hand_over()
+            return
         k = self._passed()
         phase = "done"
         if k < len(self.sizes):
@@ -1020,6 +1097,28 @@ class WatchedTrain(_FrameTrain):
             self.switch.rx_states.add(state)
         super()._hand_over()
 
+    def _watch_chunks(self):
+        """Record a bulk reply's hand-over: where its sender and its
+        receiver were, on one of its own instants or between them."""
+        now = self.env.now
+        began = self._start(0)
+        ends, deliveries = self.ends, self.deliveries
+        if not self._past(began, self.gap):
+            phase = "gap"
+        elif now == began:
+            phase = "granting"
+        elif self._past(ends[-1], ends[-1] - began):
+            phase = "sent"
+        else:
+            phase = "sending"
+        receiver = "idle"
+        if phase in ("sending", "sent"):
+            receiver = "waiting"
+            if self._past(ends[0], ends[0] - began):
+                receiver = "rejoining" if now == ends[0] else "holding"
+        tie = "tie" if now in [began, *ends, *deliveries] else "inside"
+        self.switch.hand_overs.append((phase, receiver, tie))
+
 
 class WatchedSwitch(EthernetSwitch):
     """Runs replies as :class:`WatchedTrain`: counts those started
@@ -1031,8 +1130,8 @@ class WatchedSwitch(EthernetSwitch):
         self.hand_overs = []
         self.rx_states = set()
 
-    def start_train(self, nic, *reply):
-        train = WatchedTrain(self, nic, *reply, None)
+    def start_train(self, nic, *reply, per_frame_payload=None):
+        train = WatchedTrain(self, nic, *reply, None, per_frame_payload)
         self.planned += train.planned
 
 
@@ -1040,8 +1139,8 @@ class LoopTrainSwitch(EthernetSwitch):
     """Runs replies as the per-fragment loop (:func:`loop_train`)."""
 
     @staticmethod
-    def start_train(nic, *reply):
-        loop_train(nic, *reply)
+    def start_train(nic, *reply, per_frame_payload=None):
+        loop_train(nic, *reply, None, per_frame_payload)
 
 
 GAP = AoeServer.PER_FRAME_CPU_SECONDS
@@ -1068,12 +1167,19 @@ def landing(target, *steps):
     return start if start >= 0.0 else None
 
 
-def train_run(switch_class, trains, ops=(), loss=None):
+def train_run(switch_class, trains, ops=(), loss=None, locks=False,
+              lead=None):
     """Trains ``(label, src, dst, start, sizes)`` sent by the switch
-    class's ``start_train`` (a frame train or the loop) and contenders ``(kind, label, src, dst, start,
-    size)`` of kind ``frame``, ``bulk`` or ``fluid``, each started at
-    its instant by a timer.  Returns the observable instants and
-    counters, the event count and the switch."""
+    class's ``start_train`` (a frame train or the loop; a bulk reply of
+    ``sizes`` bytes where that is an int) and contenders ``(kind,
+    label, src, dst, start, size)`` of kind ``frame``, ``bulk`` or
+    ``fluid``, each started at its instant by a timer.  Returns the
+    observable instants and counters, the event count and the
+    switch.  With ``locks`` the instants also hold the state of s's
+    sending and c's receiving lock right after each contender starts
+    (:func:`lock_state`).  With ``lead`` each contender's timer is made
+    only ``lead`` seconds before its instant, after the events planned
+    for that instant earlier."""
     env = Environment()
     switch = switch_class(env, loss=loss) if loss else switch_class(env)
     instants = {}
@@ -1097,6 +1203,12 @@ def train_run(switch_class, trains, ops=(), loss=None):
             sent[label] = sent.get(label, 0) + count
 
         def go(_timer):
+            if isinstance(sizes, int):
+                # A bulk reply of ``sizes`` bytes.
+                switch.start_train(nics[src], dst, [label], [sizes], "aoe",
+                                   GAP, counted, record(label),
+                                   per_frame_payload=PER_FRAME)
+                return
             switch.start_train(
                 nics[src], dst, [f"{label}.{k}" for k in range(len(sizes))],
                 sizes, "aoe", GAP, counted, record(label))
@@ -1111,7 +1223,15 @@ def train_run(switch_class, trains, ops=(), loss=None):
                     else switch.start_fluid_transfer
                 begin(src, dst, label, size, PER_FRAME, "aoe",
                       record(label))
-        env.timeout_at(start).callbacks.append(go)
+            if locks:
+                instants["locks:" + label] = (
+                    lock_state(switch._tx_locks["s"]),
+                    lock_state(switch._rx_locks["c"]))
+        if lead is None:
+            env.timeout_at(start).callbacks.append(go)
+        else:
+            env.timeout_at(start - lead).callbacks.append(
+                lambda _timer: env.timeout_at(start).callbacks.append(go))
 
     for spec in trains:
         train(*spec)
@@ -1125,6 +1245,15 @@ def train_run(switch_class, trains, ops=(), loss=None):
                                nic.rx_bytes, nic.fluid_tx_bytes)
                         for name, nic in nics.items()}
     return instants, env.events_processed, switch
+
+
+def lock_state(lock):
+    """What a port lock holds: its grants, waiters, sides about to ask
+    again, the kind of its holder and whether a frame has booked it."""
+    holder = lock.holder
+    return (len(lock.users), len(lock.queue), lock.rejoining,
+            None if holder is None else type(holder).__name__,
+            lock.booking is not None)
 
 
 #: Seeds of the train fuzz.
@@ -1295,6 +1424,158 @@ def test_lossy_switch_sends_replies_frame_by_frame():
         LoopTrainSwitch, trains, loss=LossModel(0.2, seed=7))
     assert got == reference
     assert got["switch"][0] < 8 + 5    # some frames were lost
+    assert switch.planned == 0
+    assert events == reference_events
+
+
+# -- bulk replies -------------------------------------------------------------
+
+
+def bulk_instants(start, size):
+    """A bulk reply's gap end, chunk send ends, delivery and chunk time,
+    by the stream's own additions."""
+    frames = -(-size // PER_FRAME)
+    chunks = -(-size // BULK_CHUNK_BYTES)
+    per_chunk = (size + frames * params.ETH_FRAME_OVERHEAD) * 8.0 \
+        / params.GBE_BITS_PER_SECOND / chunks
+    began = start + frames * GAP
+    ends = []
+    at = began
+    for _ in range(chunks):
+        at = at + per_chunk
+        ends.append(at)
+    return began, ends, ends[-1] + per_chunk, per_chunk
+
+
+#: Where a contender asks for one of a bulk reply's ports.
+BULK_POINTS = ("gap", "gap-end", "first-chunk", "first-send-end",
+               "mid-chunk", "boundary", "last-send-end", "delivery")
+REPLY_START = 2e-3
+REPLY_BYTES = MB // 2
+
+
+def bulk_point(point):
+    began, ends, delivery, per_chunk = bulk_instants(REPLY_START,
+                                                     REPLY_BYTES)
+    return {"gap": (REPLY_START + began) / 2, "gap-end": began,
+            "first-chunk": began + per_chunk / 2, "first-send-end": ends[0],
+            "mid-chunk": ends[0] + per_chunk / 2, "boundary": ends[1],
+            "last-send-end": ends[-1], "delivery": delivery}[point]
+
+
+def contender(kind, port, at):
+    """``(trains, ops)`` for one contender whose first request on s's
+    sending (``tx``) or c's receiving (``rx``) port, or whose fluid flow
+    on that link, comes at ``at``."""
+    if kind == "frame":
+        if port == "tx":
+            return [], [("frame", "f", "s", "y", at, FRAME_BYTES)]
+        return [], [("frame", "f", "x", "c", landing(at, ser(FRAME_BYTES)),
+                     FRAME_BYTES)]
+    if kind == "train":
+        sizes = [PER_FRAME, 64]
+        if port == "tx":
+            return [("u", "s", "y", landing(at, GAP), sizes)], []
+        return [("u", "x", "c", landing(at, GAP, ser(PER_FRAME)), sizes)], []
+    if kind == "fluid":
+        # A fluid flow starting on either link re-prices the chunks.
+        src, dst = ("s", "y") if port == "tx" else ("x", "c")
+        return [], [("fluid", "v", src, dst, at, MB // 8)]
+    if port == "tx":
+        return [], [("bulk", "b", "s", "y", at, MB // 4)]
+    per_chunk = bulk_instants(0.0, MB // 4)[3]
+    return [], [("bulk", "b", "x", "c", landing(at, per_chunk), MB // 4)]
+
+
+#: Hand-over cases whose instants differ from the stepped reply's, and
+#: why.  A bulk stream starting on the reply's gap end, timed late,
+#: schedules its receiver's wake-up for the reply's first send end in
+#: the same instant as the reply's own: the stepped reply's came first,
+#: the hand-over takes it second.
+BULK_HAND_OVER_DEVIATIONS = {
+    ("bulk", "rx", "first-send-end", "late"): SAME_SCHEDULING_INSTANT,
+}
+
+
+@pytest.mark.parametrize("lead", [None, 1e-6], ids=["early", "late"])
+@pytest.mark.parametrize("point", BULK_POINTS)
+@pytest.mark.parametrize("port", ["tx", "rx"])
+@pytest.mark.parametrize("kind", ["frame", "train", "bulk", "fluid"])
+def test_bulk_reply_hand_over_is_the_stepped_reply(kind, port, point, lead):
+    # Where the contender asks as it starts (on the sending port, or a
+    # fluid flow), the locks it leaves behind are compared too: the
+    # hand-over built the stepped reply's state.  A contender timed
+    # ``late`` comes after the stepped reply's events due at its
+    # instant, so it finds a grant or a re-request still to come.
+    extra, ops = contender(kind, port, bulk_point(point))
+    trains = [("r", "s", "c", REPLY_START, REPLY_BYTES), *extra]
+    locks = port == "tx" or kind == "fluid"
+    got, events, switch = train_run(WatchedSwitch, trains, ops, locks=locks,
+                                    lead=lead)
+    reference, reference_events, _ = train_run(LoopTrainSwitch, trains, ops,
+                                               locks=locks, lead=lead)
+    for key in ("sent", "switch", "nics"):
+        assert got.pop(key) == reference.pop(key)
+    case = (kind, port, point, "late" if lead else "early")
+    if case in BULK_HAND_OVER_DEVIATIONS:
+        # The port goes to the other waiter first: one chunk earlier
+        # for it, one later for the reply.
+        per_chunk = bulk_instants(0.0, REPLY_BYTES)[3]
+        moved = {label: got[label] - reference[label] for label in got
+                 if got[label] != reference[label]}
+        assert moved and all(abs(abs(shift) - per_chunk) < 1e-12
+                             for shift in moved.values())
+    else:
+        assert got == reference
+    assert switch.planned == 1
+    assert len(switch.hand_overs) <= 1
+    assert events <= reference_events
+
+
+def test_bulk_reply_hand_overs_reach_every_state():
+    seen = set()
+    for kind in ("frame", "train", "bulk"):
+        for port in ("tx", "rx"):
+            for point in BULK_POINTS:
+                extra, ops = contender(kind, port, bulk_point(point))
+                trains = [("r", "s", "c", REPLY_START, REPLY_BYTES), *extra]
+                seen.update(train_run(WatchedSwitch, trains, ops)[2]
+                            .hand_overs)
+    assert {(phase, receiver) for phase, receiver, _ in seen} == {
+        ("gap", "idle"), ("granting", "idle"), ("sending", "waiting"),
+        ("sending", "rejoining"), ("sending", "holding"),
+        ("sent", "holding")}
+    assert {tie for *_, tie in seen} == {"tie", "inside"}
+
+
+def test_lone_bulk_reply_costs_one_event():
+    trains = [("r", "s", "c", 0.0, MB)]
+    got, events, switch = train_run(WatchedSwitch, trains)
+    reference, reference_events, _ = train_run(LoopTrainSwitch, trains)
+    assert got == reference
+    assert switch.planned == 1 and switch.hand_overs == []
+    # The start timer and the ring put; the stepped reply's gap timer,
+    # sending hold, the receiver's wake-up and its hold against one.
+    assert reference_events == 2 + 4
+    assert events == 2 + 1
+
+
+@pytest.mark.parametrize("busy", ["sending", "receiving", "lossy", "fluid"])
+def test_bulk_reply_that_cannot_plan_is_the_stepped_reply(busy):
+    # A frame holds s's sending port or a bulk stream c's receiving port
+    # when the reply starts; or the switch draws loss; or a fluid flow
+    # network exists (its flow on other ports).
+    ops = {"sending": [("frame", "f", "s", "y", 0.0, FRAME_BYTES)],
+           "receiving": [("bulk", "b", "x", "c", 0.0, MB // 4)],
+           "lossy": [],
+           "fluid": [("fluid", "v", "x", "y", 0.0, MB // 8)]}[busy]
+    start = {"sending": 1e-6, "receiving": 1.5e-3}.get(busy, 1e-4)
+    loss = LossModel(0.2, seed=7) if busy == "lossy" else None
+    trains = [("r", "s", "c", start, MB // 2)]
+    got, events, switch = train_run(WatchedSwitch, trains, ops, loss=loss)
+    reference, reference_events, _ = train_run(LoopTrainSwitch, trains, ops,
+                                               loss=loss)
+    assert got == reference
     assert switch.planned == 0
     assert events == reference_events
 

@@ -355,17 +355,20 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     # The partition gives each gap to the event that ends it, so it
     # follows the event set: bulk streams with a re-request hop and an
     # arrival timer each gave 20 us more to "other" (copier 0.410376,
-    # mediator 0.437486, other 10.499244).
+    # mediator 0.437486, other 10.499244), and bulk replies of four
+    # events instead of one gave it 77 ms more (copier 0.410396, guest
+    # 22.576418, mediator 0.437526, other 10.499184).
     assert _rounded(report["components"]) == {
-        "copier": 0.410396, "guest": 22.576418, "mediator": 0.437526,
-        "origin": 4.7e-05, "other": 10.499184, "vmm": 7.00024}
+        "copier": 0.480036, "guest": 22.580305, "mediator": 0.440846,
+        "origin": 4.7e-05, "other": 10.422337, "vmm": 7.00024}
     path = report["critical_path"]
     assert path["anchor"] == "devirtualize"
     assert round(path["anchor_seconds"], 6) == 8.372283
-    # One event fewer than with the bulk re-request hop (624), and 32
+    # One event fewer than with the bulk re-request hop (624), 32
     # fewer again since redirected reads' replies run as frame trains
-    # (623 with every reply sent frame by frame).
-    assert path["steps"] == 591
+    # (623 with every reply sent frame by frame), and 2 fewer since
+    # bulk replies are planned (591 with every one stepped).
+    assert path["steps"] == 589
     assert [(entry["component"], round(entry["seconds"], 6))
             for entry in path["budget"]] == [
         ("vmm", 7.00024), ("guest", 0.650989), ("mediator", 0.335208),

@@ -1,7 +1,8 @@
 """The network's per-block machines leave no reference cycle.
 
-A bulk stream, a reply's frame train, a fluid flow, and a frame's port
-requests and timers are allocated once per block, reply or frame, so
+A bulk stream, a reply (a frame train or a bulk reply), a fluid flow,
+and a frame's port requests and timers are allocated once per block,
+reply or frame, so
 any of them left in a reference cycle is
 freed only by the cyclic collector, whose collections then scale with
 the image.  Each scenario runs with ``gc.DEBUG_SAVEALL``, which keeps
@@ -133,6 +134,61 @@ def handed_over_trains():
     return switch
 
 
+def bulk_reply(env, nic, dst, payload_bytes):
+    """Send a bulk reply of ``payload_bytes`` from ``nic`` to ``dst``."""
+    event = env.event()
+    nic.start_train(dst, [None], [payload_bytes], "aoe", 3e-6,
+                    lambda _count: None, event.succeed,
+                    per_frame_payload=PER_FRAME)
+    return event
+
+
+def sequential_bulk_replies():
+    env, switch = switch_with("ab")
+    nic = switch._ports["a"]
+
+    def replies():
+        for _ in range(1000):
+            yield bulk_reply(env, nic, "b", MIB)
+
+    env.run(until=env.process(replies()))
+    return switch
+
+
+def handed_over_bulk_replies():
+    # Frames, a bulk stream and a fluid flow ask for the sending and the
+    # receiving port in the gap, mid-chunk and on chunk boundaries
+    # while bulk replies are planned.
+    env, switch = switch_with("abcd")
+    nics = switch._ports
+
+    def later(start, body):
+        yield env.timeout(start)
+        yield from body
+
+    def replies():
+        for _ in range(20):
+            yield bulk_reply(env, nics["a"], "b", MIB // 2)
+            yield env.timeout(0.5e-3)
+
+    def fluid():
+        done = env.event()
+        switch.start_fluid_transfer("c", "b", None, MIB // 4, PER_FRAME,
+                                    "aoe", done.succeed)
+        yield done
+
+    env.process(replies())
+    for index in range(12):
+        src, dst = ("ad", "cb")[index % 2]
+        env.process(later(1e-4 + index * 3.7e-3,
+                          nics[src].send(dst, index, FRAME_BYTES)))
+    env.process(later(5.1e-2, bulk_transfer(switch, "a", "d", MIB)))
+    env.process(later(6.03e-2, bulk_transfer(switch, "c", "b", MIB // 4)))
+    env.process(later(7.9e-2, fluid()))
+    env.run()
+    return switch
+
+
 def fluid_flows():
     # Flows share ports and come and go, and frames charge them debt.
     env, switch = switch_with("abcd")
@@ -172,7 +228,9 @@ def ahci_deploy():
 
 @pytest.mark.parametrize("scenario", [sequential_transfers,
                                       contended_streams, sequential_trains,
-                                      handed_over_trains, fluid_flows,
+                                      handed_over_trains,
+                                      sequential_bulk_replies,
+                                      handed_over_bulk_replies, fluid_flows,
                                       ahci_deploy])
 def test_no_per_block_object_left_in_a_cycle(scenario):
     gc.collect()
