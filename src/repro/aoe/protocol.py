@@ -10,6 +10,7 @@ which transaction and fragment a frame belongs to.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from repro import params
@@ -31,52 +32,62 @@ def fragment_count(sector_count: int, mtu: int) -> int:
     return (sector_count + per_frame - 1) // per_frame
 
 
-@dataclass(frozen=True, slots=True)
-class AoeCommand:
-    """Initiator -> server ATA command."""
+class _Message(tuple):
+    """An immutable protocol message built as a tuple, which is several
+    times cheaper than a frozen dataclass setting each field through
+    ``object.__setattr__`` (a command and a fragment per frame make that
+    cost show).  Fields are read by name and cannot be assigned, and a
+    message equals only a message of its own class with equal fields."""
 
-    tag: int
-    op: str                  # "read" | "write"
-    lba: int
-    sector_count: int
-    #: For writes: the data runs being sent (carried across fragments;
-    #: the model attaches them to the logical command).
-    payload_runs: tuple = ()
-    #: Bulk transfers use the switch's aggregate path — used by the
-    #: background copier.  Far fewer simulation events, and the same
-    #: wire bytes, but not the fragment train's latency: the server's
-    #: per-frame CPU time is paid up front and the payload crosses the
-    #: receiver on a 128 KiB chunk grid (see ``AoeInitiator.read_blocks``).
-    bulk: bool = False
-    #: Fluid transfers price the data leg analytically (max-min fair
-    #: flow model, no per-chunk events); only valid with ``bulk`` and
-    #: only while the deployment's FluidState is active.
-    fluid: bool = False
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class AoeCommand(namedtuple("AoeCommand", "tag op lba sector_count "
+                            "payload_runs bulk fluid",
+                            defaults=((), False, False)), _Message):
+    """Initiator -> server ATA command.
+
+    ``op`` is ``"read"`` or ``"write"``.  For writes, ``payload_runs``
+    are the data runs being sent (carried across fragments; the model
+    attaches them to the logical command).  ``bulk`` transfers use the
+    switch's aggregate path, used by the background copier: far fewer
+    simulation events, and the same wire bytes, but not the fragment
+    train's latency, because the server's per-frame CPU time is paid up
+    front and the payload crosses the receiver on a 128 KiB chunk grid
+    (see ``AoeInitiator.read_blocks``).  ``fluid`` transfers price the
+    data leg analytically (max-min fair flow model, no per-chunk
+    events); only valid with ``bulk`` and only while the deployment's
+    FluidState is active.
+    """
+
+    __slots__ = ()
 
     @property
     def header_bytes(self) -> int:
         return params.AOE_HEADER_BYTES
 
     def frame_bytes(self) -> int:
-        """Wire payload size of the command frame itself."""
-        if self.op == "write":
-            # Write commands are followed by data fragments; the command
-            # frame itself is header-only.
-            return self.header_bytes
-        return self.header_bytes
+        """Wire payload size of the command frame itself: the header (a
+        write's data travels in fragments ahead of it)."""
+        return params.AOE_HEADER_BYTES
 
 
-@dataclass(frozen=True, slots=True)
-class AoeDataFragment:
+class AoeDataFragment(namedtuple("AoeDataFragment", "tag fragment_index "
+                                 "fragment_total lba sector_count runs",
+                                 defaults=((),)), _Message):
     """One fragment of a transfer (server->initiator for reads,
-    initiator->server for writes)."""
+    initiator->server for writes): ``sector_count`` sectors from
+    ``lba``, with their content ``runs`` for reads."""
 
-    tag: int
-    fragment_index: int
-    fragment_total: int
-    lba: int                 # first sector this fragment covers
-    sector_count: int        # sectors in this fragment
-    runs: tuple = ()         # content runs for reads
+    __slots__ = ()
 
     @property
     def payload_bytes(self) -> int:
