@@ -109,7 +109,6 @@ def deployment_scenario(image_factory, node_count: int = 1,
                         seed_fill: float = 0.0,
                         policy=None, wait: bool = True,
                         telemetry_factory=None,
-                        fast_lane: bool = True,
                         deploy_options: dict | None = None,
                         disk_controller: str = "ahci",
                         method: str = "bmcast",
@@ -124,13 +123,10 @@ def deployment_scenario(image_factory, node_count: int = 1,
     (a callable ``env -> telemetry``) arms telemetry for each run —
     comparing digests of a plain scenario against one with forensics
     enabled is how the observability layer proves it does not perturb
-    the timeline.  ``fast_lane=False`` runs on the pure-heap reference
-    scheduler — comparing digests of a fast-lane run against a
-    reference run is how the kernel fast path proves it reorders
-    nothing (see ``docs/performance.md``).  ``deploy_options`` are
-    forwarded to every deployment — e.g. ``{"fluid": True}``; the
-    fluid-off-is-byte-identical tests compare a ``fluid=False`` run
-    against one with no option at all.  ``sanitize`` attaches a fresh
+    the timeline.  ``deploy_options`` are forwarded to every
+    deployment — e.g. ``{"fluid": True}``; the fluid-off-is-byte-identical
+    tests compare a ``fluid=False`` run against one with no option at
+    all.  ``sanitize`` attaches a fresh
     :class:`~repro.analysis.SanitizerSuite` to each run.  With ``wait``
     the run continues to every copy's completion plus
     ``settle_seconds``.  ``seed_fill`` holds each wave until the
@@ -147,7 +143,7 @@ def deployment_scenario(image_factory, node_count: int = 1,
     from repro.sim import Environment
 
     def scenario(recorder: ReplayRecorder | None = None) -> DeploymentRun:
-        env = Environment(fast_lane=fast_lane)
+        env = Environment()
         telemetry = NULL_TELEMETRY if telemetry_factory is None \
             else telemetry_factory(env)
         testbed = build_testbed(node_count=node_count,

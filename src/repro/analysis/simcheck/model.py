@@ -32,12 +32,14 @@ from repro.analysis.lint import LintContext, iter_python_files, \
 #: Calls that put something onto the event queue directly.  Everything
 #: else reaches the queue only transitively, through the call graph.
 PRIMITIVE_SINKS = frozenset({
-    "schedule", "process", "timeout", "succeed", "interrupt",
-    "all_of", "any_of",
+    "schedule", "process", "timeout", "timeout_at", "succeed",
+    "interrupt", "all_of", "any_of",
 })
 
 #: Event constructors whose result is useless unless yielded/stored.
-EVENT_CONSTRUCTORS = frozenset({"timeout", "event", "all_of", "any_of"})
+EVENT_CONSTRUCTORS = frozenset({
+    "timeout", "timeout_at", "event", "all_of", "any_of",
+})
 
 #: Call tails that satisfy the claim protocol / mutual exclusion for
 #: the shared-state race pass.  Exact names for the engine's own

@@ -164,7 +164,6 @@ class _Transaction:
     # -- the RTO -----------------------------------------------------------
 
     def _arm(self, start: float) -> None:
-        # Plain (never pooled): the timer is retained and cancelled.
         timer = self.timer = self.client.env.timeout_at(start + self.rtt.rto)
         timer.callbacks.append(self._expired)
 

@@ -72,7 +72,7 @@ class ImageStore:
             is_hit = (self._request_index % round(period)) != 0
         base = self.hit_seconds if is_hit else self.miss_seconds
         transfer = sector_count * params.SECTOR_BYTES / self.bandwidth
-        self.env.pooled_timeout(
+        self.env.timeout(
             base + transfer, (lba, sector_count, done)).callbacks.append(
                 self._fetched)
 
@@ -84,7 +84,7 @@ class ImageStore:
         """Store runs (initiator write path; rarely used): ``done()``."""
         nbytes = sum(end - start for start, end, _ in runs) \
             * params.SECTOR_BYTES
-        self.env.pooled_timeout(
+        self.env.timeout(
             self.miss_seconds + nbytes / self.bandwidth,
             (runs, done)).callbacks.append(self._written)
 
@@ -274,7 +274,7 @@ class _Serve:
         # dominant queueing effect) is identical in both modes.
         self.fluid_reply = (fragment, payload_bytes, per_frame_payload)
         frames = max(1, -(-payload_bytes // per_frame_payload))
-        server.env.pooled_timeout(
+        server.env.timeout(
             frames * server.PER_FRAME_CPU_SECONDS).callbacks.append(
                 self._send_fluid)
 

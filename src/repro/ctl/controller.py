@@ -287,8 +287,7 @@ def elasticity_scenario(image_factory, node_count: int = 6,
                         preserve_on_reclaim: bool = True,
                         fluid: bool = False,
                         telemetry_factory=None,
-                        sanitizer_factory=None,
-                        fast_lane: bool = True):
+                        sanitizer_factory=None):
     """One autoscaling run as a scenario callable — fresh environment
     and testbed per call, per :func:`~repro.analysis.replay.
     check_replay`'s contract.  Exercises grow -> shrink -> grow so the
@@ -312,7 +311,7 @@ def elasticity_scenario(image_factory, node_count: int = 6,
     from repro.sim import Environment
 
     def scenario(recorder=None) -> ElasticRun:
-        env = Environment(fast_lane=fast_lane)
+        env = Environment()
         telemetry = NULL_TELEMETRY if telemetry_factory is None \
             else telemetry_factory(env)
         testbed = build_testbed(node_count=node_count,

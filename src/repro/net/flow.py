@@ -1,9 +1,9 @@
 """Fluid-flow transfers: analytic bulk streams over the switch fabric.
 
 Packet mode simulates every chunk of a bulk stream as discrete events;
-at fleet scale the event *count* dominates wall-clock time even after
-the kernel fast path made each event cheap.  When a stream is in steady
-state on an uncontended-or-stably-shared path, its trajectory is fully
+at fleet scale the event *count* dominates wall-clock time, however
+cheap each event is.  When a stream is in steady state on an
+uncontended-or-stably-shared path, its trajectory is fully
 determined by the bandwidth shares of the links it crosses — so this
 module collapses the whole stream into one :class:`Flow` whose finish
 time is computed analytically from a **max-min fair** bandwidth-sharing
@@ -21,8 +21,7 @@ interleaving converges to (N streams through one port each progress at
 Re-pricing leans on the engine's lazy ``Environment.cancel``: each flow
 holds one completion :class:`~repro.sim.events.Timeout`; a solve
 cancels the stale timer in O(1) and schedules a fresh one at the new
-finish time.  Timers are plain (never pooled) because they are retained
-and cancelled, which the pool contract forbids.
+finish time.
 
 **Accuracy envelope** (see docs/performance.md): fluid flows do not
 hold port tx/rx locks, so concurrent *packet* traffic (redirected guest

@@ -122,7 +122,7 @@ class EthernetSwitch:
         # Sender-side serialization: one frame at a time per port.
         with self._tx_locks[frame.src].request() as grant:
             yield grant
-            yield self.env.pooled_timeout(self._tx_seconds(frame))
+            yield self.env.timeout(self._tx_seconds(frame))
         return self._sent(frame)
 
     def start_transmit(self, frame: Frame, done) -> None:
@@ -148,8 +148,8 @@ class EthernetSwitch:
         request.callbacks.append(self._on_tx_granted)
 
     def _tx_granted(self, request: "_FrameRequest") -> None:
-        self.env.pooled_timeout(self._tx_seconds(request.frame),
-                                request).callbacks.append(self._on_tx_sent)
+        self.env.timeout(self._tx_seconds(request.frame),
+                         request).callbacks.append(self._on_tx_sent)
 
     def _tx_sent(self, timer) -> None:
         request = timer._value
@@ -195,8 +195,8 @@ class EthernetSwitch:
                 booking.done.callbacks.append(self._on_rx_done)
                 lock.booking = booking
                 return
-        env.pooled_timeout(self.forward_latency,
-                           frame).callbacks.append(self._on_rx_arrived)
+        env.timeout(self.forward_latency,
+                    frame).callbacks.append(self._on_rx_arrived)
 
     def _unbook(self, booking: "_FrameRequest") -> None:
         """Someone asked for a booked port before the frame arrived:
@@ -213,7 +213,7 @@ class EthernetSwitch:
 
     def _rx_granted(self, request: "_FrameRequest") -> None:
         frame = request.frame
-        self.env.pooled_timeout(
+        self.env.timeout(
             self.serialization_time(frame)
             + self._fluid_interleave_penalty(frame.dst, tx=False),
             request).callbacks.append(self._on_rx_done)
@@ -354,7 +354,7 @@ class EthernetSwitch:
         latency = self.forward_latency
 
         def flowed(_event):
-            env.pooled_timeout(latency).callbacks.append(arrived)
+            env.timeout(latency).callbacks.append(arrived)
 
         def arrived(_event):
             self._ports[src].note_fluid_tx(frames, wire_bytes)
@@ -549,8 +549,7 @@ class _BulkStream:
     chunk timers at (``_Request.trigger``).  The receiver asks in place
     when nothing else is due (``Environment.settled``), as
     ``Resource.acquire`` grants in place: the hop would have been the
-    next event.  Timers are plain (never pooled) because they are
-    retained and cancelled.
+    next event.
 
     ``done`` runs at the later of two instants: the last chunk's
     arrival at the receiving port, one forwarding latency after it left
@@ -835,7 +834,7 @@ class _BulkStream:
             # Sure to come before the delivery.
             self.pending -= 1
         else:
-            env.pooled_timeout(latency).callbacks.append(self._landed)
+            env.timeout(latency).callbacks.append(self._landed)
 
     # -- receiver ---------------------------------------------------------
 

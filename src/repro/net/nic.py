@@ -62,13 +62,14 @@ class Nic:
 
     def send(self, dst: str, payload, payload_bytes: int,
              protocol: str = "aoe"):
-        """Generator: transmit one frame; returns True if delivered."""
-        # Hot path: hoist attribute lookups; a deploy pushes millions of
-        # frames through here.
+        """Generator: transmit one frame; returns True if delivered.
+
+        No simulator path sends through here (they use
+        :meth:`start_send` and the trains); the tests keep it as the
+        step-by-step form the callback paths are checked against."""
         frame = Frame(self.name, dst, payload, payload_bytes, protocol)
-        switch = self.switch
         with self.telemetry.tracer.track("nic", "tx"):
-            delivered = yield from switch.transmit(frame)
+            delivered = yield from self.switch.transmit(frame)
         self._count_tx(frame.wire_bytes)
         return delivered
 

@@ -527,7 +527,7 @@ class _FrameTrain:
             return
         else:
             step = self._send
-        self.env.pooled_timeout(self.gap).callbacks.append(step)
+        self.env.timeout(self.gap).callbacks.append(step)
 
     def _stream(self, _timer) -> None:
         """The bulk reply's CPU time is over: its stream starts."""

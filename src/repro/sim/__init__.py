@@ -26,7 +26,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import PriorityStore, Request, Resource, Store
+from repro.sim.resources import Request, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Notifier",
-    "PriorityStore",
     "Process",
     "Request",
     "Resource",

@@ -1,20 +1,10 @@
 """The simulation environment: clock, event queue, and run loop.
 
-Scheduling is split between two structures (the "fast path"):
-
-* a binary heap for events scheduled with a non-zero delay, and
-* two FIFO *fast lanes* (one per priority) for zero-delay events — the
-  dominant case in callback chains (``succeed``/``fail``, process
-  kick-starts, store hand-offs, interrupts).
-
-Zero-delay entries are appended with a monotonically increasing
-``(time, priority, eid)`` key, so each lane is sorted by construction
-and ``step`` only has to compare the three heads.  The observable event
-order — and therefore the replay digest folded over ``trace_hook`` — is
-identical to a single global heap, because every entry carries the same
-total-order key either way.  ``Environment(fast_lane=False)`` forces the
-pure-heap reference scheduler; the replay-equality tests compare the two
-digests byte for byte.
+Every scheduled event is one ``(time, priority, eid, event)`` entry on
+one binary heap.  ``eid`` is a global insertion counter, so entries at
+the same instant and priority pop in the order they were scheduled,
+and the popped order -- and therefore the replay digest folded over
+``trace_hook`` -- is a pure function of the scheduling calls.
 
 Cancellation is lazy: ``cancel(event)`` marks the event and the run loop
 discards it when it surfaces, so cancelling costs O(1) instead of a heap
@@ -26,10 +16,8 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from collections import deque
 
 from repro.sim.events import (
-    _PENDING,
     AllOf,
     AnyOf,
     Event,
@@ -37,14 +25,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-
-#: Sources for queue entries, used by the head-selection helpers.
-_SRC_HEAP = 0
-_SRC_URGENT = 1
-_SRC_NORMAL = 2
-
-#: Upper bound on recycled Timeout objects retained per environment.
-_TIMEOUT_POOL_LIMIT = 256
 
 
 class EmptySchedule(Exception):
@@ -61,11 +41,6 @@ class Environment:
     Time is a float in **seconds**.  Events are processed in (time,
     priority, insertion-order) order, so simultaneous events retain FIFO
     semantics unless explicitly prioritized.
-
-    ``fast_lane=False`` selects the pure-heap reference scheduler (and
-    disables :meth:`pooled_timeout` recycling); it exists so the replay
-    checker can prove the optimized scheduler pops the exact same event
-    stream.
     """
 
     #: Priority for urgent events (interrupts) processed before normal ones.
@@ -73,20 +48,14 @@ class Environment:
     #: Default priority.
     PRIORITY_NORMAL = 1
 
-    def __init__(self, initial_time: float = 0.0, fast_lane: bool = True):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        #: The event heap of (time, priority, eid, event) entries.
         self._queue: list = []
         self._eid = count()
-        self.fast_lane = bool(fast_lane)
-        #: Zero-delay FIFO lanes; each holds (time, priority, eid, event)
-        #: entries that are sorted by construction (time and eid are both
-        #: monotone within a run).
-        self._lane_urgent: deque = deque()
-        self._lane_normal: deque = deque()
         #: Events lazily cancelled via :meth:`cancel`; discarded (no
         #: trace, no callbacks) when they surface.
         self._cancelled: set = set()
-        self._timeout_pool: list = []
         self._active_process: Process | None = None
         # Engine throughput counters (always on: two integer increments
         # per event are cheaper than routing telemetry through here, and
@@ -126,9 +95,8 @@ class Environment:
 
     @property
     def queued(self) -> int:
-        """Number of scheduled entries (heap plus both fast lanes)."""
-        return (len(self._queue) + len(self._lane_urgent)
-                + len(self._lane_normal))
+        """Number of scheduled entries, cancelled ones included."""
+        return len(self._queue)
 
     @property
     def settled(self) -> bool:
@@ -141,10 +109,8 @@ class Environment:
         moving anything else in the order.  Cancelled entries count as
         queued (the answer errs towards the hop).
         """
-        now = self._now
         queue = self._queue
-        return (not self._lane_normal and not self._lane_urgent
-                and not (queue and queue[0][0] == now))
+        return not (queue and queue[0][0] == self._now)
 
     def __repr__(self):
         return f"<Environment t={self._now:.6f} queued={self.queued}>"
@@ -174,47 +140,6 @@ class Environment:
             raise ValueError(f"instant {at} is in the past (now {now})")
         return Timeout(self, at - now, value, at=at)
 
-    def pooled_timeout(self, delay: float, value=None) -> Timeout:
-        """A :class:`Timeout` recycled through a per-environment pool.
-
-        Hot paths (NIC serialization, switch forwarding, server think time)
-        allocate millions of short-lived timeouts; pooling removes the
-        allocation without changing the popped-event stream, because the
-        recycled object is a real ``Timeout`` instance.
-
-        **Contract**: the caller must only ``yield`` the returned event
-        or append a callback to it, and must not retain a reference
-        past that — the object is reset and reissued after its
-        callbacks run (a callback may read ``value`` while it runs).
-        Events held in conditions (``any_of``/``all_of``), cancelled or
-        stored for later inspection must use :meth:`timeout` instead.
-        """
-        if not self.fast_lane:
-            return Timeout(self, delay, value)
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            timeout = pool.pop()
-            timeout._delay = delay
-            timeout._ok = True
-            timeout._value = value
-            if delay == 0.0:
-                # Inlined zero-delay schedule (the overwhelmingly common
-                # case for pooled timeouts): one lane append instead of a
-                # schedule() call.
-                self._lane_normal.append(
-                    (self._now, 1, next(self._eid), timeout))
-                if self.schedule_hook is not None:
-                    self.schedule_hook(timeout, self._current_event,
-                                       self._now)
-            else:
-                self.schedule(timeout, delay=delay)
-            return timeout
-        timeout = Timeout(self, delay, value)
-        timeout._pooled = True
-        return timeout
-
     def process(self, generator, name: str | None = None) -> Process:
         """Start ``generator`` as a new simulation process."""
         self.processes_spawned += 1
@@ -234,16 +159,7 @@ class Environment:
         now, or at the absolute instant ``at`` when given."""
         if at is None:
             at = self._now + delay
-        entry = (at, priority, next(self._eid), event)
-        if at == self._now and self.fast_lane:
-            if priority == 1:
-                self._lane_normal.append(entry)
-            elif priority == 0:
-                self._lane_urgent.append(entry)
-            else:
-                heappush(self._queue, entry)
-        else:
-            heappush(self._queue, entry)
+        heappush(self._queue, (at, priority, next(self._eid), event))
         if self.schedule_hook is not None:
             self.schedule_hook(event, self._current_event, at)
 
@@ -272,83 +188,29 @@ class Environment:
             return False
         return True
 
-    def _next_entry(self):
-        """(source, entry) of the globally next live queue entry.
-
-        Prunes lazily-cancelled heads on the way; returns ``(None, None)``
-        when the schedule is empty.
-        """
-        queue = self._queue
-        urgent = self._lane_urgent
-        normal = self._lane_normal
-        cancelled = self._cancelled
-        while True:
-            entry = queue[0] if queue else None
-            source = _SRC_HEAP
-            if urgent:
-                head = urgent[0]
-                if entry is None or head < entry:
-                    entry = head
-                    source = _SRC_URGENT
-            if normal:
-                head = normal[0]
-                if entry is None or head < entry:
-                    entry = head
-                    source = _SRC_NORMAL
-            if entry is None:
-                return None, None
-            if cancelled and entry[3] in cancelled:
-                cancelled.discard(entry[3])
-                if source == _SRC_HEAP:
-                    heappop(queue)
-                elif source == _SRC_URGENT:
-                    urgent.popleft()
-                else:
-                    normal.popleft()
-                continue
-            return source, entry
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        _, entry = self._next_entry()
-        return entry[0] if entry is not None else float("inf")
-
-    def step(self, _Timeout=Timeout) -> None:
-        """Process the single next event."""
-        # Head selection is inlined (rather than calling _next_entry)
-        # because this is the single hottest loop in the simulator: the
-        # function call plus the peek-then-pop double indexing cost more
-        # than the selection itself.
         queue = self._queue
-        urgent = self._lane_urgent
-        normal = self._lane_normal
+        cancelled = self._cancelled
+        while queue:
+            event = queue[0][3]
+            if event not in cancelled:
+                return queue[0][0]
+            cancelled.discard(event)
+            heappop(queue)
+        return float("inf")
+
+    def step(self) -> None:
+        """Process the single next event."""
+        queue = self._queue
         cancelled = self._cancelled
         while True:
-            entry = queue[0] if queue else None
-            source = _SRC_HEAP
-            if urgent:
-                head = urgent[0]
-                if entry is None or head < entry:
-                    entry = head
-                    source = _SRC_URGENT
-            if normal:
-                head = normal[0]
-                if entry is None or head < entry:
-                    entry = head
-                    source = _SRC_NORMAL
-            if entry is None:
+            if not queue:
                 raise EmptySchedule()
-            if source == _SRC_HEAP:
-                heappop(queue)
-            elif source == _SRC_URGENT:
-                urgent.popleft()
-            else:
-                normal.popleft()
-            if cancelled and entry[3] in cancelled:
-                cancelled.discard(entry[3])
-                continue
-            break
-        event = entry[3]
+            now, _, _, event = heappop(queue)
+            if not cancelled or event not in cancelled:
+                break
+            cancelled.discard(event)
 
         callbacks = event.callbacks
         if callbacks is None:
@@ -357,10 +219,10 @@ class Environment:
                 f"twice or already processed (cancel duplicate schedules "
                 f"with Environment.cancel)"
             )
-        self._now = entry[0]
+        self._now = now
         self.events_processed += 1
         if self.trace_hook is not None:
-            self.trace_hook(self._now, event)
+            self.trace_hook(now, event)
 
         event.callbacks = None
         self._current_event = event
@@ -373,14 +235,6 @@ class Environment:
         if not event._ok and not event.defused:
             # An unhandled failure: surface it rather than losing it.
             raise event._value
-        if type(event) is _Timeout and event._pooled:
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_LIMIT:
-                event.callbacks = []
-                event._value = _PENDING
-                event._ok = None
-                event.defused = False
-                pool.append(event)
 
     def run(self, until=None):
         """Run the simulation.

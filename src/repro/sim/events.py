@@ -128,7 +128,7 @@ class Event:
 class Timeout(Event):
     """An event that fires after ``delay`` units of simulated time."""
 
-    __slots__ = ("_delay", "_pooled")
+    __slots__ = ("_delay",)
 
     def __init__(self, env: "Environment", delay: float, value=None,
                  at: float | None = None):
@@ -136,8 +136,6 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self._delay = delay
-        #: True for instances recycled by ``Environment.pooled_timeout``.
-        self._pooled = False
         self._ok = True
         self._value = value
         # ``at`` (see Environment.timeout_at) pins the instant exactly

@@ -8,14 +8,9 @@ only what the hardware and protocol models need.
 * :class:`Store` — an unbounded-or-bounded FIFO of objects (request
   queues, NIC rings, the background-copy FIFO between retriever and
   writer threads).
-* :class:`PriorityStore` — a store that yields the lowest-priority item
-  first.
 """
 
 from __future__ import annotations
-
-import heapq
-from itertools import count
 
 from repro.sim.events import Event
 
@@ -169,9 +164,7 @@ class Store:
 
     def try_put(self, item) -> bool:
         """Non-blocking put: True once ``item`` is accepted in place, with
-        no put event; False, and nothing done, when the store is full.
-        FIFO stores only: a :class:`PriorityStore` takes items through
-        :meth:`PriorityStore.put_with_priority`."""
+        no put event; False, and nothing done, when the store is full."""
         if self.is_full:
             return False
         self.items.append(item)
@@ -220,83 +213,3 @@ class Store:
             while self._getters and self.items:
                 getter = self._getters.pop(0)
                 getter.succeed(self.items.pop(0))
-
-
-class PriorityStore(Store):
-    """A store yielding items in priority order (lowest first).
-
-    Items are compared by the ``(priority, insertion index)`` pair, so
-    equal priorities remain FIFO and items never need to be comparable.
-    """
-
-    def __init__(self, env, capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self._counter = count()
-        self._heap: list = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._heap
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    def put_with_priority(self, priority, item) -> StorePut:
-        event = StorePut.__new__(StorePut)
-        Event.__init__(event, self.env)
-        event.item = (priority, item)
-        self._do_put(event)
-        return event
-
-    def put(self, item) -> StorePut:
-        """Put with default priority 0."""
-        return self.put_with_priority(0, item)
-
-    def try_get(self):
-        if self._heap:
-            _, _, item = heapq.heappop(self._heap)
-            self._admit_putters()
-            return item
-        return None
-
-    def peek(self):
-        return self._heap[0][2] if self._heap else None
-
-    def _do_put(self, event: StorePut) -> None:
-        priority, item = event.item
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, (priority, next(self._counter), item))
-            event.succeed()
-            self._serve_getters()
-        else:
-            self._putters.append(event)
-
-    def _do_get(self, event: StoreGet) -> None:
-        if self._heap:
-            _, _, item = heapq.heappop(self._heap)
-            event.succeed(item)
-            self._admit_putters()
-        else:
-            self._getters.append(event)
-
-    def _serve_getters(self) -> None:
-        while self._getters and self._heap:
-            getter = self._getters.pop(0)
-            _, _, item = heapq.heappop(self._heap)
-            getter.succeed(item)
-        self._admit_putters()
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self._heap) < self.capacity:
-            putter = self._putters.pop(0)
-            priority, item = putter.item
-            heapq.heappush(self._heap, (priority, next(self._counter), item))
-            putter.succeed()
-            while self._getters and self._heap:
-                getter = self._getters.pop(0)
-                _, _, item = heapq.heappop(self._heap)
-                getter.succeed(item)

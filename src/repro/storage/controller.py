@@ -53,7 +53,7 @@ class DiskController:
 
     def _start_timer(self, handle, delay: float) -> None:
         """Run a non-data command: it completes ``delay`` from now."""
-        self.env.pooled_timeout(delay).callbacks.append(
+        self.env.timeout(delay).callbacks.append(
             partial(self._complete, handle))
 
     def _start_dma(self, handle, request: BlockRequest,

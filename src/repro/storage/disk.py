@@ -146,7 +146,7 @@ class Disk:
         cache_hit = grant.cache_hit = self._cache_hit(request)
         if not cache_hit:
             self.seek_seconds += self.seek_time(self._head_lba, request.lba)
-        self.env.pooled_timeout(duration, grant).callbacks.append(
+        self.env.timeout(duration, grant).callbacks.append(
             self._on_serviced)
 
     def _serviced(self, timer) -> None:

@@ -276,7 +276,7 @@ class ArrivalTimerStream(_BulkStream):
     where the delivery is sure to come later."""
 
     def _sent(self):
-        self.env.pooled_timeout(self.switch.forward_latency).callbacks.append(
+        self.env.timeout(self.switch.forward_latency).callbacks.append(
             self._landed)
 
 
@@ -381,7 +381,7 @@ def reply_run(stepped, sectors, rate_bps, latency, contender):
             sent(1)
             done()
 
-        env.pooled_timeout(frames * gap).callbacks.append(
+        env.timeout(frames * gap).callbacks.append(
             lambda _timer: switch.start_bulk_transfer(
                 "a", "b", "x", size, PER_FRAME, "aoe", streamed))
     else:

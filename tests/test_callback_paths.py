@@ -732,7 +732,7 @@ class HopStream(_BulkStream):
         env = self.env
 
         def crossed(_event):
-            env.pooled_timeout(self.switch.forward_latency).callbacks.append(
+            env.timeout(self.switch.forward_latency).callbacks.append(
                 self._landed)
 
         env.event().succeed().callbacks.append(crossed)
@@ -767,10 +767,10 @@ class ReferenceSwitch(HopBulkSwitch):
 
     def _reference_forward(self, frame):
         env = self.env
-        yield env.pooled_timeout(self.forward_latency)
+        yield env.timeout(self.forward_latency)
         with self._rx_locks[frame.dst].request() as grant:
             yield grant
-            yield env.pooled_timeout(
+            yield env.timeout(
                 self.serialization_time(frame)
                 + self._fluid_interleave_penalty(frame.dst, tx=False))
         wire_bytes = frame.wire_bytes
@@ -793,8 +793,8 @@ class HopSwitch(HopBulkSwitch):
         request.callbacks.append(self._on_tx_granted)
 
     def _forward(self, frame):
-        self.env.pooled_timeout(self.forward_latency,
-                                frame).callbacks.append(self._on_rx_arrived)
+        self.env.timeout(self.forward_latency,
+                         frame).callbacks.append(self._on_rx_arrived)
 
 
 class CountingLock(_PortLock):
@@ -954,7 +954,7 @@ def fuzz_run(switch_class, ports, trains, bulks, callbacks=False,
         else:
             reply = ([f"{label}.r{k}" for k in range(len(shape))], shape,
                      "aoe", GAP, lambda _count: None, record(label), None)
-        env.pooled_timeout(read).callbacks.append(
+        env.timeout(read).callbacks.append(
             lambda _timer: replies(nics[server], client, *reply))
 
     def record(label):
@@ -1150,7 +1150,7 @@ def loop_train(nic, dst, payloads, sizes, protocol, gap, sent, done,
             sent(1)
             done()
 
-        env.pooled_timeout(frames * gap).callbacks.append(
+        env.timeout(frames * gap).callbacks.append(
             lambda _timer: nic.switch.start_bulk_transfer(
                 nic.name, dst, payloads[0], sizes[0], per_frame_payload,
                 protocol, streamed))
@@ -1160,7 +1160,7 @@ def loop_train(nic, dst, payloads, sizes, protocol, gap, sent, done,
         if index == len(payloads):
             done()
             return
-        env.pooled_timeout(gap).callbacks.append(
+        env.timeout(gap).callbacks.append(
             lambda _timer: nic.start_send(
                 dst, payloads[index], sizes[index], protocol,
                 lambda _delivered: fragment_sent(index), parent))
@@ -1809,14 +1809,14 @@ class LoopNic(Nic):
         loop_train(self, *reply)
 
 
-def aoe_reads(server_nic, fast_lane=True, forensics=False):
+def aoe_reads(server_nic, forensics=False):
     """Overlapping multi-fragment AoE reads (and a bulk one) from two
     clients to a two-worker server, so replies start as trains and
     hand over.  Returns the replay digest, the client-side instants,
     and, with ``forensics``, the ``nic:tx`` slices and self times."""
     from repro.analysis.replay import ReplayRecorder
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-    env = Environment(fast_lane=fast_lane)
+    env = Environment()
     telemetry = Telemetry(env, forensics=True) if forensics \
         else NULL_TELEMETRY
     recorder = ReplayRecorder().attach(env)
@@ -1854,9 +1854,8 @@ def aoe_reads(server_nic, fast_lane=True, forensics=False):
     return recorder.digest(), instants, slices, self_times
 
 
-def test_trains_replay_identically_across_schedulers_and_forensics():
+def test_trains_replay_identically_with_forensics():
     digest, instants, _, _ = aoe_reads(Nic)
-    assert aoe_reads(Nic, fast_lane=False)[:2] == (digest, instants)
     assert aoe_reads(Nic, forensics=True)[:2] == (digest, instants)
 
 

@@ -5,7 +5,7 @@ with one timeout per tick.  It now waits on ``deployment.copy_work`` and
 wakes once, at the tick at which that loop would have found work.  Each
 scenario runs against ``PollingCopier``, the copier with its idle loops
 as they were, and must reproduce its bitmap transitions and ``done``
-instant bit for bit, on both schedulers.
+instant bit for bit.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.aoe.client import AoeTimeoutError
 from repro.cloud.scenario import build_testbed
 from repro.guest.kernel import GuestOs
 from repro.guest.osimage import OsImage
-from repro.sim import Environment
 from repro.vmm.bitmap import BlockState
 from repro.vmm.bmcast import BmcastVmm
 from repro.vmm.copier import BackgroundCopier
@@ -34,13 +33,12 @@ class PollingCopier(BackgroundCopier):
         yield self.env.timeout(self.IDLE_POLL_SECONDS)
 
 
-def boot(copier_class, fast_lane):
+def boot(copier_class):
     """A 16 MiB AHCI deploy at full speed, its VMM booting: the
     testbed, the VMM, the guest and the log of bitmap transitions."""
     image = OsImage(size_bytes=16 * MB, boot_read_bytes=4 * MB,
                     boot_think_seconds=2.0)
-    testbed = build_testbed(disk_controller="ahci", image=image,
-                            env=Environment(fast_lane=fast_lane))
+    testbed = build_testbed(disk_controller="ahci", image=image)
     env, node = testbed.env, testbed.node
     vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.fabric,
                     image_sectors=image.total_sectors, policy=FULL_SPEED)
@@ -61,11 +59,11 @@ def start(testbed, vmm):
     yield from vmm.boot()
 
 
-def guest_fills_the_image(copier_class, fast_lane):
+def guest_fills_the_image(copier_class):
     """The server is down, so the retriever is stuck retrying its first
     fetch and the writer idles; then the guest writes the whole image,
     its last block included."""
-    testbed, vmm, guest, log = boot(copier_class, fast_lane)
+    testbed, vmm, guest, log = boot(copier_class)
     env = testbed.env
     testbed.servers[0].stop()
 
@@ -79,12 +77,9 @@ def guest_fills_the_image(copier_class, fast_lane):
     return done_at, log, vmm.copier.blocks_filled
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
-def test_guest_filling_the_last_block_wakes_the_idle_writer_on_its_tick(
-        fast_lane):
-    done_at, log, filled = guest_fills_the_image(BackgroundCopier,
-                                                 fast_lane)
-    expected = guest_fills_the_image(PollingCopier, fast_lane)
+def test_guest_filling_the_last_block_wakes_the_idle_writer_on_its_tick():
+    done_at, log, filled = guest_fills_the_image(BackgroundCopier)
+    expected = guest_fills_the_image(PollingCopier)
     assert filled == 0
     assert (done_at, log, filled) == expected
     # The guest's write came after the writer went idle: done waited
@@ -93,14 +88,14 @@ def test_guest_filling_the_last_block_wakes_the_idle_writer_on_its_tick(
     assert last_fill < done_at < last_fill + BackgroundCopier.IDLE_POLL_SECONDS
 
 
-def released_run(copier_class, fast_lane, stop=None):
+def released_run(copier_class, stop=None):
     """A second fetcher holds the image's last run; the copier copies
     the rest and idles.  The second fetcher then loses the server, its
     fetch fails, and it releases the run (the server back up) for the
     idle retriever to re-claim.  With ``stop`` ("retriever" or
     "writer") the copier is stopped instead, at the instant that thread
     has a wake-up planned."""
-    testbed, vmm, guest, log = boot(copier_class, fast_lane)
+    testbed, vmm, guest, log = boot(copier_class)
     env = testbed.env
     bitmap, copier, server = vmm.bitmap, vmm.copier, testbed.servers[0]
     seen = {}
@@ -143,12 +138,11 @@ def released_run(copier_class, fast_lane, stop=None):
     return done_at, log, seen
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
-def test_idle_retriever_reclaims_a_released_run_on_its_tick(fast_lane):
-    done_at, log, seen = released_run(BackgroundCopier, fast_lane)
+def test_idle_retriever_reclaims_a_released_run_on_its_tick():
+    done_at, log, seen = released_run(BackgroundCopier)
     assert seen["idle"] == (12, 0)
     assert "fetch_error_at" in seen
-    assert (done_at, log) == released_run(PollingCopier, fast_lane)[:2]
+    assert (done_at, log) == released_run(PollingCopier)[:2]
     released = max(at for at, event, _, _ in log if event == "release")
     reclaimed = [at for at, event, block, granted in log
                  if event == "claim" and granted and block == FOREIGN[0]]
@@ -156,11 +150,9 @@ def test_idle_retriever_reclaims_a_released_run_on_its_tick(fast_lane):
         <= released + BackgroundCopier.IDLE_POLL_SECONDS
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
 @pytest.mark.parametrize("thread", ["retriever", "writer"])
-def test_stopping_an_idle_thread_leaves_no_wake_and_no_hook(thread,
-                                                            fast_lane):
-    _, log, seen = released_run(BackgroundCopier, fast_lane, stop=thread)
+def test_stopping_an_idle_thread_leaves_no_wake_and_no_hook(thread):
+    _, log, seen = released_run(BackgroundCopier, stop=thread)
     assert seen["idle"] == (12, 0)
     assert seen["planned"]
     assert seen["polls_left"] == 0

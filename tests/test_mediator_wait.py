@@ -129,10 +129,10 @@ VMM_LBA = 8 * SECTORS_PER_MB
 RACE_POLL = 1e-3
 
 
-def mediated_machine(kind, fast_lane=True):
+def mediated_machine(kind):
     """A machine whose disk is mediated but not deploying: the guest
     drives the controller through the mediator's intercepts."""
-    env = Environment(fast_lane=fast_lane)
+    env = Environment()
     machine = Machine(env, MachineSpec(disk_controller=kind))
     controller_class = {"ahci": AhciController, "ide": IdeController}[kind]
     controller = controller_class(env, Disk(env), machine)
@@ -223,7 +223,7 @@ def grid(start, ticks):
     return start
 
 
-def device_wait(fast_lane, anchor, done_at, busy_again, reference):
+def device_wait(anchor, done_at, busy_again, reference):
     """A device busy from t = 0 completes at ``done_at``; with
     ``busy_again`` a guest command re-busies it at the first tick at or
     after that, for ``busy_again`` polls.  A VMM wait starts at
@@ -232,7 +232,7 @@ def device_wait(fast_lane, anchor, done_at, busy_again, reference):
     disk's service timer is planned when its command starts, so at a
     shared instant it comes before the loop's timer.  Returns the wait's
     return instant and the events that woke it."""
-    env, _, mediator, _ = mediated_machine("ahci", fast_lane)
+    env, _, mediator, _ = mediated_machine("ahci")
     completion = Notifier(env)
     device = {"busy": True}
 
@@ -277,14 +277,13 @@ def device_wait(fast_lane, anchor, done_at, busy_again, reference):
     return env.run(until=process), len(wakes)
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
 @settings(max_examples=60, deadline=None)
 @given(anchor=st.floats(0.0, 3e-3),
        ticks=st.integers(0, 4),
        offset=st.sampled_from([0.0, 0.25, 0.5]) | st.floats(1e-3, 0.999),
        busy_again=st.sampled_from([0, 1, 3]))
-def test_await_returns_on_the_poll_loops_tick(
-        fast_lane, anchor, ticks, offset, busy_again):
+def test_await_returns_on_the_poll_loops_tick(anchor, ticks, offset,
+                                              busy_again):
     """Completion before the first tick, exactly on a tick, or with the
     guest busying the device again at the tick: ``_await`` returns at
     the poll loop's instant bit for bit, taking one event per tick at
@@ -294,10 +293,10 @@ def test_await_returns_on_the_poll_loops_tick(
     if ticks == 0 and offset == 0.0:
         offset = 0.5   # a completion at the call instant needs no wait
     done_at = grid(anchor, ticks) + offset * RACE_POLL
-    returned, wakes = device_wait(fast_lane, anchor, done_at, busy_again,
+    returned, wakes = device_wait(anchor, done_at, busy_again,
                                   reference=False)
-    expected, loop_ticks = device_wait(fast_lane, anchor, done_at,
-                                       busy_again, reference=True)
+    expected, loop_ticks = device_wait(anchor, done_at, busy_again,
+                                       reference=True)
     assert returned == expected
     first_tick = grid(anchor, 1)
     assert wakes == ((1 if done_at <= first_tick else 2)

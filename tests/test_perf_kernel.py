@@ -1,28 +1,20 @@
-"""The simulation-kernel fast path: lanes, pooling, and replay equality.
+"""The simulation kernel: same-instant order, lazy cancellation,
+double-schedule diagnostics, and fetch coalescing.
 
-The optimized scheduler (zero-delay FIFO lanes + lazy cancellation +
-Timeout pooling) must be observably indistinguishable from the
-pure-heap reference (``Environment(fast_lane=False)``): same popped
-order, same trace-hook stream, byte-identical replay digests over real
-scenarios.  These tests pin each mechanism individually, then prove
-whole-scenario equality for a deployment, a scale-out wave, and an
-elastic grow -> shrink loop.
+Every event is one ``(time, priority, eid)`` entry on one heap: events
+at one instant pop urgent first, then in the order they were
+scheduled, and a cancelled entry is discarded where it surfaces.
 """
 
 import pytest
 
-from repro.analysis.replay import (
-    ReplayRecorder,
-    deployment_scenario,
-)
 from repro.guest.osimage import OsImage
 from repro.sim import Environment, Event, SimulationError
-from repro.sim.events import Timeout
 
 MB = 2**20
 
 
-# -- fast-lane ordering -------------------------------------------------------
+# -- same-instant ordering ---------------------------------------------------
 
 def _pop_order(env):
     """Names of events in pop order, via the trace hook."""
@@ -55,7 +47,7 @@ def test_urgent_lane_beats_normal_lane_at_same_time():
     late.succeed()  # normal priority, scheduled first
     late.callbacks.append(lambda event: order.append("normal"))
     # Urgent scheduling is how interrupts jump the queue: trigger the
-    # event by hand and schedule it on the urgent lane.
+    # event by hand and schedule it at urgent priority.
     early = env.event()
     early._ok = True
     early._value = None
@@ -129,63 +121,6 @@ def test_run_until_time_skips_cancelled_head():
     assert fired == [3.0]
 
 
-def test_cancel_works_on_reference_scheduler_too():
-    env = Environment(fast_lane=False)
-    order = _pop_order(env)
-    doomed = env.timeout(0)
-    env.timeout(0)
-    env.cancel(doomed)
-    env.run()
-    assert len(order) == 1
-
-
-# -- Timeout pooling ----------------------------------------------------------
-
-def test_pooled_timeout_objects_are_recycled():
-    env = Environment()
-    seen = []
-
-    def worker():
-        for _ in range(5):
-            timeout = env.pooled_timeout(0)
-            seen.append(id(timeout))
-            yield timeout
-
-    env.run(until=env.process(worker()))
-    # After the first trip through step(), the same object comes back.
-    assert len(set(seen)) < len(seen)
-
-
-def test_pooled_timeout_disabled_on_reference_scheduler():
-    env = Environment(fast_lane=False)
-    timeout = env.pooled_timeout(0)
-    assert type(timeout) is Timeout
-    assert not timeout._pooled  # plain, never recycled
-
-
-def test_pooled_timeout_rejects_negative_delay():
-    env = Environment()
-
-    def worker():
-        yield env.pooled_timeout(0)  # prime the pool
-        env.pooled_timeout(-1.0)
-
-    with pytest.raises(ValueError):
-        env.run(until=env.process(worker()))
-
-
-def test_pooled_timeout_carries_value():
-    env = Environment()
-    values = []
-
-    def worker():
-        values.append((yield env.pooled_timeout(0, value="first")))
-        values.append((yield env.pooled_timeout(0, value="second")))
-
-    env.run(until=env.process(worker()))
-    assert values == ["first", "second"]
-
-
 # -- double-processing diagnostics -------------------------------------------
 
 def test_double_scheduled_event_raises_simulation_error():
@@ -205,51 +140,6 @@ def test_double_schedule_recoverable_via_cancel():
     env.cancel(event)  # the documented fix for a duplicate entry
     env.run()
     assert event.processed
-
-
-# -- whole-scenario replay equality ------------------------------------------
-
-def _digest_of(scenario) -> tuple:
-    recorder = ReplayRecorder()
-    scenario(recorder)
-    return recorder.digest(), recorder.events
-
-
-def _image_factory(size_mb=16):
-    return lambda: OsImage(size_bytes=size_mb * MB,
-                           boot_read_bytes=4 * MB,
-                           boot_think_seconds=0.5)
-
-
-@pytest.mark.parametrize("controller", ["ahci", "ide", "megaraid"])
-def test_deploy_replays_identically_across_schedulers(controller):
-    def scenario(fast_lane):
-        return deployment_scenario(_image_factory(), wait=True,
-                                   fast_lane=fast_lane,
-                                   disk_controller=controller)
-
-    assert _digest_of(scenario(True)) == _digest_of(scenario(False))
-
-
-def test_scaleout_wave_replays_identically_across_schedulers():
-    def scenario(fast_lane):
-        return deployment_scenario(
-            _image_factory(), node_count=4, server_count=2, p2p=True,
-            select_policy="least-outstanding", wave_size=2, wait=True,
-            fast_lane=fast_lane)
-
-    assert _digest_of(scenario(True)) == _digest_of(scenario(False))
-
-
-def test_ctl_grow_shrink_replays_identically_across_schedulers():
-    from repro.ctl import elasticity_scenario
-
-    def scenario(fast_lane):
-        return elasticity_scenario(
-            _image_factory(), node_count=4, duration=900.0,
-            fast_lane=fast_lane)
-
-    assert _digest_of(scenario(True)) == _digest_of(scenario(False))
 
 
 # -- transfer coalescing ------------------------------------------------------

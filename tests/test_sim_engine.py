@@ -340,3 +340,74 @@ def test_run_until_already_processed_event():
     env.run()
     # Running again until the same (already processed) event returns its value.
     assert env.run(until=p) == "x"
+
+
+# -- one heap: same-instant order and ``settled`` ----------------------------
+
+def settled_inside(arrange):
+    """``env.settled`` seen from a callback at t = 1, after
+    ``arrange(env)`` ran in that callback."""
+    env = Environment()
+    seen = []
+
+    def probe(_event):
+        arrange(env)
+        seen.append(env.settled)
+
+    env.timeout(1.0).callbacks.append(probe)
+    env.run()
+    return seen[0]
+
+
+def test_settled_is_false_with_a_zero_delay_event_queued():
+    assert not settled_inside(lambda env: env.timeout(0))
+    assert not settled_inside(lambda env: env.event().succeed())
+
+
+def test_settled_is_false_with_a_timer_landing_now():
+    assert not settled_inside(lambda env: env.timeout_at(env.now))
+
+
+def test_settled_is_false_with_a_cancelled_same_instant_entry():
+    # A cancelled entry still holds its slot: the answer errs towards
+    # the zero-delay hop.
+    assert not settled_inside(lambda env: env.cancel(env.timeout(0)))
+
+
+def test_settled_is_true_with_only_later_entries_queued():
+    assert settled_inside(lambda env: env.timeout(0.5))
+    assert settled_inside(lambda env: None)
+    assert Environment().settled
+
+
+def test_same_instant_interrupt_beats_normal_events_which_stay_fifo():
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(5)
+        except Interrupt:
+            log.append("interrupted")
+
+    def note(tag):
+        return lambda _event: log.append(tag)
+
+    victim = env.process(sleeper())
+
+    def interrupter():
+        yield env.timeout(1)
+        for tag in ("n1", "n2", "n3"):
+            env.timeout(0).callbacks.append(note(tag))
+        victim.interrupt()
+        env.event().succeed().callbacks.append(note("n4"))
+
+    def timer():
+        # Lands at the same instant, scheduled before n1..n4.
+        yield env.timeout(1)
+        log.append("timer")
+
+    env.process(interrupter())
+    env.process(timer())
+    env.run()
+    assert log == ["interrupted", "timer", "n1", "n2", "n3", "n4"]

@@ -142,11 +142,10 @@ def test_interrupt_detaches_from_stale_target():
     assert wakeups == [("interrupt", 2), ("done", 102)]
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
-def test_interrupt_before_first_step_reaches_first_yield(fast_lane):
+def test_interrupt_before_first_step_reaches_first_yield():
     """An interrupt made before a new process has run lands at its first
     yield, as if the kick-start had run first."""
-    env = Environment(fast_lane=fast_lane)
+    env = Environment()
     log = []
 
     def body(env):
@@ -169,11 +168,10 @@ def test_interrupt_before_first_step_reaches_first_yield(fast_lane):
     assert env.now == 3
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
-def test_interrupt_before_first_step_of_body_that_ends_early(fast_lane):
+def test_interrupt_before_first_step_of_body_that_ends_early():
     """A body that returns before its first yield never sees the
     interrupt."""
-    env = Environment(fast_lane=fast_lane)
+    env = Environment()
 
     def body(env):
         return "early"

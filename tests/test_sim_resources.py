@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import Environment, Notifier, PriorityStore, Resource, Store
+from repro.sim import Environment, Notifier, Resource, Store
 
 
 # -- Resource ---------------------------------------------------------------
@@ -220,64 +220,3 @@ def test_store_multiple_getters_fifo():
     env.process(producer(env))
     env.run()
     assert results == [("c1", "first"), ("c2", "second")]
-
-
-# -- PriorityStore ------------------------------------------------------------
-
-def test_priority_store_orders_by_priority():
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer(env):
-        yield store.put_with_priority(3, "low")
-        yield store.put_with_priority(1, "high")
-        yield store.put_with_priority(2, "mid")
-
-    def consumer(env):
-        # Start after all puts so priority ordering (not arrival order)
-        # decides what we receive.
-        yield env.timeout(1)
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == ["high", "mid", "low"]
-
-
-def test_priority_store_equal_priority_fifo():
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer(env):
-        for name in ("a", "b", "c"):
-            yield store.put_with_priority(1, name)
-
-    def consumer(env):
-        for _ in range(3):
-            received.append((yield store.get()))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert received == ["a", "b", "c"]
-
-
-def test_priority_store_try_get_and_peek():
-    env = Environment()
-    store = PriorityStore(env)
-
-    def producer(env):
-        yield store.put_with_priority(2, "b")
-        yield store.put_with_priority(1, "a")
-
-    env.process(producer(env))
-    env.run()
-    assert store.peek() == "a"
-    assert store.try_get() == "a"
-    assert store.try_get() == "b"
-    assert store.try_get() is None

@@ -79,6 +79,34 @@ def test_sorted_set_iteration_is_clean(tmp_path):
     assert "CHECK001" not in codes_of(report)
 
 
+SET_ITER_TIMEOUT_AT = """
+    class Waker:
+        def __init__(self, env):
+            self.env = env
+            self.pending = set()
+
+        def arm(self):
+            for node in self.pending:
+                self.env.timeout_at(node).callbacks.append(self.wake)
+
+        def wake(self, timer):
+            self.pending.discard(timer.value)
+"""
+
+
+def test_set_iteration_reaching_timeout_at_flagged(tmp_path):
+    # The only queue sink is ``timeout_at``: it must count as one.
+    report = check_tree(tmp_path, {"waker.py": SET_ITER_TIMEOUT_AT})
+    assert "CHECK001" in codes_of(report)
+
+
+def test_sorted_set_iteration_reaching_timeout_at_is_clean(tmp_path):
+    report = check_tree(tmp_path, {"waker.py": SET_ITER_TIMEOUT_AT.replace(
+        "for node in self.pending:",
+        "for node in sorted(self.pending):")})
+    assert codes_of(report) == []
+
+
 def test_set_iteration_away_from_scheduler_is_clean(tmp_path):
     report = check_tree(tmp_path, {"stats.py": """
         def histogram(values: set):
@@ -174,6 +202,18 @@ def test_discarded_timeout_event_flagged(tmp_path):
     report = check_tree(tmp_path, {"waiter.py": """
         def run(env):
             env.timeout(5)
+            yield env.timeout(1)
+
+        def start(env):
+            env.process(run(env))
+    """})
+    assert "CHECK010" in codes_of(report)
+
+
+def test_discarded_timeout_at_event_flagged(tmp_path):
+    report = check_tree(tmp_path, {"waiter.py": """
+        def run(env):
+            env.timeout_at(5)
             yield env.timeout(1)
 
         def start(env):

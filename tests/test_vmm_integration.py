@@ -291,8 +291,8 @@ def copying_blocks(bitmap):
                if state is BlockState.COPYING)
 
 
-def stop_and_restart_copier(policy, run_for, fast_lane=True,
-                            restart_after=None, guest_write=None):
+def stop_and_restart_copier(policy, run_for, restart_after=None,
+                            guest_write=None):
     """Boot a VMM over a 16 MiB AHCI deploy with every deployment
     sanitizer attached, let the copier run ``run_for`` seconds
     (``None``: stop it at the instant ``boot()`` returns, before its
@@ -303,9 +303,7 @@ def stop_and_restart_copier(policy, run_for, fast_lane=True,
     more; it then gets 60 s to complete the image.  Returns what the
     copier held at the stop, what was left once the mediator was
     quiescent, and whether the restarted copier deployed the image."""
-    testbed, vmm, guest = make_deployment(
-        "ahci", size_mb=16, policy=policy,
-        env=Environment(fast_lane=fast_lane))
+    testbed, vmm, guest = make_deployment("ahci", size_mb=16, policy=policy)
     env = testbed.env
     copier, bitmap = vmm.copier, vmm.bitmap
     disk = testbed.node.disk.contents
@@ -356,13 +354,12 @@ def stop_and_restart_copier(policy, run_for, fast_lane=True,
     return seen
 
 
-@pytest.mark.parametrize("fast_lane", [True, False])
-def test_copier_stops_at_the_instant_it_started(fast_lane):
+def test_copier_stops_at_the_instant_it_started():
     """Stopping the copier right after the VMM boot, before its
     processes have taken a step, stops it there: nothing is copied, the
     run its retriever claimed on the way is handed back, and a
     restarted copier completes the image."""
-    seen = stop_and_restart_copier(FULL_SPEED, None, fast_lane)
+    seen = stop_and_restart_copier(FULL_SPEED, None)
     assert seen["held"] == seen["filled"] == 0
     assert not seen["complete"]
     assert seen["claimed_when_quiescent"] == seen["claimed_after"] == 0
