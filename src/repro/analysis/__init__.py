@@ -1,16 +1,15 @@
 """repro.analysis — correctness tooling for the simulator.
 
-Three layers:
+Two layers:
 
-* **simlint** (:mod:`repro.analysis.lint` + ``rules``) — a static
-  AST pass over ``src/repro`` enforcing determinism and architecture
-  rules, one module at a time.  Run it as ``repro lint`` or
-  ``python -m repro.analysis``.
-* **simcheck** (:mod:`repro.analysis.simcheck`) — whole-program
-  static analysis layered above simlint: call-graph determinism
-  taint, process discipline, shared-state race candidates, FSM model
-  extraction, and import cycles.  Run it as ``repro check`` or
-  ``python -m repro.analysis --check``.
+* **simcheck** (:mod:`repro.analysis.simcheck`) — the static analyzer.
+  It parses ``src/repro`` once, runs the per-module SIM rules
+  (:mod:`repro.analysis.rules`: wall clock, unseeded randomness,
+  mutable defaults, layering, blocking primitives) on each module's
+  parse, and the whole-program passes over the project model:
+  call-graph determinism taint, process discipline, shared-state race
+  candidates, FSM model extraction, and import cycles.  Run it as
+  ``repro check`` or ``python -m repro.analysis``.
 * **runtime sanitizers** (:mod:`repro.analysis.sanitizers` and
   friends) — opt-in checkers attached to a live deployment:
   the disk write-race detector, the bitmap↔disk consistency checker,
@@ -19,16 +18,12 @@ Three layers:
   ``provisioner.deploy(..., sanitizers=suite)`` or the CLI's
   ``repro deploy --sanitize``.
 
-See ``docs/analysis.md`` for the rule catalogs and extension guide.
+See ``docs/analysis.md`` for the rule catalog and extension guide.
 """
 
 from repro.analysis.aoe_conformance import AoeConformanceValidator
 from repro.analysis.consistency import BitmapDiskChecker
-from repro.analysis.lint import (
-    Finding,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.lint import Finding
 from repro.analysis.replay import (
     ReplayRecorder,
     ReplayReport,
@@ -66,6 +61,4 @@ __all__ = [
     "WriteRaceDetector",
     "check_replay",
     "deployment_scenario",
-    "lint_paths",
-    "lint_source",
 ]

@@ -1,21 +1,8 @@
-"""``python -m repro.analysis`` — run the static analyzers (CI entry).
-
-Plain invocation runs simlint (per-module rules); ``--check`` runs
-simcheck, the whole-program analysis, forwarding the remaining
-arguments to its CLI.
-"""
+"""``python -m repro.analysis [paths]`` — run simcheck, the static
+analyzer (the CI entry); ``--help`` lists its flags."""
 
 import sys
 
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--check" in argv:
-        argv.remove("--check")
-        from repro.analysis.simcheck.engine import main as check_main
-        return check_main(argv)
-    from repro.analysis.lint import main as lint_main
-    return lint_main(argv)
-
+from repro.analysis.simcheck.engine import main
 
 sys.exit(main())

@@ -1,44 +1,38 @@
-"""simlint: an AST-based static pass over the simulator's source.
+"""The pieces of simcheck every pass shares, one module at a time.
 
 A deterministic discrete-event simulation has correctness rules no
-general-purpose linter knows about: no wall-clock reads, no hidden
-global RNG state, no blocking primitives outside the engine, and a
-layering discipline that keeps the engine importable without the
-systems built on top of it.  This module is the framework — file
-discovery, suppression comments, finding records, the CLI — and
-:mod:`repro.analysis.rules` is the pluggable rule catalog.
+general-purpose linter knows about; simcheck
+(:mod:`repro.analysis.simcheck`) checks them.  This module holds what
+its passes share: the :class:`Finding` record, the per-module
+:class:`LintContext` the SIM rules (:mod:`repro.analysis.rules`) and
+the model extractor read, the suppression grammar, and file discovery.
 
 Findings print as ``path:line:col: RULE severity: message``.  A line
 can opt out with a trailing comment::
 
-    stamp = time.time()  # simlint: ignore[SIM001] -- host-side only
+    stamp = time.time()  # simcheck: ignore[SIM001] -- host-side only
 
 ``ignore`` with no rule list suppresses every rule on that line; the
-``-- justification`` tail is free text (and encouraged).  Exit status
-is non-zero iff any *error*-severity finding is unsuppressed.
+``-- justification`` tail is free text (and encouraged).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: ``# <tool>: ignore``, ``# <tool>: ignore[SIM001, SIM004]`` (multiple
-#: ids), and the ``ignore-next-line`` forms of both, which suppress the
-#: line *below* the comment — for findings on lines too long to carry a
-#: trailing marker.  ``{tool}`` is substituted per linter so simcheck
-#: shares the grammar under its own prefix.
-_SUPPRESSION_TEMPLATE = (
-    r"#\s*{tool}:\s*ignore(?P<next>-next-line)?"
+#: ``# simcheck: ignore``, ``# simcheck: ignore[SIM001, CHECK020]``
+#: (multiple ids), and the ``ignore-next-line`` forms of both, which
+#: suppress the line *below* the comment — for findings on lines too
+#: long to carry a trailing marker.
+_SUPPRESSION = re.compile(
+    r"#\s*simcheck:\s*ignore(?P<next>-next-line)?"
     r"(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?")
-_SUPPRESSION = re.compile(_SUPPRESSION_TEMPLATE.format(tool="simlint"))
 
 
 @dataclass(frozen=True)
@@ -66,8 +60,6 @@ class LintContext:
         self.module = module
         self.source = source
         self.tree = tree
-        #: line number -> set of suppressed rule ids ("*" = all).
-        self.suppressions = _parse_suppressions(source)
         #: local alias -> imported module name ("t" -> "time").
         self.module_aliases: dict[str, str] = {}
         #: local alias -> (module, attribute) for from-imports.
@@ -108,12 +100,6 @@ class LintContext:
             return ".".join([module, attribute, *rest])
         return ".".join(chain)
 
-    def suppressed(self, line: int, rule: str) -> bool:
-        rules = self.suppressions.get(line)
-        if rules is None:
-            return False
-        return "*" in rules or rule in rules
-
 
 def _dotted_chain(node: ast.expr) -> list[str] | None:
     parts: list[str] = []
@@ -126,9 +112,7 @@ def _dotted_chain(node: ast.expr) -> list[str] | None:
     return None
 
 
-def _parse_suppressions(source: str,
-                        pattern: re.Pattern = _SUPPRESSION
-                        ) -> dict[int, set[str]]:
+def parse_suppressions(source: str) -> dict[int, set[str]]:
     """Suppressed line -> rule-id set (``"*"`` = every rule).
 
     ``ignore-next-line`` anchors the suppression one line down; both
@@ -137,7 +121,7 @@ def _parse_suppressions(source: str,
     """
     table: dict[int, set[str]] = {}
     for number, text in enumerate(source.splitlines(), start=1):
-        match = pattern.search(text)
+        match = _SUPPRESSION.search(text)
         if match is None:
             continue
         listed = match.group("rules")
@@ -154,30 +138,7 @@ def _parse_suppressions(source: str,
     return table
 
 
-def suppression_table(source: str, tool: str) -> dict[int, set[str]]:
-    """The suppression grammar under another tool prefix (simcheck)."""
-    return _parse_suppressions(
-        source, re.compile(_SUPPRESSION_TEMPLATE.format(tool=tool)))
-
-
-# -- rule registry ------------------------------------------------------------
-
-RULES: list = []
-
-
-def register_rule(cls):
-    """Class decorator adding a rule to the default catalog."""
-    RULES.append(cls())
-    return cls
-
-
-def all_rules() -> list:
-    """The registered rule instances (imports the catalog on demand)."""
-    from repro.analysis import rules  # noqa: F401  (registration)
-    return list(RULES)
-
-
-# -- running ------------------------------------------------------------------
+# -- files --------------------------------------------------------------------
 
 def module_name_for(path: Path | str) -> str:
     """Dotted module name, anchored at the ``repro`` package root."""
@@ -191,26 +152,6 @@ def module_name_for(path: Path | str) -> str:
     return ".".join(parts)
 
 
-def lint_source(source: str, module: str,
-                path: str = "<memory>") -> list[Finding]:
-    """Run every rule over one module's source text."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return [Finding(path, error.lineno or 1, error.offset or 0,
-                        "SIM000", SEVERITY_ERROR,
-                        f"syntax error: {error.msg}")]
-    context = LintContext(path, module, source, tree)
-    findings = [
-        finding
-        for rule in all_rules()
-        for finding in rule.check(context)
-        if not context.suppressed(finding.line, finding.rule)
-    ]
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return findings
-
-
 def iter_python_files(paths) -> list[Path]:
     files: list[Path] = []
     for entry in paths:
@@ -222,45 +163,3 @@ def iter_python_files(paths) -> list[Path]:
         else:
             raise FileNotFoundError(f"not a python file or tree: {root}")
     return files
-
-
-def lint_paths(paths) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings: list[Finding] = []
-    for path in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
-        findings.extend(lint_source(source, module_name_for(path),
-                                    path=str(path)))
-    return findings
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="simlint",
-        description="Static determinism/architecture lint for the "
-        "BMcast simulator.")
-    parser.add_argument("paths", nargs="*", default=["src/repro"],
-                        help="files or directories (default: src/repro)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id}  [{rule.severity}]  {rule.summary}")
-        return 0
-
-    try:
-        findings = lint_paths(args.paths or ["src/repro"])
-    except FileNotFoundError as error:
-        print(f"simlint: {error}", file=sys.stderr)
-        return 2
-    for finding in findings:
-        print(finding.format())
-    errors = sum(1 for f in findings if f.severity == SEVERITY_ERROR)
-    warnings = len(findings) - errors
-    if findings:
-        print(f"simlint: {errors} error(s), {warnings} warning(s)")
-    else:
-        print("simlint: clean")
-    return 1 if errors else 0

@@ -1,10 +1,11 @@
-"""The simlint rule catalog.
+"""The SIM rules: simcheck's per-module pass.
 
-Each rule is a class with ``id``, ``severity``, ``summary`` and a
-``check(context)`` generator yielding
-:class:`~repro.analysis.lint.Finding` objects; decorating it with
-:func:`~repro.analysis.lint.register_rule` puts it in the default
-catalog.  See ``docs/analysis.md`` for the how-to-add-a-rule recipe.
+``summarize_source`` (:mod:`repro.analysis.simcheck.model`) runs
+:func:`check_module` on the :class:`~repro.analysis.lint.LintContext`
+it builds for every module, so the rules see the module's one parse.
+Their findings take simcheck's ranking, suppression, baseline and
+SARIF output like every CHECK code; their summaries are in the
+engine's ``CATALOG``.  See ``docs/analysis.md`` for how to add a rule.
 
 | id     | what it forbids                                        |
 |--------|--------------------------------------------------------|
@@ -20,286 +21,191 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.lint import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    Finding,
-    LintContext,
-    register_rule,
-)
+from repro.analysis.lint import SEVERITY_ERROR, Finding, LintContext
+
+#: SIM001: ``time.<name>()`` and ``datetime...<name>()`` read the host.
+TIME_FUNCS = frozenset({
+    "time", "monotonic", "perf_counter", "process_time",
+    "time_ns", "monotonic_ns", "perf_counter_ns",
+    "process_time_ns", "clock",
+})
+DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
+
+#: SIM002: the module-level functions that draw from random's hidden
+#: global generator.
+GLOBAL_DRAWS = frozenset({
+    "random", "randrange", "randint", "randbytes", "choice",
+    "choices", "shuffle", "sample", "uniform", "triangular",
+    "gauss", "normalvariate", "lognormvariate", "expovariate",
+    "vonmisesvariate", "gammavariate", "betavariate",
+    "paretovariate", "weibullvariate", "getrandbits", "seed",
+})
+
+#: SIM003: the one module that may import ``random``.
+RANDOM_MODULES = frozenset({"repro.util.rng"})
+
+#: SIM004: default values shared, and mutable, across calls.
+MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
+                    ast.ListComp, ast.DictComp, ast.SetComp)
+MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
+
+#: SIM005: repro.<package> -> rank.  An import is legal iff the
+#: imported package's rank is <= the importer's.  Derived from the
+#: intended dependency order: the engine (sim) stands alone; device
+#: models (net/hw/storage) build on it; the AoE protocol rides the net;
+#: guest and dist ride AoE; the VMM composes all of them (its fetch
+#: path routes through repro.dist); orchestration (cloud, baselines,
+#: apps) composes VMMs; the elastic control plane (ctl) drives
+#: deployments and reclamations, so it sits above cloud — and nothing
+#: below it may ever import it back; tooling (cli, analysis) sees
+#: everything.
+LAYER_RANKS = {
+    "params": 0, "util": 0,
+    "sim": 1,
+    "obs": 2,
+    # net includes the fluid-flow solver (repro.net.flow), which
+    # must stay at device-model rank: it may import sim/obs/params
+    # only, never the AoE or VMM layers that drive it.
+    "net": 3, "hw": 3, "storage": 3,
+    "aoe": 4,
+    "guest": 5, "dist": 5,
+    "vmm": 6,
+    "cloud": 7, "baselines": 7, "apps": 7,
+    "ctl": 8,
+    # The sweep runner (perf) fans whole scenarios — ctl loops,
+    # wave deployments — across worker processes, so it sits with
+    # the tooling layer: it may import anything, nothing imports it
+    # back except the CLI.
+    "perf": 9,
+    "cli": 9, "analysis": 9, "__main__": 9,
+    # The package root re-exports the public API; it sees everything.
+    "repro": 9,
+}
+
+#: SIM006: modules whose import means OS threads, processes or I/O
+#: waits in simulation code.
+BLOCKING_MODULES = frozenset({
+    "threading", "multiprocessing", "subprocess", "socket",
+    "select", "selectors",
+})
 
 
-class Rule:
-    """Base class; subclasses set the metadata and implement check()."""
+def check_module(context: LintContext) -> list[Finding]:
+    """Every SIM finding in one module, from one walk of its tree."""
+    findings: list[Finding] = []
 
-    id = "SIM000"
-    severity = SEVERITY_ERROR
-    summary = ""
+    def report(rule: str, node: ast.AST, message: str) -> None:
+        findings.append(Finding(context.path, node.lineno, node.col_offset,
+                                rule, SEVERITY_ERROR, message))
 
-    def check(self, context: LintContext):
-        raise NotImplementedError
-
-    def finding(self, context: LintContext, node: ast.AST,
-                message: str) -> Finding:
-        return Finding(context.path, node.lineno, node.col_offset,
-                       self.id, self.severity, message)
-
-
-@register_rule
-class WallClockRule(Rule):
-    id = "SIM001"
-    severity = SEVERITY_ERROR
-    summary = ("no wall-clock time sources — simulated time comes from "
-               "env.now")
-
-    TIME_FUNCS = frozenset({
-        "time", "monotonic", "perf_counter", "process_time",
-        "time_ns", "monotonic_ns", "perf_counter_ns",
-        "process_time_ns", "clock",
-    })
-    DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
-
-    def check(self, context: LintContext):
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
+    layer = _layer_of(context.module)
+    for node in ast.walk(context.tree):
+        if isinstance(node, ast.Call):
             name = context.resolve_call(node.func)
-            if name is None:
-                continue
-            parts = name.split(".")
-            if parts[0] == "time" and len(parts) == 2 \
-                    and parts[1] in self.TIME_FUNCS:
-                yield self.finding(
-                    context, node,
-                    f"wall-clock call {name}() — use env.now")
-            elif parts[0] == "datetime" \
-                    and parts[-1] in self.DATETIME_FUNCS:
-                yield self.finding(
-                    context, node,
-                    f"wall-clock call {name}() — use env.now")
+            if name is not None:
+                _check_call(name, node, report)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            _check_import(node, context.module, layer, report)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _check_defaults(node, report)
+    return findings
 
 
-@register_rule
-class UnseededRandomRule(Rule):
-    id = "SIM002"
-    severity = SEVERITY_ERROR
-    summary = ("no unseeded or module-global random draws — every RNG "
-               "must be a seeded instance")
-
-    #: The module-level functions that draw from random's hidden
-    #: global generator.
-    GLOBAL_DRAWS = frozenset({
-        "random", "randrange", "randint", "randbytes", "choice",
-        "choices", "shuffle", "sample", "uniform", "triangular",
-        "gauss", "normalvariate", "lognormvariate", "expovariate",
-        "vonmisesvariate", "gammavariate", "betavariate",
-        "paretovariate", "weibullvariate", "getrandbits", "seed",
-    })
-
-    def check(self, context: LintContext):
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = context.resolve_call(node.func)
-            if name is None or not name.startswith("random."):
-                continue
-            attribute = name.split(".", 1)[1]
-            if attribute in self.GLOBAL_DRAWS:
-                yield self.finding(
-                    context, node,
-                    f"{name}() draws from the shared global RNG — "
-                    f"use repro.util.rng.make_rng(seed)")
-            elif attribute == "Random" and not node.args \
-                    and not node.keywords:
-                yield self.finding(
-                    context, node,
-                    "random.Random() without a seed is "
-                    "nondeterministic — pass an explicit seed")
-            elif attribute == "SystemRandom":
-                yield self.finding(
-                    context, node,
-                    "random.SystemRandom draws OS entropy — "
-                    "never reproducible")
+def _check_call(name: str, node: ast.Call, report) -> None:
+    """SIM001, SIM002 and SIM006's ``time.sleep``."""
+    parts = name.split(".")
+    if (parts[0] == "time" and len(parts) == 2
+            and parts[1] in TIME_FUNCS) \
+            or (parts[0] == "datetime" and parts[-1] in DATETIME_FUNCS):
+        report("SIM001", node, f"wall-clock call {name}() — use env.now")
+    elif name.startswith("random."):
+        attribute = name.split(".", 1)[1]
+        if attribute in GLOBAL_DRAWS:
+            report("SIM002", node,
+                   f"{name}() draws from the shared global RNG — "
+                   f"use repro.util.rng.make_rng(seed)")
+        elif attribute == "Random" and not node.args \
+                and not node.keywords:
+            report("SIM002", node,
+                   "random.Random() without a seed is "
+                   "nondeterministic — pass an explicit seed")
+        elif attribute == "SystemRandom":
+            report("SIM002", node,
+                   "random.SystemRandom draws OS entropy — "
+                   "never reproducible")
+    elif name == "time.sleep":
+        report("SIM006", node,
+               "time.sleep() blocks the host — yield "
+               "env.timeout(delay) instead")
 
 
-@register_rule
-class RandomImportRule(Rule):
-    id = "SIM003"
-    severity = SEVERITY_ERROR
-    summary = ("``import random`` only inside repro.util.rng — "
-               "everything else takes a seeded instance")
-
-    ALLOWED_MODULES = frozenset({"repro.util.rng"})
-
-    def check(self, context: LintContext):
-        if context.module in self.ALLOWED_MODULES:
+def _check_import(node, module: str, layer: str | None, report) -> None:
+    """SIM003, SIM005 and SIM006's imports."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level or not node.module:
             return
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            for name in names:
-                if name == "random" or name.startswith("random."):
-                    yield self.finding(
-                        context, node,
-                        "import of the random module — use "
-                        "repro.util.rng.make_rng(seed) instead")
-                    break
+        names = [node.module]
+    else:
+        names = [alias.name for alias in node.names]
+    if module not in RANDOM_MODULES \
+            and any(name == "random" or name.startswith("random.")
+                    for name in names):
+        report("SIM003", node,
+               "import of the random module — use "
+               "repro.util.rng.make_rng(seed) instead")
+    own_rank = LAYER_RANKS.get(layer) if layer else None
+    for target in _imported_repro_packages(node):
+        target_rank = LAYER_RANKS.get(target)
+        if target_rank is not None \
+                and (own_rank is None or target_rank > own_rank):
+            report("SIM005", node,
+                   f"layering violation: repro.{layer or '?'} "
+                   f"(rank {own_rank}) imports repro.{target} "
+                   f"(rank {target_rank})")
+    for name in names:
+        root = name.split(".")[0]
+        if root in BLOCKING_MODULES:
+            report("SIM006", node,
+                   f"import of blocking module {root!r} in "
+                   f"simulation code")
 
 
-@register_rule
-class MutableDefaultRule(Rule):
-    id = "SIM004"
-    severity = SEVERITY_ERROR
-    summary = "no mutable default arguments"
-
-    LITERALS = (ast.List, ast.Dict, ast.Set,
-                ast.ListComp, ast.DictComp, ast.SetComp)
-    CALLS = frozenset({"list", "dict", "set", "bytearray"})
-
-    def check(self, context: LintContext):
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                default for default in node.args.kw_defaults
-                if default is not None]
-            for default in defaults:
-                if self._mutable(default):
-                    yield self.finding(
-                        context, default,
-                        f"mutable default argument in {node.name}() — "
-                        f"shared across calls; default to None or a "
-                        f"tuple")
-
-    def _mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, self.LITERALS):
-            return True
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in self.CALLS)
+def _check_defaults(node, report) -> None:
+    """SIM004."""
+    defaults = list(node.args.defaults) + [
+        default for default in node.args.kw_defaults
+        if default is not None]
+    for default in defaults:
+        if isinstance(default, MUTABLE_LITERALS) \
+                or (isinstance(default, ast.Call)
+                    and isinstance(default.func, ast.Name)
+                    and default.func.id in MUTABLE_CALLS):
+            report("SIM004", default,
+                   f"mutable default argument in {node.name}() — "
+                   f"shared across calls; default to None or a tuple")
 
 
-@register_rule
-class LayeringRule(Rule):
-    id = "SIM005"
-    severity = SEVERITY_ERROR
-    summary = ("architecture layering: a package may import only its "
-               "own layer or lower")
-
-    #: repro.<package> -> rank.  An import is legal iff the imported
-    #: package's rank is <= the importer's.  Derived from the intended
-    #: dependency order: the engine (sim) stands alone; device models
-    #: (net/hw/storage) build on it; the AoE protocol rides the net;
-    #: guest and dist ride AoE; the VMM composes all of them (its
-    #: fetch path routes through repro.dist); orchestration (cloud,
-    #: baselines, apps) composes VMMs; the elastic control plane (ctl)
-    #: drives deployments and reclamations, so it sits above cloud —
-    #: and nothing below it may ever import it back; tooling (cli,
-    #: analysis) sees everything.
-    RANKS = {
-        "params": 0, "util": 0,
-        "sim": 1,
-        "obs": 2,
-        # net includes the fluid-flow solver (repro.net.flow), which
-        # must stay at device-model rank: it may import sim/obs/params
-        # only, never the AoE or VMM layers that drive it.
-        "net": 3, "hw": 3, "storage": 3,
-        "aoe": 4,
-        "guest": 5, "dist": 5,
-        "vmm": 6,
-        "cloud": 7, "baselines": 7, "apps": 7,
-        "ctl": 8,
-        # The sweep runner (perf) fans whole scenarios — ctl loops,
-        # wave deployments — across worker processes, so it sits with
-        # the tooling layer: it may import anything, nothing imports it
-        # back except the CLI.
-        "perf": 9,
-        "cli": 9, "analysis": 9, "__main__": 9,
-        # The package root re-exports the public API; it sees everything.
-        "repro": 9,
-    }
-
-    def check(self, context: LintContext):
-        own = self._layer_of(context.module)
-        own_rank = self.RANKS.get(own) if own else None
-        for node in ast.walk(context.tree):
-            for target, site in self._imported_repro_packages(node):
-                target_rank = self.RANKS.get(target)
-                if target_rank is None:
-                    continue
-                if own_rank is None or target_rank > own_rank:
-                    yield self.finding(
-                        context, site,
-                        f"layering violation: repro.{own or '?'} "
-                        f"(rank {own_rank}) imports repro.{target} "
-                        f"(rank {target_rank})")
-
-    @staticmethod
-    def _layer_of(module: str) -> str | None:
-        parts = module.split(".")
-        if parts[0] != "repro":
-            return None
-        return parts[1] if len(parts) > 1 else "repro"
-
-    @staticmethod
-    def _imported_repro_packages(node: ast.AST):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "repro" and len(parts) > 1:
-                    yield parts[1], node
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and node.module:
-            parts = node.module.split(".")
-            if parts[0] != "repro":
-                return
-            if len(parts) > 1:
-                yield parts[1], node
-            else:
-                # "from repro import vmm" names packages directly.
-                for alias in node.names:
-                    yield alias.name, node
+def _layer_of(module: str) -> str | None:
+    parts = module.split(".")
+    if parts[0] != "repro":
+        return None
+    return parts[1] if len(parts) > 1 else "repro"
 
 
-@register_rule
-class BlockingCallRule(Rule):
-    id = "SIM006"
-    severity = SEVERITY_ERROR
-    summary = ("no blocking primitives — handlers must yield to the "
-               "engine, never sleep or spawn OS threads")
-
-    BLOCKING_MODULES = frozenset({
-        "threading", "multiprocessing", "subprocess", "socket",
-        "select", "selectors",
-    })
-
-    def check(self, context: LintContext):
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call):
-                name = context.resolve_call(node.func)
-                if name == "time.sleep":
-                    yield self.finding(
-                        context, node,
-                        "time.sleep() blocks the host — yield "
-                        "env.timeout(delay) instead")
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in self.BLOCKING_MODULES:
-                        yield self.finding(
-                            context, node,
-                            f"import of blocking module {root!r} in "
-                            f"simulation code")
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module:
-                root = node.module.split(".")[0]
-                if root in self.BLOCKING_MODULES:
-                    yield self.finding(
-                        context, node,
-                        f"import of blocking module {root!r} in "
-                        f"simulation code")
+def _imported_repro_packages(node):
+    """The ``repro.<package>`` names an import statement binds."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            parts = alias.name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield parts[1]
+        return
+    parts = node.module.split(".")
+    if parts[0] != "repro":
+        return
+    if len(parts) > 1:
+        yield parts[1]
+    else:
+        # "from repro import vmm" names packages directly.
+        for alias in node.names:
+            yield alias.name

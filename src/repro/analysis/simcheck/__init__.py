@@ -1,11 +1,12 @@
 """simcheck: whole-program static analysis for the simulator.
 
-Where :mod:`repro.analysis.lint` checks one module at a time, simcheck
-parses the entire tree into a :class:`~repro.analysis.simcheck.model.
-ProjectModel` — call graph, process-function closure, attribute-type
-tables — and runs five interprocedural passes over it: determinism
-taint, process discipline, shared-state race candidates, FSM model
-extraction, and import cycles.  ``repro check`` is the CLI.
+simcheck parses the entire tree once into a
+:class:`~repro.analysis.simcheck.model.ProjectModel` — call graph,
+process-function closure, attribute-type tables — running the
+per-module SIM rules (:mod:`repro.analysis.rules`) on each module's
+parse, and runs five interprocedural passes over the model:
+determinism taint, process discipline, shared-state race candidates,
+FSM model extraction, and import cycles.  ``repro check`` is the CLI.
 """
 
 from repro.analysis.simcheck.baseline import Baseline, BaselineEntry

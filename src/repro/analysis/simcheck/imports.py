@@ -1,6 +1,6 @@
 """Import-graph cycle and rank-table checks (CHECK050-051).
 
-simlint's SIM005 enforces the layering on each import statement,
+The SIM005 rule enforces the layering on each import statement,
 deferred and ``TYPE_CHECKING`` imports included; this pass rebuilds the
 *whole-program* module graph for what no single statement shows:
 
@@ -20,7 +20,7 @@ from repro.analysis.lint import (
     SEVERITY_WARNING,
     Finding,
 )
-from repro.analysis.rules import LayeringRule
+from repro.analysis.rules import LAYER_RANKS
 from repro.analysis.simcheck.model import ProjectModel
 
 CHECK_CYCLE = "CHECK050"
@@ -139,7 +139,6 @@ def _sccs(graph: dict) -> list[list[str]]:
 
 
 def _unranked(model: ProjectModel):
-    ranks = LayeringRule.RANKS
     seen: dict[str, str] = {}
     for summary in model.summaries:
         if not summary.module.startswith("repro"):
@@ -147,9 +146,9 @@ def _unranked(model: ProjectModel):
         package = _package_of(summary.module)
         seen.setdefault(package, summary.path)
     for package in sorted(seen):
-        if package not in ranks:
+        if package not in LAYER_RANKS:
             yield Finding(
                 seen[package], 1, 0, CHECK_UNRANKED, SEVERITY_WARNING,
                 f"package repro.{package} has no rank in SIM005's "
                 f"layering table — add it to "
-                f"repro.analysis.rules.LayeringRule.RANKS")
+                f"repro.analysis.rules.LAYER_RANKS")

@@ -1,14 +1,15 @@
 """The simcheck project model: one parse of the whole tree, plain data.
 
-simlint looks at one module at a time; every simcheck pass needs the
-*whole program* — which generators are actually spawned as simulation
-processes, which calls can reach the event queue, which classes share
-attributes across processes.  This module turns each source file into a
-:class:`ModuleSummary` of plain picklable data (no AST references, so
-the on-disk incremental cache can store it as JSON), and
-:class:`ProjectModel` assembles the summaries into the global tables
-the passes consume: the call graph, the process-function closure, the
-scheduler-reachability set, and the set-typed attribute table.
+The SIM rules (:mod:`repro.analysis.rules`) look at one module at a
+time; every other simcheck pass needs the *whole program* — which
+generators are actually spawned as simulation processes, which calls
+can reach the event queue, which classes share attributes across
+processes.  This module parses each source file once, runs the SIM
+rules on that parse, and turns it into a :class:`ModuleSummary` of
+plain data (no AST references); :class:`ProjectModel` assembles the
+summaries into the global tables the passes consume: the call graph,
+the process-function closure, the scheduler-reachability set, and the
+set-typed attribute table.
 
 Resolution is name-based and deliberately conservative: a call written
 ``obj.fetch(...)`` is linked to *every* project function named
@@ -21,13 +22,12 @@ path).
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.lint import LintContext, iter_python_files, \
     module_name_for
+from repro.analysis.rules import check_module
 
 #: Calls that put something onto the event queue directly.  Everything
 #: else reaches the queue only transitively, through the call graph.
@@ -45,8 +45,8 @@ EVENT_CONSTRUCTORS = frozenset({
 #: the shared-state race pass.  Exact names for the engine's own
 #: protocol; see :func:`is_claim_call` for the naming-idiom widening.
 CLAIM_TAILS = frozenset({
-    "try_claim", "commit_fill", "release_claim", "request", "acquire",
-    "release",
+    "try_claim", "commit_fill_run", "release_claim", "release_run",
+    "request", "acquire", "release",
 })
 
 #: Name tokens that mark a helper as mutual-exclusion machinery — the
@@ -124,23 +124,6 @@ class FunctionInfo:
     has_raise: bool = False
     claims: bool = False
 
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["calls"] = [asdict(c) for c in self.calls]
-        payload["set_iterations"] = [asdict(s)
-                                     for s in self.set_iterations]
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FunctionInfo":
-        payload = dict(payload)
-        payload["calls"] = [CallSite(**c) for c in payload["calls"]]
-        payload["set_iterations"] = [SetIteration(**s) for s
-                                     in payload["set_iterations"]]
-        payload["attr_writes"] = [tuple(w) for w in payload["attr_writes"]]
-        payload["attr_calls"] = [tuple(c) for c in payload["attr_calls"]]
-        return cls(**payload)
-
 
 @dataclass
 class ClassInfo:
@@ -156,11 +139,10 @@ class ClassInfo:
 
 @dataclass
 class ModuleSummary:
-    """Plain-data digest of one source file (JSON-cacheable)."""
+    """Plain-data digest of one source file."""
 
     module: str
     path: str
-    sha256: str
     #: Imported repro-internal modules: (dotted name, lineno).
     repro_imports: list = field(default_factory=list)
     functions: dict = field(default_factory=dict)
@@ -170,70 +152,8 @@ class ModuleSummary:
     fsm_spec_line: int = 0
     #: Module-level name -> resolved literal (strings/tuples/dicts).
     constants: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "sha256": self.sha256,
-            "repro_imports": self.repro_imports,
-            "functions": {k: f.to_dict()
-                          for k, f in self.functions.items()},
-            "classes": {k: asdict(c) for k, c in self.classes.items()},
-            "fsm_spec": _jsonable_spec(self.fsm_spec),
-            "fsm_spec_line": self.fsm_spec_line,
-            "constants": {name: _jsonable_spec(value)
-                          for name, value in self.constants.items()
-                          if _round_trips(value)},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModuleSummary":
-        return cls(
-            module=payload["module"],
-            path=payload["path"],
-            sha256=payload["sha256"],
-            repro_imports=[tuple(i) for i in payload["repro_imports"]],
-            functions={k: FunctionInfo.from_dict(f)
-                       for k, f in payload["functions"].items()},
-            classes={k: ClassInfo(**c)
-                     for k, c in payload["classes"].items()},
-            fsm_spec=_unjsonable_spec(payload["fsm_spec"]),
-            fsm_spec_line=payload["fsm_spec_line"],
-            constants={name: _unjsonable_spec(value)
-                       for name, value
-                       in payload.get("constants", {}).items()},
-        )
-
-
-def _jsonable_spec(spec):
-    """Tuples -> lists for JSON storage (round-tripped on load)."""
-    if isinstance(spec, dict):
-        return {k: _jsonable_spec(v) for k, v in spec.items()}
-    if isinstance(spec, (tuple, list)):
-        return [_jsonable_spec(v) for v in spec]
-    return spec
-
-
-def _unjsonable_spec(spec):
-    if isinstance(spec, dict):
-        return {k: _unjsonable_spec(v) for k, v in spec.items()}
-    if isinstance(spec, list):
-        return tuple(_unjsonable_spec(v) for v in spec)
-    return spec
-
-
-def _round_trips(value) -> bool:
-    """Survives JSON storage unchanged (non-string dict keys do not)."""
-    try:
-        encoded = json.dumps(_jsonable_spec(value))
-    except (TypeError, ValueError):
-        return False
-    return _unjsonable_spec(json.loads(encoded)) == value
-
-
-def file_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    #: The SIM rules' findings (:func:`repro.analysis.rules.check_module`).
+    findings: list = field(default_factory=list)
 
 
 # -- per-module extraction ----------------------------------------------------
@@ -244,7 +164,7 @@ def summarize_source(source: str, module: str,
     tree = ast.parse(source, filename=path)
     context = LintContext(path, module, source, tree)
     summary = ModuleSummary(module=module, path=path,
-                            sha256=file_digest(source))
+                            findings=check_module(context))
     _scan_imports(tree, summary)
     constants = _module_constants(tree)
     summary.constants = constants
@@ -872,11 +792,9 @@ def load_sources(paths) -> list[tuple[Path, str]]:
             for path in iter_python_files(paths)]
 
 
-def build_model(paths, summarizer=None) -> ProjectModel:
-    """Parse every file and assemble the project model (no cache)."""
-    entries = []
-    make = summarizer or (lambda path, text: summarize_source(
-        text, module_name_for(path), path=str(path)))
-    for path, text in load_sources(paths):
-        entries.append((make(path, text), text))
-    return ProjectModel(entries)
+def build_model(paths) -> ProjectModel:
+    """Parse every file and assemble the project model."""
+    return ProjectModel(
+        (summarize_source(text, module_name_for(path), path=str(path)),
+         text)
+        for path, text in load_sources(paths))

@@ -13,7 +13,7 @@ bitmap's claim-protocol transitions, flagging:
   replayed guest write is last on disk and the state converges.
 * ``peer-write`` — peer chunk serving is read-only by construction.
 * ``double-claim`` — ``try_claim`` of a block already COPYING.
-* ``fill-without-claim`` — ``commit_fill`` of a block never claimed.
+* ``fill-without-claim`` — ``commit_fill_run`` of a block never claimed.
 * ``release-after-commit`` / ``release-without-claim`` — releasing a
   claim the caller no longer (or never) held, except the benign case
   where the guest filled the whole block mid-fetch.
@@ -63,7 +63,7 @@ class WriteRaceDetector(Sanitizer):
             if not details["was_claimed"]:
                 self.report(
                     "fill-without-claim",
-                    f"commit_fill of block {block} that was never "
+                    f"commit_fill_run of block {block} that was never "
                     f"claimed (state {details['state']!r})",
                     block=block, state=details["state"])
             else:

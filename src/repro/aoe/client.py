@@ -358,7 +358,7 @@ class AoeInitiator:
         background-copy streaming: a handful of events however large the
         read (the command one, the store's read one and its reply one
         while nobody else wants their ports, the command two and the
-        reply four once somebody does), but not the fragment train's
+        reply five once somebody does), but not the fragment train's
         timing.
         The server pays every frame's CPU time before the first byte
         leaves, and the payload crosses the receiving port on a 128 KiB

@@ -86,7 +86,7 @@ class StreamingOsInstance:
                     request.buffer.runs = clip_runs(runs, run_start, run_count)
                     yield from self.node.disk.execute(request)
                 try:
-                    bitmap.commit_fill(block)
+                    bitmap.commit_fill_run(block, 1)
                 except ValueError:
                     pass
                 cursor = block + 1

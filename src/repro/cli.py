@@ -19,10 +19,10 @@ Commands:
   Chrome-trace JSON (open in ``chrome://tracing`` / Perfetto).
 * ``profile``   — ``deploy --wait`` with forensics on; print the
   sim-time profile and critical-path latency budget.
-* ``lint``      — run simlint (repro.analysis) over the source tree.
-* ``check``     — run simcheck, the whole-program static analysis
-  (call-graph determinism taint, process discipline, race candidates,
-  FSM spec checking, import cycles).
+* ``check``     — run simcheck, the static analysis (the SIM
+  determinism and layering rules, call-graph determinism taint,
+  process discipline, race candidates, FSM spec checking, import
+  cycles).
 * ``info``      — the calibrated testbed constants.
 
 Every command that simulates builds its run through one of two
@@ -33,8 +33,8 @@ the very callable that made it.  ``--sanitize`` attaches every runtime
 sanitizer (exit 1 on any violation); ``--metrics-out FILE`` exports
 :mod:`repro.obs` telemetry (JSON, or Prometheus text for ``.prom``);
 ``--trace-out FILE`` also arms the forensics layer (component spans,
-causal tracer, provenance) and writes a Chrome-trace JSON.  ``lint`` and
-``check`` hand their arguments to the analyzers' own command lines.
+causal tracer, provenance) and writes a Chrome-trace JSON.  ``check``
+hands its arguments to simcheck's own command line.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ _DEPLOY_FLAGS = ("method", "image_gb", "controller")
 #: Commands that hand their arguments to an analyzer's own command
 #: line, which owns their flags: name -> (module, help).
 _FORWARDED = {
-    "lint": ("repro.analysis.lint", "run simlint over the source tree"),
     "check": ("repro.analysis.simcheck.engine",
-              "run simcheck whole-program analysis"),
+              "run simcheck static analysis"),
 }
 
 

@@ -542,23 +542,20 @@ class _BulkStream:
     request to queue there, and a change of the link's fluid flows,
     reach the side in a zero-delay event scheduled at that instant.
 
-    Re-requests keep the loop's zero-delay hop where anything else is
-    due at that instant, so requests already due are served first; a
-    request landing exactly on a boundary is ordered against our own
-    re-request by the instants the loop would have scheduled the two
-    chunk timers at (``_Request.trigger``).  The receiver asks in place
-    when nothing else is due (``Environment.settled``), as
-    ``Resource.acquire`` grants in place: the hop would have been the
-    next event.
+    Re-requests keep the loop's zero-delay hop, so requests already due
+    are served first; a request landing exactly on a boundary is
+    ordered against our own re-request by the instants the loop would
+    have scheduled the two chunk timers at (``_Request.trigger``).
 
     ``done`` runs at the later of two instants: the last chunk's
     arrival at the receiving port, one forwarding latency after it left
     the sender, and the delivery.  Delivery is at least one chunk time
     after that chunk left, so where the latency is shorter ``done``
     runs with the delivery and no arrival timer is planned.  An
-    uncontended transfer thus costs three events: the sender's hold,
-    the receiver's wake-up for the first chunk, and the receiver's
-    hold (one, planned, as a bulk reply: ``repro.net.train``).
+    uncontended transfer thus costs four events: the sender's hold,
+    the receiver's wake-up for the first chunk, its hop to ask for the
+    receiving port, and the receiver's hold (one, planned, as a bulk
+    reply: ``repro.net.train``).
 
     The stream keeps its transfer's fields itself and its callbacks are
     bound when they are scheduled, so a finished stream holds no
@@ -619,23 +616,12 @@ class _BulkStream:
             request.callbacks.append(granted)
 
     def _hop(self, side: _Side, trigger: float) -> None:
-        """Ask for ``side``'s lock again, after a zero-delay hop unless
-        the receiver can ask in place.
+        """Ask for ``side``'s lock again, after a zero-delay hop.
 
         ``trigger`` is the start of the chunk whose end prompts the
         request: the instant the loop scheduled that chunk's timer.
-        The receiver's callers do this last, in their event's only
-        callback, so with nothing else due the hop would be the very
-        next event.  The sender always hops: ``_tx_end`` may go on to
-        wake its receiver, which the hop orders first.
         """
         side.trigger = trigger
-        if not side.is_tx:
-            # A frame train's timers due now count as due.
-            side.lock._unplan()
-            if self.env.settled:
-                self._ask(side)
-                return
         side.lock.rejoining += 1
         self._tell(side, self._rejoin)
 

@@ -4,7 +4,7 @@ one callback machine.
 A reply of ``N`` fragments sent the way any frame is sent (a CPU gap,
 ``EthernetSwitch.start_transmit``, the next gap once the frame has
 left) costs ``5N - 2`` events, and a bulk reply (every frame's CPU
-time, then ``EthernetSwitch.start_bulk_transfer``'s stream) four.
+time, then ``EthernetSwitch.start_bulk_transfer``'s stream) five.
 :class:`_FrameTrain` plans the same frames, or the same 128 KiB
 chunks, with the same float additions, holds both ports while nobody
 else wants them, and costs ``N + 1`` events, or one; it hands the rest
@@ -92,7 +92,7 @@ class _FrameTrain:
 
     *Bulk replies.*  The stepped reply is one gap timer of every
     frame's CPU time (``gap`` becomes ``frames * gap``), then a
-    :class:`_BulkStream`: four events when uncontended.  Planned, the
+    :class:`_BulkStream`: five events when uncontended.  Planned, the
     chunks' send ends ``e[j]`` and the receiver's hold ends ``f[j]``
     come from the stream's own additions (``e[0] = c + per_chunk``, the
     receiver's hold from ``e[0]``; from a free port every chunk follows

@@ -30,7 +30,7 @@ from itertools import product
 # The sweep runner is host-side orchestration: it spawns whole
 # simulations into worker processes and never runs inside an
 # Environment itself, so the blocking-primitives ban does not apply.
-from multiprocessing import get_context  # simlint: ignore[SIM006]
+from multiprocessing import get_context  # simcheck: ignore[SIM006]
 
 from repro.util.rng import make_rng
 

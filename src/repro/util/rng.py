@@ -3,7 +3,7 @@
 Every stochastic model in the simulator (frame loss, boot traces,
 workload generators) must draw from an explicitly seeded generator so
 that a run is a pure function of its inputs — same seeds, same event
-stream, same numbers.  ``simlint`` rule SIM003 enforces this by
+stream, same numbers.  simcheck's rule SIM003 enforces this by
 rejecting ``import random`` everywhere except this module; use
 :func:`make_rng` instead and thread the instance through.
 

@@ -33,8 +33,8 @@ class BlockState(enum.Enum):
 #: Declared claim protocol for ``repro check``'s FSM pass.  The
 #: checker recovers the implemented transition relation from how
 #: ``BlockBitmap``'s methods mutate the claimed-set and the filled-map
-#: (``try_claim`` adds -> EMPTY->COPYING; ``commit_fill`` discards,
-#: fills and raises on unclaimed -> COPYING->FILLED;
+#: (``try_claim`` adds -> EMPTY->COPYING; ``commit_fill_run``
+#: discards, fills and raises on unclaimed -> COPYING->FILLED;
 #: ``record_guest_write`` also fills unclaimed blocks ->
 #: EMPTY->FILLED; ``release_claim`` discards -> COPYING->EMPTY) and
 #: diffs it against this spec.
@@ -286,31 +286,12 @@ class BlockBitmap:
         if self.changed is not None:
             self.changed.notify()
 
-    def commit_fill(self, block: int) -> None:
-        """Copier: COPYING -> FILLED after the disk write completed."""
-        was_claimed = block in self._copying
-        if self.transition_listeners:
-            # Emitted before raising so the sanitizer sees the attempt
-            # even if the caller swallows the exception.
-            self._notify("commit", block, was_claimed=was_claimed,
-                         state=self.state(block).value)
-        if not was_claimed:
-            raise ValueError(f"block {block} was not claimed")
-        self._copying.discard(block)
-        self._filled.set_range(block, 1, True)
-        self._filled_count += 1
-        # The overlay for this block is no longer needed.
-        start, count = self.block_range(block)
-        self.dirty.clear_range(start, count)
-        if self.changed is not None:
-            self.changed.notify()
-
     def commit_fill_run(self, block: int, count: int) -> None:
         """Copier: COPYING -> FILLED for ``count`` contiguous blocks as
         one atomic bitmap update (single filled-map range set, single
         dirty-overlay clear).  Every block must be claimed — validated
-        up front, before any state changes — and per-block ``"commit"``
-        notifications are emitted exactly as :meth:`commit_fill` would.
+        up front, before any state changes — and a ``"commit"``
+        notification is emitted for each block, claimed or not.
         """
         if count < 1:
             raise ValueError("count must be positive")

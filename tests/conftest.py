@@ -72,7 +72,7 @@ class UncheckedCopier(BackgroundCopier):
         yield from self.mediator.vmm_request(request)
         for block in range(first_block, first_block + block_count):
             try:
-                bitmap.commit_fill(block)
+                bitmap.commit_fill_run(block, 1)
                 self.blocks_filled += 1
             except ValueError:
                 pass

@@ -65,14 +65,14 @@ def test_double_claim_detected():
 def test_commit_fill_without_claim_raises_and_reports():
     bitmap, detector = make_detector()
     with pytest.raises(ValueError):
-        bitmap.commit_fill(1)
+        bitmap.commit_fill_run(1, 1)
     assert [v.rule for v in detector.violations] == ["fill-without-claim"]
 
 
 def test_release_after_commit_detected():
     bitmap, detector = make_detector()
     bitmap.try_claim(0)
-    bitmap.commit_fill(0)
+    bitmap.commit_fill_run(0, 1)
     bitmap.release_claim(0)
     assert [v.rule for v in detector.violations] == ["release-after-commit"]
 

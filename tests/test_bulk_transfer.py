@@ -216,11 +216,12 @@ def test_tie_order_deviation_pinned(name):
 
 def test_solo_transfer_is_a_handful_of_events():
     # Eight chunks per side; the loop took 55 events.  The stream takes
-    # three (the sender's hold, the receiver's wake-up for the first
-    # chunk and its hold); the rest are the harness's: the process's
-    # start and exit, the receive ring's put and the done event.
+    # four (the sender's hold, the receiver's wake-up for the first
+    # chunk, its hop to ask for the port and its hold); the rest are the
+    # harness's: the process's start and exit, the receive ring's put
+    # and the done event.
     _, _, events = run(**SCENARIOS["solo"][0])
-    assert events == 7
+    assert events == 8
 
 
 def test_port_lock_tells_its_holder_when_a_request_queues():

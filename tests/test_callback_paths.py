@@ -332,7 +332,7 @@ def peer_nak():
         bitmap.try_claim(0)
         start, count = bitmap.block_range(0)
         disk.contents.set_range(start, count, "img0")
-        bitmap.commit_fill(0)
+        bitmap.commit_fill_run(0, 1)
         return PeerChunkService(env, nic, disk, bitmap, PeerDirectory())
 
     service, instants, events = aoe_run(make_server, [
@@ -723,11 +723,6 @@ class HopStream(_BulkStream):
     even where the delivery is sure to come later, and one between the
     delivery and ``done``."""
 
-    def _hop(self, side, trigger):
-        side.trigger = trigger
-        side.lock.rejoining += 1
-        self._tell(side, self._rejoin)
-
     def _sent(self):
         env = self.env
 
@@ -808,12 +803,7 @@ class CountingLock(_PortLock):
 
 
 class CountingStream(_BulkStream):
-    """Counts the re-requests made in place (a hop each) and the
-    arrival timers not planned."""
-
-    def _hop(self, side, trigger):
-        self.switch.rejoined += not side.is_tx and self.env.settled
-        super()._hop(side, trigger)
+    """Counts the arrival timers not planned."""
 
     def _sent(self):
         super()._sent()
@@ -826,13 +816,12 @@ class CountingSwitch(EthernetSwitch):
     """Counts the hops its frames skipped: sending ports taken in place
     (a grant event each), and receiving ports booked and kept to the
     delivery (a latency timer and a grant event each); and the events
-    its bulk streams skipped: grants taken in place, re-requests made
-    in place and arrival timers not planned."""
+    its bulk streams skipped: grants taken in place and arrival timers
+    not planned."""
 
     def __init__(self, env):
         super().__init__(env)
-        self.taken = self.kept = self.bulk_taken = 0
-        self.rejoined = self.unplanned = 0
+        self.taken = self.kept = self.bulk_taken = self.unplanned = 0
 
     def start_bulk_transfer(self, src, dst, *transfer):
         self._check_ports(src, dst)
@@ -994,13 +983,12 @@ def test_tie_fuzz_matches_reference_receive_leg():
         if got != reference:
             deviating.append(seed)
         # Two events fewer per frame, two more per kept booking; bulk
-        # streams skip one per lock taken in place, per re-request made
-        # in place and per arrival timer not planned, and their two done
-        # hops.
+        # streams skip one per lock taken in place and per arrival timer
+        # not planned, and their two done hops.
         frames = sum(len(sizes) for _, _, _, _, sizes in scenario[1])
         assert events == (reference_events - 2 * frames - 2 * switch.kept
-                          - switch.bulk_taken - switch.rejoined
-                          - switch.unplanned - 2 * len(scenario[2]))
+                          - switch.bulk_taken - switch.unplanned
+                          - 2 * len(scenario[2]))
     assert tuple(deviating) == FUZZ_DEVIATIONS
 
 
@@ -1020,8 +1008,7 @@ def test_tie_fuzz_matches_hop_frame_path():
             deviating.append(seed)
         assert events == (reference_events - switch.taken
                           - 2 * switch.kept - switch.bulk_taken
-                          - switch.rejoined - switch.unplanned
-                          - 2 * len(scenario[2]))
+                          - switch.unplanned - 2 * len(scenario[2]))
     assert tuple(deviating) == HOP_FUZZ_DEVIATIONS
 
 
@@ -1062,8 +1049,7 @@ def test_tie_fuzz_with_bulk_replies(reference_switch):
         taken = switch.taken if callbacks else 0
         assert events == (reference_events - 2 * frames - taken
                           - 2 * switch.kept - switch.bulk_taken
-                          - switch.rejoined - switch.unplanned
-                          - 2 * len(scenario[2]))
+                          - switch.unplanned - 2 * len(scenario[2]))
     assert tuple(deviating) == REPLY_FUZZ_DEVIATIONS[reference_switch]
     assert planned_seeds > len(FUZZ_SEEDS) // 4
 
@@ -1685,8 +1671,9 @@ def test_lone_bulk_reply_costs_one_event():
     assert got == reference
     assert switch.planned == 1 and switch.hand_overs == []
     # The start timer and the ring put; the stepped reply's gap timer,
-    # sending hold, the receiver's wake-up and its hold against one.
-    assert reference_events == 2 + 4
+    # sending hold, the receiver's wake-up, its hop and its hold against
+    # one.
+    assert reference_events == 2 + 5
     assert events == 2 + 1
 
 
@@ -1771,9 +1758,9 @@ def test_lone_command_costs_one_event():
     assert switch.planned == 2 and switch.commands == 1
     assert switch.hand_overs == []
     # Three start timers and four ring puts; the stepped frame's send
-    # end and delivery, the stepped bulk reply's four and the
+    # end and delivery, the stepped bulk reply's five and the
     # two-fragment loop's eight against 1 + 1 + 3.
-    assert reference_events == 3 + 4 + 2 + 4 + 8
+    assert reference_events == 3 + 4 + 2 + 5 + 8
     assert events == 3 + 4 + 1 + 1 + 3
 
 
@@ -1884,7 +1871,7 @@ def test_callback_frames_keep_their_lane_and_nesting():
     bitmap.try_claim(0)
     start, count = bitmap.block_range(0)
     disk.contents.set_range(start, count, "img0")
-    bitmap.commit_fill(0)
+    bitmap.commit_fill_run(0, 1)
     nic = Nic(env, switch, "server", telemetry=telemetry)
     PeerChunkService(env, nic, disk, bitmap, PeerDirectory(),
                      telemetry=telemetry).start()

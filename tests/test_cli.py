@@ -79,22 +79,22 @@ def test_unknown_method_rejected():
         main(["deploy", "--method", "smoke-signals"])
 
 
-def test_lint_command_clean_tree(capsys):
-    assert main(["lint"]) == 0
+def test_check_command_clean_tree(capsys):
+    assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert "clean" in out
+    assert "0 error(s), 0 warning(s)" in out
 
 
-def test_lint_command_list_rules(capsys):
-    assert main(["lint", "--list-rules"]) == 0
+def test_check_command_list_checks(capsys):
+    assert main(["check", "--list-checks"]) == 0
     out = capsys.readouterr().out
     assert "SIM001" in out and "SIM006" in out
 
 
-def test_lint_command_flags_bad_file(tmp_path, capsys):
+def test_check_command_flags_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nSTART = time.time()\n")
-    assert main(["lint", str(bad)]) == 1
+    assert main(["check", "--no-baseline", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "SIM001" in out
 

@@ -223,7 +223,7 @@ def _fill(bitmap: BlockBitmap, disk: Disk, block: int) -> None:
     bitmap.try_claim(block)
     start, count = bitmap.block_range(block)
     disk.contents.set_range(start, count, f"img{block}")
-    bitmap.commit_fill(block)
+    bitmap.commit_fill_run(block, 1)
 
 
 def test_peer_serves_filled_block():

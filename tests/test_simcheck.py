@@ -606,67 +606,29 @@ def test_baseline_is_line_number_independent(tmp_path):
     assert len(report.baselined) == 1
 
 
-# -- incremental cache --------------------------------------------------------
-
-def test_cache_reuses_summaries_and_invalidates_on_edit(tmp_path):
-    root = write_tree(tmp_path, {"bad.py": """
-        def run(env):
-            yield 5
-
-        def start(env):
-            env.process(run(env))
-    """})
-    cache = tmp_path / "cache.json"
-    first = run_check([str(root)], cache_path=str(cache))
-    assert first.cached_modules == 0
-    second = run_check([str(root)], cache_path=str(cache))
-    assert second.cached_modules == second.modules == 1
-    assert codes_of(first) == codes_of(second) == ["CHECK011"]
-    # An edit invalidates exactly that file.
-    (root / "sim" / "bad.py").write_text(textwrap.dedent("""
-        def run(env):
-            yield env.timeout(1)
-
-        def start(env):
-            env.process(run(env))
-    """), encoding="utf-8")
-    third = run_check([str(root)], cache_path=str(cache))
-    assert third.cached_modules == 0
-    assert codes_of(third) == []
-
-
-def test_cache_preserves_fsm_constants(tmp_path):
-    root = write_tree(tmp_path, {"proto.py": FSM_MODULE})
-    cache = tmp_path / "cache.json"
-    run_check([str(root)], cache_path=str(cache))
-    cached = run_check([str(root)], cache_path=str(cache))
-    assert cached.cached_modules == 1
-    assert cached.fsm_reports[0]["covered"] == 3
-
-
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_exit_zero_on_clean_tree(tmp_path):
     root = write_tree(tmp_path, {"ok.py": "VALUE = 1\n"})
-    assert main(["--no-baseline", "--no-cache", str(root)]) == 0
+    assert main(["--no-baseline", str(root)]) == 0
 
 
 def test_cli_exit_one_on_error_finding(tmp_path):
     root = write_tree(tmp_path, {"bad.py": (
         "def run(env):\n    yield 5\n\n"
         "def start(env):\n    env.process(run(env))\n")})
-    assert main(["--no-baseline", "--no-cache", str(root)]) == 1
+    assert main(["--no-baseline", str(root)]) == 1
 
 
 def test_cli_exit_two_on_missing_path(tmp_path):
     missing = tmp_path / "nope.py"
-    assert main(["--no-baseline", "--no-cache", str(missing)]) == 2
+    assert main(["--no-baseline", str(missing)]) == 2
 
 
 def test_cli_warnings_pass_unless_strict(tmp_path):
     root = write_tree(tmp_path, {"node.py": SHARED_WRITE})
-    assert main(["--no-baseline", "--no-cache", str(root)]) == 0
-    assert main(["--no-baseline", "--no-cache", "--strict",
+    assert main(["--no-baseline", str(root)]) == 0
+    assert main(["--no-baseline", "--strict",
                  str(root)]) == 1
 
 
@@ -681,25 +643,27 @@ def test_repro_cli_check_subcommand(tmp_path):
     from repro.cli import main as repro_main
 
     root = write_tree(tmp_path, {"ok.py": "VALUE = 1\n"})
-    assert repro_main(["check", "--no-baseline", "--no-cache",
+    assert repro_main(["check", "--no-baseline",
                        str(root)]) == 0
     bad = write_tree(tmp_path / "b", {"bad.py": (
         "def run(env):\n    yield 5\n\n"
         "def start(env):\n    env.process(run(env))\n")})
-    assert repro_main(["check", "--no-baseline", "--no-cache",
+    assert repro_main(["check", "--no-baseline",
                        str(bad)]) == 1
 
 
 def test_repro_cli_lint_exit_codes(tmp_path):
+    # A SIM (lint) rule's finding fails ``repro check`` like any CHECK
+    # code's.
     from repro.cli import main as repro_main
 
     clean = tmp_path / "clean.py"
     clean.write_text("VALUE = 1\n", encoding="utf-8")
-    assert repro_main(["lint", str(clean)]) == 0
+    assert repro_main(["check", "--no-baseline", str(clean)]) == 0
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import time\n\ndef now():\n"
                      "    return time.time()\n", encoding="utf-8")
-    assert repro_main(["lint", str(dirty)]) == 1
+    assert repro_main(["check", "--no-baseline", str(dirty)]) == 1
 
 
 def test_syntax_error_becomes_check000(tmp_path):
@@ -738,7 +702,7 @@ def test_sarif_written_by_cli(tmp_path):
         "def run(env):\n    yield 5\n\n"
         "def start(env):\n    env.process(run(env))\n")})
     out = tmp_path / "findings.sarif"
-    assert main(["--no-baseline", "--no-cache",
+    assert main(["--no-baseline",
                  "--sarif", str(out), str(root)]) == 1
     document = json.loads(out.read_text(encoding="utf-8"))
     assert document["runs"][0]["results"][0]["ruleId"] == "CHECK011"

@@ -46,7 +46,7 @@ def test_claim_fill_lifecycle():
     assert bitmap.try_claim(0)
     assert bitmap.state(0) is BlockState.COPYING
     assert not bitmap.try_claim(0)  # cannot double-claim
-    bitmap.commit_fill(0)
+    bitmap.commit_fill_run(0, 1)
     assert bitmap.state(0) is BlockState.FILLED
     assert not bitmap.try_claim(0)  # cannot claim filled
 
@@ -54,7 +54,7 @@ def test_claim_fill_lifecycle():
 def test_commit_without_claim_rejected():
     bitmap = make_bitmap()
     with pytest.raises(ValueError):
-        bitmap.commit_fill(0)
+        bitmap.commit_fill_run(0, 1)
 
 
 def test_release_claim():
@@ -69,7 +69,7 @@ def test_complete_flag():
     bitmap = make_bitmap(3)
     for block in range(3):
         bitmap.try_claim(block)
-        bitmap.commit_fill(block)
+        bitmap.commit_fill_run(block, 1)
     assert bitmap.complete
     assert bitmap.filled_count == 3
 
@@ -78,12 +78,12 @@ def test_first_empty_from_prefers_locality_and_wraps():
     bitmap = make_bitmap(6)
     for block in (3, 4):
         bitmap.try_claim(block)
-        bitmap.commit_fill(block)
+        bitmap.commit_fill_run(block, 1)
     assert bitmap.first_empty_from(3) == 5
     assert bitmap.first_empty_from(5) == 5
     # After 5 is filled, search from 5 wraps to 0.
     bitmap.try_claim(5)
-    bitmap.commit_fill(5)
+    bitmap.commit_fill_run(5, 1)
     assert bitmap.first_empty_from(5) == 0
 
 
@@ -97,7 +97,7 @@ def test_first_empty_none_when_done():
     bitmap = make_bitmap(2)
     for block in range(2):
         bitmap.try_claim(block)
-        bitmap.commit_fill(block)
+        bitmap.commit_fill_run(block, 1)
     assert bitmap.first_empty_from(0) is None
 
 
@@ -149,21 +149,21 @@ def test_guest_full_block_write_during_copying_cancels_claim():
     assert bitmap.state(0) is BlockState.FILLED
     # The copier's commit would now be wrong; the claim is gone.
     with pytest.raises(ValueError):
-        bitmap.commit_fill(0)
+        bitmap.commit_fill_run(0, 1)
 
 
 def test_commit_fill_clears_dirty_overlay():
     bitmap = make_bitmap()
     bitmap.try_claim(0)
     bitmap.record_guest_write(5, 10)
-    bitmap.commit_fill(0)
+    bitmap.commit_fill_run(0, 1)
     assert bitmap.dirty.covered_length(0, BLOCK_SECTORS) == 0
 
 
 def test_sectors_local_decision():
     bitmap = make_bitmap()
     bitmap.try_claim(0)
-    bitmap.commit_fill(0)
+    bitmap.commit_fill_run(0, 1)
     assert bitmap.sectors_local(0, BLOCK_SECTORS)
     assert not bitmap.sectors_local(0, BLOCK_SECTORS + 1)
     # Dirty sectors count as local.
@@ -174,7 +174,7 @@ def test_sectors_local_decision():
 def test_local_subranges():
     bitmap = make_bitmap()
     bitmap.try_claim(0)
-    bitmap.commit_fill(0)
+    bitmap.commit_fill_run(0, 1)
     bitmap.record_guest_write(BLOCK_SECTORS + 100, 10)
     ranges = list(bitmap.local_subranges(0, 2 * BLOCK_SECTORS))
     assert (0, BLOCK_SECTORS) in ranges
@@ -185,7 +185,7 @@ def test_local_subranges():
 def test_snapshot_restore_roundtrip():
     bitmap = make_bitmap(4)
     bitmap.try_claim(1)
-    bitmap.commit_fill(1)
+    bitmap.commit_fill_run(1, 1)
     bitmap.record_guest_write(7, 5)
     restored = BlockBitmap.restore(bitmap.snapshot())
     assert restored.block_count == 4
@@ -210,7 +210,7 @@ def test_property_filled_blocks_never_writable_by_copier(ops):
         base, block_len = bitmap.block_range(block)
         if kind == "fill":
             if bitmap.try_claim(block):
-                bitmap.commit_fill(block)
+                bitmap.commit_fill_run(block, 1)
                 # Filling overwrites nothing the guest wrote afterwards;
                 # model keeps only still-relevant writes.
                 guest_written = {
@@ -247,7 +247,7 @@ def test_claim_run_extends_over_empty_blocks():
 def test_claim_run_stops_at_non_empty_block():
     bitmap = make_bitmap(8)
     bitmap.try_claim(2)
-    bitmap.commit_fill(2)
+    bitmap.commit_fill_run(2, 1)
     assert bitmap.claim_run(0, 8) == 2  # blocks 0-1 only
     assert bitmap.state(2) is BlockState.FILLED
     assert bitmap.state(3) is BlockState.EMPTY
@@ -404,7 +404,7 @@ run_length = st.integers(1, 4)
 bitmap_ops = st.lists(st.one_of(
     st.tuples(st.just("claim_run"), block_index, run_length),
     st.tuples(st.just("release_run"), block_index, run_length),
-    st.tuples(st.just("commit_fill"), block_index),
+    st.tuples(st.just("commit_block"), block_index),
     st.tuples(st.just("commit_fill_run"), block_index, run_length),
     st.tuples(st.just("write"), st.integers(0, PROP_IMAGE_SECTORS - 1),
               st.integers(1, 3 * PROP_BLOCK_SECTORS)),
@@ -430,9 +430,9 @@ def test_property_per_run_queries_match_the_per_block_loop(ops, data):
             bitmap.claim_run(op[1], op[2])
         elif kind == "release_run":
             bitmap.release_run(op[1], min(op[2], PROP_BLOCKS - op[1]))
-        elif kind == "commit_fill":
+        elif kind == "commit_block":
             with contextlib.suppress(ValueError):
-                bitmap.commit_fill(op[1])
+                bitmap.commit_fill_run(op[1], 1)
         elif kind == "commit_fill_run":
             with contextlib.suppress(ValueError):
                 bitmap.commit_fill_run(op[1],
