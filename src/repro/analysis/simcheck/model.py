@@ -32,13 +32,15 @@ from repro.analysis.rules import check_module
 #: Calls that put something onto the event queue directly.  Everything
 #: else reaches the queue only transitively, through the call graph.
 PRIMITIVE_SINKS = frozenset({
-    "schedule", "process", "timeout", "timeout_at", "succeed",
+    "schedule", "process", "timeout", "timeout_at", "elapse", "succeed",
     "interrupt", "all_of", "any_of",
 })
 
 #: Event constructors whose result is useless unless yielded/stored.
+#: ``elapse`` counts: when it returns a timer, dropping it drops the
+#: delay.
 EVENT_CONSTRUCTORS = frozenset({
-    "timeout", "timeout_at", "event", "all_of", "any_of",
+    "timeout", "timeout_at", "elapse", "event", "all_of", "any_of",
 })
 
 #: Call tails that satisfy the claim protocol / mutual exclusion for

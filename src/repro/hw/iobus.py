@@ -16,7 +16,7 @@ mediator redirecting a read across the network).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import params
 from repro.hw.cpu import Cpu, ExitReason, VmxMode
@@ -27,9 +27,10 @@ class BusError(Exception):
     """Access to an unmapped port/address, or conflicting registration."""
 
 
-@dataclass
+@dataclass(slots=True)
 class IoAccess:
-    """One PIO or MMIO access, as seen by an intercept."""
+    """One PIO or MMIO access, as seen by an intercept.  One is built
+    per trapped access, so it is slotted."""
 
     kind: str            # "pio" | "mmio"
     is_write: bool
@@ -40,7 +41,6 @@ class IoAccess:
     reply: int | None = None
     #: If True the access is NOT forwarded to the device by the bus.
     absorb: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 class _MmioRegion:
@@ -63,6 +63,10 @@ class IoBus:
         # Intercepts: the VMM installs at most one hook per port/region.
         self._pio_intercepts: dict[int, object] = {}
         self._mmio_intercepts: list[tuple[_MmioRegion, object]] = []
+        #: ``address -> (device, hook or None)`` for every MMIO address
+        #: accessed since the regions or intercepts last changed: one
+        #: dict hit per access instead of a scan of each list.
+        self._mmio_routes: dict[int, tuple] = {}
         #: Accesses routed through intercepts (metrics).
         self.intercepted_accesses = 0
         #: Accesses that went straight to hardware.
@@ -90,6 +94,7 @@ class IoBus:
                 raise BusError(
                     f"MMIO range {start:#x}+{length:#x} overlaps existing")
         self._mmio_regions.append(region)
+        self._mmio_routes.clear()
 
     # -- interception (VMM side) -------------------------------------------------
 
@@ -100,7 +105,8 @@ class IoBus:
         mode, after the exit cost has been charged.  It returns None
         when it handled the access in place, or a generator the bus runs
         (``yield from``) when handling takes simulated time.  An access
-        handled in place costs no event beyond the exit itself.
+        handled in place costs the exit's time and, only where another
+        event is due first, its timer (``Environment.elapse``).
         """
         for port in ports:
             if port in self._pio_intercepts:
@@ -114,17 +120,20 @@ class IoBus:
     def intercept_mmio(self, start: int, length: int, hook) -> None:
         """Install ``hook`` on an MMIO range (see :meth:`intercept_pio`)."""
         self._mmio_intercepts.append((_MmioRegion(start, length, None), hook))
+        self._mmio_routes.clear()
 
     def uninstall_mmio_intercepts(self, hook) -> None:
         self._mmio_intercepts = [
             (region, existing) for region, existing in self._mmio_intercepts
             if existing is not hook
         ]
+        self._mmio_routes.clear()
 
     def clear_all_intercepts(self) -> None:
         """Rip out every hook (final de-virtualization step)."""
         self._pio_intercepts.clear()
         self._mmio_intercepts.clear()
+        self._mmio_routes.clear()
 
     @property
     def has_intercepts(self) -> bool:
@@ -161,29 +170,29 @@ class IoBus:
 
     def mmio_read(self, address: int, cpu: Cpu | None = None):
         """Generator: read a 32-bit MMIO register."""
-        region = self._mmio_region(address)
-        hook = self._mmio_intercept(address)
+        device, hook = self._mmio_routes.get(address) \
+            or self._mmio_route(address)
         if hook is not None and _guest_context(cpu):
             access = IoAccess("mmio", False, address, None, cpu)
             yield from self._run_intercept(cpu, ExitReason.MMIO, hook, access)
             if access.reply is not None:
                 return access.reply
-            return region.device.mmio_read(address)
+            return device.mmio_read(address)
         self.direct_accesses += 1
-        return region.device.mmio_read(address)
+        return device.mmio_read(address)
 
     def mmio_write(self, address: int, value: int, cpu: Cpu | None = None):
         """Generator: write a 32-bit MMIO register."""
-        region = self._mmio_region(address)
-        hook = self._mmio_intercept(address)
+        device, hook = self._mmio_routes.get(address) \
+            or self._mmio_route(address)
         if hook is not None and _guest_context(cpu):
             access = IoAccess("mmio", True, address, value, cpu)
             yield from self._run_intercept(cpu, ExitReason.MMIO, hook, access)
             if not access.absorb:
-                region.device.mmio_write(address, value)
+                device.mmio_write(address, value)
             return None
         self.direct_accesses += 1
-        region.device.mmio_write(address, value)
+        device.mmio_write(address, value)
         return None
 
     # -- internals ------------------------------------------------------------------
@@ -192,7 +201,9 @@ class IoBus:
         self.intercepted_accesses += 1
         if cpu.mode is VmxMode.NON_ROOT:
             cost = cpu.vmexit(reason)
-            yield self.env.timeout(cost + params.MEDIATOR_HANDLE_SECONDS)
+            timer = self.env.elapse(cost + params.MEDIATOR_HANDLE_SECONDS)
+            if timer is not None:
+                yield timer
             work = hook(access)
             if work is not None:
                 yield from work
@@ -204,8 +215,10 @@ class IoBus:
             # exit without a second mode transition.
             cpu.exit_counts[reason] += 1
             cpu.exit_seconds += params.VM_EXIT_SECONDS
-            yield self.env.timeout(params.VM_EXIT_SECONDS
-                                   + params.MEDIATOR_HANDLE_SECONDS)
+            timer = self.env.elapse(params.VM_EXIT_SECONDS
+                                    + params.MEDIATOR_HANDLE_SECONDS)
+            if timer is not None:
+                yield timer
             work = hook(access)
             if work is not None:
                 yield from work
@@ -216,17 +229,20 @@ class IoBus:
             raise BusError(f"no device at PIO port {port:#x}")
         return device
 
-    def _mmio_region(self, address: int) -> _MmioRegion:
+    def _mmio_route(self, address: int) -> tuple:
+        """Resolve and remember ``address``'s device and hook."""
         for region in self._mmio_regions:
             if region.contains(address):
-                return region
-        raise BusError(f"no device at MMIO address {address:#x}")
-
-    def _mmio_intercept(self, address: int):
-        for region, hook in self._mmio_intercepts:
-            if region.contains(address):
-                return hook
-        return None
+                break
+        else:
+            raise BusError(f"no device at MMIO address {address:#x}")
+        hook = None
+        for hooked, candidate in self._mmio_intercepts:
+            if hooked.contains(address):
+                hook = candidate
+                break
+        route = self._mmio_routes[address] = (region.device, hook)
+        return route
 
 
 def _guest_context(cpu: Cpu | None) -> bool:

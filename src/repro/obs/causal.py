@@ -74,6 +74,8 @@ class CausalTracer:
         #: Named anchors: ``name -> (node index, time)`` recorded by
         #: :meth:`mark` (e.g. ``"devirtualize"``, ``"deploy-complete"``).
         self.marks: dict[str, tuple[int, float]] = {}
+        #: ``name -> (actor, component)`` that set each mark.
+        self._markers: dict[str, tuple[str, str]] = {}
         # Live event -> node index.  Entries are only consulted while
         # the event object is alive (its id is the key), and the newest
         # schedule wins, so id reuse after GC cannot corrupt a lookup.
@@ -93,13 +95,7 @@ class CausalTracer:
         if len(self.kinds) >= self.capacity:
             self.dropped += 1
             return
-        process = self.env.active_process
-        actor = process.name if process is not None else "kernel"
-        component = None
-        if self.tracer is not None:
-            component = self.tracer.current_component()
-        if component is None:
-            component = classify_actor(actor)
+        actor, component = self._attribution()
         cause = -1
         if cause_event is not None:
             cause = self._ids.get(id(cause_event), -1)
@@ -110,6 +106,17 @@ class CausalTracer:
         self.fire_at.append(fire_at)
         self.cause.append(cause)
         self._ids[id(event)] = index
+
+    def _attribution(self) -> tuple[str, str]:
+        """The active process's name and component."""
+        process = self.env.active_process
+        actor = process.name if process is not None else "kernel"
+        component = None
+        if self.tracer is not None:
+            component = self.tracer.current_component()
+        if component is None:
+            component = classify_actor(actor)
+        return actor, component
 
     # -- anchors ----------------------------------------------------------
 
@@ -125,6 +132,7 @@ class CausalTracer:
         if current is not None:
             index = self._ids.get(id(current), -1)
         self.marks[name] = (index, self.env.now)
+        self._markers[name] = self._attribution()
 
     # -- analysis ---------------------------------------------------------
 
@@ -148,10 +156,14 @@ class CausalTracer:
 
         Each step carries the wait it contributed: the gap between its
         cause firing (when it *could* have been scheduled) and the step
-        itself firing.  The waits partition the interval from the root
-        event to the anchor, so they sum to the anchor time exactly.
+        itself firing.  A mark set after its process advanced the clock
+        in place (``Environment.elapse``) ends the chain with that
+        process's ``elapse`` step.  The waits partition the interval
+        from the root event to the anchor, so they sum to the anchor
+        time exactly.
         """
-        index, at = self._resolve_anchor(anchor)
+        name = anchor or self._default_anchor()
+        index, at = self._resolve_anchor(name)
         if index < 0:
             return []
         steps = []
@@ -166,6 +178,12 @@ class CausalTracer:
                 "fired_at": self.fire_at[node],
                 "wait": max(0.0, self.fire_at[node] - since),
             })
+        fired = self.fire_at[index]
+        if at > fired:
+            actor, component = self._markers[name]
+            steps.append({"node": index, "kind": "elapse", "actor": actor,
+                          "component": component, "fired_at": at,
+                          "wait": at - fired})
         return steps
 
     def latency_budget(self, anchor: str | None = None) -> dict:

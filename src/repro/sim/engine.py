@@ -75,6 +75,11 @@ class Environment:
         #: with the replay checker; the hook must never mutate state.
         self.schedule_hook = None
         self._current_event: Event | None = None
+        #: The callback list ``step`` is running (see :meth:`elapse`).
+        self._callbacks: list | None = None
+        #: The running ``run()``'s stop instant: ``inf`` without one,
+        #: ``-inf`` outside ``run()``.
+        self._until = float("-inf")
 
     # -- clock and introspection ------------------------------------------
 
@@ -139,6 +144,36 @@ class Environment:
         if at < now:
             raise ValueError(f"instant {at} is in the past (now {now})")
         return Timeout(self, at - now, value, at=at)
+
+    def elapse(self, delay: float) -> Timeout | None:
+        """Let the active process's own ``delay`` pass: advance the clock
+        in place and return None, or return the :class:`Timeout` for the
+        caller to yield.
+
+        The clock advances in place only where the timer would have
+        been the very next event and nothing could tell the two apart:
+        the caller is the active process running as the last callback
+        of the current event, every queued entry (cancelled ones
+        included) is due strictly after ``now + delay`` -- the timer
+        would take the newest eid, so an entry at that very instant
+        pops first -- and ``now + delay`` is within the running
+        ``run()``'s ``until``.  An elided delay is not an event: no
+        ``trace_hook`` call, no ``events_processed`` tick, and what the
+        process schedules next names the current event as its cause.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        at = self._now + delay
+        process = self._active_process
+        callbacks = self._callbacks
+        queue = self._queue
+        if (process is not None and callbacks is not None
+                and at <= self._until
+                and (not queue or queue[0][0] > at)
+                and callbacks[-1] == process._resume):
+            self._now = at
+            return None
+        return Timeout(self, delay)
 
     def process(self, generator, name: str | None = None) -> Process:
         """Start ``generator`` as a new simulation process."""
@@ -226,11 +261,13 @@ class Environment:
 
         event.callbacks = None
         self._current_event = event
+        self._callbacks = callbacks
         try:
             for callback in callbacks:
                 callback(event)
         finally:
             self._current_event = None
+            self._callbacks = None
 
         if not event._ok and not event.defused:
             # An unhandled failure: surface it rather than losing it.
@@ -261,6 +298,7 @@ class Environment:
                         f"current time ({self._now})"
                     )
 
+        self._until = float("inf") if stop_at is None else stop_at
         try:
             # Bound-method hoist: the loop body is one call per event, so
             # the attribute lookup is a measurable fraction of it.
@@ -284,6 +322,8 @@ class Environment:
             return None
         except StopSimulation as stop:
             return stop.args[0] if stop.args else None
+        finally:
+            self._until = float("-inf")
 
 
 def _stop_callback(event: Event) -> None:

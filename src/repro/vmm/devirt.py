@@ -55,7 +55,9 @@ class Devirtualizer:
         # 2. Asynchronous per-CPU nested paging teardown.
         for cpu in self.machine.cpus:
             cpu.npt.disable()
-            yield self.env.timeout(PER_CPU_TEARDOWN_SECONDS)
+            timer = self.env.elapse(PER_CPU_TEARDOWN_SECONDS)
+            if timer is not None:
+                yield timer
 
         # 3. Remove intercepts: all I/O now flows directly.
         for mediator in self.mediators:

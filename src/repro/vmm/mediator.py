@@ -421,6 +421,10 @@ class DeviceMediator:
         # Notifier.poll alone would find the same tick.  The first tick
         # stays a timeout one poll long because perfbench counts those
         # as ``vmm.poll_timeouts`` and its trace test expects some.
+        # For the same reason it is not an ``Environment.elapse``: a
+        # tick advanced in place schedules nothing for perfbench to
+        # count, and the count would fall with the event set instead of
+        # with the poll waits.
         yield self.env.timeout(poll)
         yield from notifier.poll(predicate, poll)
 

@@ -359,10 +359,13 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     # events instead of one gave it 77 ms more (copier 0.410396, guest
     # 22.576418, mediator 0.437526, other 10.499184), and AoE commands
     # sent as frames gave it 1.6 ms more and "origin" 1.6 ms less
-    # (origin 4.7e-05, other 10.422337).
+    # (origin 4.7e-05, other 10.422337), and VM exits and the per-CPU
+    # teardown as timers gave each exit's time to the component that
+    # trapped (copier 0.480036, guest 22.580305, mediator 0.440846,
+    # origin 0.001674, other 10.42071, vmm 7.00024).
     assert _rounded(report["components"]) == {
-        "copier": 0.480036, "guest": 22.580305, "mediator": 0.440846,
-        "origin": 0.001674, "other": 10.42071, "vmm": 7.00024}
+        "copier": 0.480072, "guest": 22.580073, "mediator": 0.440884,
+        "origin": 0.001762, "other": 10.421, "vmm": 7.00002}
     path = report["critical_path"]
     assert path["anchor"] == "devirtualize"
     assert round(path["anchor_seconds"], 6) == 8.372283
@@ -371,12 +374,15 @@ def test_cli_profile_subcommand(tmp_path, capsys):
     # (623 with every reply sent frame by frame), 2 fewer since bulk
     # replies are planned (591 with every one stepped), and 16 fewer
     # since AoE commands are planned (589, other 0.067789 and origin
-    # 9e-06, with every one sent as a frame).
-    assert path["steps"] == 573
+    # 9e-06, with every one sent as a frame), and 250 fewer since VM
+    # exits and the per-CPU teardown advance the clock in place, the
+    # teardown's 12 timers now one closing ``elapse`` step (573, guest
+    # 0.650989 and origin 0.000339, with every one a timer).
+    assert path["steps"] == 323
     assert [(entry["component"], round(entry["seconds"], 6))
             for entry in path["budget"]] == [
-        ("vmm", 7.00024), ("guest", 0.650989), ("mediator", 0.335208),
-        ("copier", 0.318047), ("other", 0.067459), ("origin", 0.000339)]
+        ("vmm", 7.00024), ("guest", 0.650901), ("mediator", 0.335208),
+        ("copier", 0.318047), ("other", 0.067459), ("origin", 0.000427)]
 
 
 def test_cli_compare_trace_out(tmp_path, capsys):

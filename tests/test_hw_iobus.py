@@ -222,6 +222,40 @@ def test_mmio_interception():
     assert seen == [0xFEB00010, 0xFEB00010]
 
 
+def test_mmio_routes_follow_region_and_intercept_changes():
+    # An address read before its hook is installed, while it is, after
+    # it is removed and after every hook is cleared goes direct,
+    # trapped, direct and direct.
+    env, bus, device, cpu = setup_bus()
+    seen = []
+
+    def hook(access):
+        seen.append(access.address)
+
+    def read(address):
+        return (yield from bus.mmio_read(address, cpu=cpu))
+
+    cpu.vmxon()
+    cpu.vmenter()
+    run(env, read(0xFEB00010))
+    bus.intercept_mmio(0xFEB00000, 0x1000, hook)
+    run(env, read(0xFEB00010))
+    bus.uninstall_mmio_intercepts(hook)
+    run(env, read(0xFEB00010))
+    bus.intercept_mmio(0xFEB00000, 0x1000, hook)
+    bus.clear_all_intercepts()
+    run(env, read(0xFEB00010))
+    assert seen == [0xFEB00010]
+    assert (bus.direct_accesses, bus.intercepted_accesses) == (3, 1)
+    # An unmapped address stays unmapped until a device claims it.
+    with pytest.raises(BusError):
+        run(env, read(0xFEC00000))
+    other = FakeDevice()
+    other.registers[0xFEC00000] = 5
+    bus.register_mmio(0xFEC00000, 0x1000, other)
+    assert run(env, read(0xFEC00000)) == 5
+
+
 def test_clear_all_intercepts_devirtualizes_bus():
     env, bus, device, cpu = setup_bus()
 

@@ -9,6 +9,7 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    Timeout,
 )
 
 
@@ -411,3 +412,150 @@ def test_same_instant_interrupt_beats_normal_events_which_stay_fifo():
     env.process(timer())
     env.run()
     assert log == ["interrupted", "timer", "n1", "n2", "n3", "n4"]
+
+
+# -- ``elapse``: a process's private delay in place ---------------------------
+
+def elapse_inside(arrange=lambda env: None, delay=0.5, until=None,
+                  after=None):
+    """What ``env.elapse(delay)`` gives a process woken at t = 1 by a
+    timer, after ``arrange(env)`` ran there: (the returned timer, now
+    after the call, events processed by the end of the run).
+    ``after(timer)`` may add callbacks behind the process's wake-up."""
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield wake
+        arrange(env)
+        timer = env.elapse(delay)
+        seen.append((timer, env.now))
+        if timer is not None:
+            yield timer
+
+    wake = env.timeout(1.0)
+    env.process(proc())
+    if after is not None:
+        env.run(until=0.5)  # the process now waits on ``wake``
+        after(wake)
+    env.run(until=until)
+    timer, now = seen[0]
+    return timer, now, env.events_processed
+
+
+def test_elapse_advances_in_place_when_alone():
+    timer, now, events = elapse_inside()
+    assert timer is None
+    assert now == 1.0 + 0.5
+    # The wake-up, the kick-start and the process's end: no timer.
+    assert events == 3
+
+
+def test_elapse_yields_a_timer_on_a_tie():
+    # The timer would take the newest eid: the entry already due at
+    # that very instant pops first.
+    timer, now, events = elapse_inside(lambda env: env.timeout(0.5))
+    assert isinstance(timer, Timeout)
+    assert now == 1.0
+    assert events == 5
+
+
+def test_elapse_yields_a_timer_with_an_earlier_entry():
+    timer, _, _ = elapse_inside(lambda env: env.timeout(0.2))
+    assert isinstance(timer, Timeout)
+
+
+def test_elapse_yields_a_timer_with_a_cancelled_head():
+    timer, _, _ = elapse_inside(lambda env: env.cancel(env.timeout(0.2)))
+    assert isinstance(timer, Timeout)
+
+
+def test_elapse_advances_in_place_with_only_later_entries():
+    timer, _, _ = elapse_inside(lambda env: env.timeout(0.75))
+    assert timer is None
+
+
+def test_elapse_yields_a_timer_when_a_callback_follows_the_process():
+    timer, _, _ = elapse_inside(
+        after=lambda wake: wake.callbacks.append(lambda _event: None))
+    assert isinstance(timer, Timeout)
+
+
+def test_elapse_advances_in_place_after_an_earlier_callback():
+    # Only callbacks *after* the process could tell the two apart.
+    timer, _, _ = elapse_inside(
+        after=lambda wake: wake.callbacks.insert(0, lambda _event: None))
+    assert timer is None
+
+
+def test_elapse_yields_a_timer_past_run_until():
+    timer, now, _ = elapse_inside(until=1.25)
+    assert isinstance(timer, Timeout)
+    assert now == 1.0
+    # ``run(until=t)`` processes an event due exactly at t.
+    timer, _, _ = elapse_inside(until=1.5)
+    assert timer is None
+
+
+def test_elapse_yields_a_timer_outside_a_process_and_outside_run():
+    env = Environment()
+    assert isinstance(env.elapse(1.0), Timeout)
+    seen = []
+
+    def proc():
+        yield env.timeout(1.0)
+        seen.append(env.elapse(0.5))
+
+    env.process(proc())
+    while not seen:
+        env.step()
+    assert isinstance(seen[0], Timeout)
+
+
+def test_elapse_yields_a_timer_from_an_interrupt_that_overtook_the_start():
+    env = Environment()
+    seen = []
+
+    def proc():
+        try:
+            yield env.timeout(5.0)
+        except Interrupt:
+            seen.append(env.elapse(0.5))
+
+    def body():
+        seen.append("started")
+        yield from proc()
+
+    victim = env.process(body())
+    victim.interrupt()
+    env.run()
+    assert seen[0] == "started"
+    assert isinstance(seen[1], Timeout)
+
+
+def test_elapse_rejects_a_negative_delay():
+    with pytest.raises(ValueError):
+        elapse_inside(delay=-1.0)
+
+
+def test_elided_delay_is_no_event_and_names_the_event_before_it():
+    env = Environment()
+    popped = []
+    causes = []
+    env.trace_hook = lambda now, event: popped.append(event)
+    env.schedule_hook = lambda event, cause, at: causes.append(
+        (event, cause))
+
+    def proc():
+        yield wake
+        assert env.elapse(0.5) is None
+        done = env.timeout(0.25)
+        yield done
+        return done
+
+    wake = env.timeout(1.0)
+    process = env.process(proc())
+    done = env.run(until=process)
+    assert env.now == 1.75
+    assert popped == [process._kick, wake, done, process]
+    assert (done, wake) in causes

@@ -107,6 +107,33 @@ def test_sorted_set_iteration_reaching_timeout_at_is_clean(tmp_path):
     assert codes_of(report) == []
 
 
+SET_ITER_ELAPSE = """
+    class Stepper:
+        def __init__(self, env):
+            self.env = env
+            self.pending = set()
+
+        def run(self):
+            for delay in self.pending:
+                timer = self.env.elapse(delay)
+                if timer is not None:
+                    yield timer
+"""
+
+
+def test_set_iteration_reaching_elapse_flagged(tmp_path):
+    # ``elapse`` schedules a timer whenever it cannot advance in place.
+    report = check_tree(tmp_path, {"stepper.py": SET_ITER_ELAPSE})
+    assert "CHECK001" in codes_of(report)
+
+
+def test_sorted_set_iteration_reaching_elapse_is_clean(tmp_path):
+    report = check_tree(tmp_path, {"stepper.py": SET_ITER_ELAPSE.replace(
+        "for delay in self.pending:",
+        "for delay in sorted(self.pending):")})
+    assert codes_of(report) == []
+
+
 def test_set_iteration_away_from_scheduler_is_clean(tmp_path):
     report = check_tree(tmp_path, {"stats.py": """
         def histogram(values: set):
@@ -214,6 +241,19 @@ def test_discarded_timeout_at_event_flagged(tmp_path):
     report = check_tree(tmp_path, {"waiter.py": """
         def run(env):
             env.timeout_at(5)
+            yield env.timeout(1)
+
+        def start(env):
+            env.process(run(env))
+    """})
+    assert "CHECK010" in codes_of(report)
+
+
+def test_discarded_elapse_flagged(tmp_path):
+    # A bare ``elapse`` drops the delay whenever it returns a timer.
+    report = check_tree(tmp_path, {"waiter.py": """
+        def run(env):
+            env.elapse(5)
             yield env.timeout(1)
 
         def start(env):
