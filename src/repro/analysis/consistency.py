@@ -138,8 +138,8 @@ def _mismatch_ranges(expected: IntervalMap, actual: IntervalMap,
     """Maximal ``(start, end)`` subranges where the two maps differ."""
     if count <= 0:
         return []
-    expected_runs = expected.runs_in(start, count)
-    actual_runs = actual.runs_in(start, count)
+    expected_runs = iter(expected.runs_in(start, count))
+    actual_runs = iter(actual.runs_in(start, count))
     mismatches: list[list[int]] = []
     exp = next(expected_runs)
     act = next(actual_runs)

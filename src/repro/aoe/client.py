@@ -83,9 +83,7 @@ class _Transaction:
         self.rtt = client.estimator_for(target)
         self.done = Event(env)
         self.reassembly = ReassemblyBuffer(command.tag)
-        self.started = env.now
-        self.sent_at = env.now
-        self.last_activity = env.now
+        self.started = self.sent_at = self.last_activity = env.now
         self.retries = 0
         self.nak: AoeNak | None = None
         #: The pending RTO timer, if armed.
@@ -100,11 +98,13 @@ class _Transaction:
         self.train = None
         self.replied = False
         self.finished = False
-        tracer = client.telemetry.tracer
-        self.span = tracer.start(
-            f"aoe-{command.op}", tracer.current(client.span_parent),
-            component="aoe-client", lba=command.lba,
-            sectors=command.sector_count, target=target)
+        self.span = None
+        if client._traced:
+            tracer = client.telemetry.tracer
+            self.span = tracer.start(
+                f"aoe-{command.op}", tracer.current(client.span_parent),
+                component="aoe-client", lba=command.lba,
+                sectors=command.sector_count, target=target)
 
     # -- the send ----------------------------------------------------------
 
@@ -225,16 +225,19 @@ class _Transaction:
         if client.observers:
             client._emit("complete", tag=command.tag, target=self.target,
                          retries=self.retries)
-        env = client.env
-        client._m_rtt[command.op].observe(env.now - self.started)
+        metered = client._metered
+        if metered:
+            client._m_rtt[command.op].observe(client.env.now - self.started)
         payload_bytes = command.sector_count * 512
         if command.op == "read":
             client.reads_completed += 1
             client.bytes_received += payload_bytes
-            client._m_rx_bytes.inc(payload_bytes)
+            if metered:
+                client._m_rx_bytes.inc(payload_bytes)
         else:
             client.writes_completed += 1
-            client._m_tx_bytes.inc(payload_bytes)
+            if metered:
+                client._m_tx_bytes.inc(payload_bytes)
         # Completion is observed at the next VMM polling tick.
         self.done.succeed(delay=client.poll_interval / 2.0
                           if client.poll_interval > 0 else 0.0)
@@ -251,7 +254,8 @@ class _Transaction:
             self.timer = None
         client = self.client
         client._pending.pop(self.command.tag, None)
-        client.telemetry.tracer.end(self.span, retries=self.retries)
+        if self.span is not None:
+            client.telemetry.tracer.end(self.span, retries=self.retries)
 
 
 class AoeInitiator:
@@ -300,6 +304,9 @@ class AoeInitiator:
         #: deployment's root), re-pointed by a VMM at its phase span.
         self.span_parent = telemetry.tracer.current()
         registry = telemetry.registry
+        # Disabled telemetry is skipped, not called.
+        self._metered = registry.enabled
+        self._traced = telemetry.tracer.enabled
         self._m_rtt = {
             "read": registry.histogram("aoe_request_seconds", op="read",
                                        help="AoE round-trip latency"),
@@ -377,15 +384,14 @@ class AoeInitiator:
             raise ValueError("fluid transfers require bulk=True")
         command = AoeCommand(next(self._tags), "read", lba, sector_count,
                              bulk=bulk, fluid=fluid)
-        transaction = yield from self._transact(command, target, protocol)
-        return transaction.reassembly.assemble()
+        return self._transact(command, target, protocol)
 
     def write_blocks(self, lba: int, sector_count: int, runs: list,
                      target: str | None = None):
         """Generator: push content runs to the server image."""
         command = AoeCommand(next(self._tags), "write", lba, sector_count,
                              payload_runs=tuple(runs))
-        yield from self._transact(command, target, "aoe")
+        return self._transact(command, target, "aoe")
 
     # -- transaction engine ------------------------------------------------------------
 
@@ -395,8 +401,9 @@ class AoeInitiator:
 
     def _transact(self, command: AoeCommand, target: str | None = None,
                   protocol: str = "aoe"):
-        """Generator: run one exchange; returns it at the poll tick after
-        its reply."""
+        """Generator: run one exchange; returns a read's content runs at
+        the poll tick after its reply (the public operations return
+        it, sparing a fetch one generator frame)."""
         if self.nic.receiver is not self._receiver:
             self.start()
         transaction = _Transaction(self, command, target or self.server,
@@ -410,7 +417,9 @@ class AoeInitiator:
                 # The caller was torn down mid-exchange: drop the timer
                 # so no retransmission outlives it.
                 transaction._close()
-        return transaction
+        if command.op == "read":
+            return transaction.reassembly.assemble()
+        return None
 
     def _receive(self, frame) -> None:
         payload = frame.payload
@@ -426,8 +435,7 @@ class AoeInitiator:
         if transaction is None or transaction.replied:
             return  # stale retransmission
         transaction.last_activity = self.env.now
-        transaction.reassembly.add(fragment)
-        if transaction.reassembly.complete:
+        if transaction.reassembly.add(fragment):
             self._sample_rtt(transaction)
             transaction.reply()
 
@@ -454,8 +462,7 @@ class AoeInitiator:
                        retries=transaction.retries,
                        rtt=self.env.now - transaction.sent_at)
         self._settle(transaction.target)
-        self.estimator_for(transaction.target).observe(
-            self.env.now - transaction.sent_at)
+        transaction.rtt.observe(self.env.now - transaction.sent_at)
 
     def _settle(self, target: str) -> None:
         """About to change ``target``'s estimator: every planned command

@@ -11,10 +11,10 @@ which transaction and fragment a frame belongs to.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import params
-from repro.storage.blockdev import clip_runs
+from repro.storage.blockdev import clip_runs, coalesce_runs
 
 
 def sectors_per_frame(mtu: int) -> int:
@@ -124,20 +124,25 @@ class AoeNak:
         return params.AOE_HEADER_BYTES
 
 
-@dataclass(slots=True)
 class ReassemblyBuffer:
     """Collects fragments of one read reply, tolerant of duplicates."""
 
-    tag: int
-    fragment_total: int | None = None
-    fragments: dict = field(default_factory=dict)
+    __slots__ = ("tag", "fragment_total", "fragments")
 
-    def add(self, fragment: AoeDataFragment) -> None:
+    def __init__(self, tag: int):
+        self.tag = tag
+        self.fragment_total: int | None = None
+        self.fragments: dict = {}
+
+    def add(self, fragment: AoeDataFragment) -> bool:
+        """Take one fragment; True once the reply is complete."""
         if fragment.tag != self.tag:
             raise ValueError("fragment for a different transaction")
-        self.fragment_total = fragment.fragment_total
+        total = self.fragment_total = fragment.fragment_total
         # Duplicates (from retransmission) are idempotent.
-        self.fragments[fragment.fragment_index] = fragment
+        fragments = self.fragments
+        fragments[fragment.fragment_index] = fragment
+        return len(fragments) == total
 
     @property
     def complete(self) -> bool:
@@ -146,18 +151,12 @@ class ReassemblyBuffer:
 
     def assemble(self) -> list:
         """The full content-run list, in LBA order, coalesced."""
-        if not self.complete:
+        if len(self.fragments) != self.fragment_total:
             raise ValueError("reassembly incomplete")
         runs: list = []
         for index in range(self.fragment_total):
             runs.extend(self.fragments[index].runs)
-        merged: list = []
-        for start, end, token in runs:
-            if merged and merged[-1][1] == start and merged[-1][2] == token:
-                merged[-1] = (merged[-1][0], end, token)
-            else:
-                merged.append((start, end, token))
-        return merged
+        return coalesce_runs(runs)
 
 
 def split_read_reply(tag: int, lba: int, runs: list, mtu: int):

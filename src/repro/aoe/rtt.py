@@ -28,7 +28,8 @@ class RttEstimator:
     @property
     def rto(self) -> float:
         """Retransmission timeout: SRTT + 4 * RTTVAR, floored."""
-        return max(self.min_rto, self._srtt + 4.0 * self._rttvar)
+        rto = self._srtt + 4.0 * self._rttvar
+        return rto if rto > self.min_rto else self.min_rto
 
     def observe(self, sample: float) -> None:
         """Fold one *unambiguous* RTT sample into the estimate.

@@ -78,7 +78,7 @@ class ImageStore:
 
     def _fetched(self, timer) -> None:
         lba, sector_count, done = timer._value
-        done(list(self.contents.runs_in(lba, sector_count)))
+        done(self.contents.runs_in(lba, sector_count))
 
     def start_write(self, lba: int, runs: list, done) -> None:
         """Store runs (initiator write path; rarely used): ``done()``."""
@@ -125,6 +125,9 @@ class AoeServer:
         self.nic = nic
         self.store = store
         self.mtu = mtu if mtu is not None else nic.switch.mtu
+        #: The payload of one frame of a bulk reply.
+        self._bulk_frame_payload = sectors_per_frame(self.mtu) \
+            * params.SECTOR_BYTES + params.AOE_HEADER_BYTES
         self.telemetry = telemetry
         self.workers = Resource(env, capacity=workers)
         self.worker_count = workers
@@ -133,6 +136,7 @@ class AoeServer:
         self.commands_served = 0
         self.fragments_sent = 0
         registry = telemetry.registry
+        self._metered = registry.enabled  # skipped, not called, if off
         self._m_service = {
             "read": registry.histogram(
                 "aoe_server_service_seconds", op="read",
@@ -229,7 +233,8 @@ class _Serve:
     def _granted(self, _event) -> None:
         server = self.server
         now = server.env.now
-        server._m_queue_wait.observe(now - self.arrived)
+        if server._metered:
+            server._m_queue_wait.observe(now - self.arrived)
         self.started = now
         op = self.command.op
         if op == "read":
@@ -257,8 +262,7 @@ class _Serve:
             return
         # A bulk reply is one logical fragment with the full wire time.
         payload_bytes = command.sector_count * params.SECTOR_BYTES
-        per_frame_payload = sectors_per_frame(server.mtu) \
-            * params.SECTOR_BYTES + params.AOE_HEADER_BYTES
+        per_frame_payload = server._bulk_frame_payload
         fragment = AoeDataFragment(
             tag=command.tag, fragment_index=0, fragment_total=1,
             lba=command.lba, sector_count=command.sector_count,
@@ -288,7 +292,8 @@ class _Serve:
     def _fragments_sent(self, count: int) -> None:
         server = self.server
         server.fragments_sent += count
-        server._m_fragments.inc(count)
+        if server._metered:
+            server._m_fragments.inc(count)
 
     def _read_sent(self) -> None:
         self.server._read_served()
@@ -314,9 +319,10 @@ class _Serve:
 
     def finish(self, _delivered=None) -> None:
         server = self.server
-        op = self.command.op
-        server._m_service[op].observe(server.env.now - self.started)
-        server._m_commands[op].inc()
+        if server._metered:
+            op = self.command.op
+            server._m_service[op].observe(server.env.now - self.started)
+            server._m_commands[op].inc()
         if self.span is not None:
             server.telemetry.tracer.end(self.span)
         server.workers.release(self.grant)

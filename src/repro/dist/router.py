@@ -48,6 +48,10 @@ class FetchRouter:
         #: the next scale-up.
         self.peer_hits_by_target: dict[str, int] = {}
         registry = telemetry.registry
+        # Disabled telemetry is skipped, not called.
+        self._metered = registry.enabled
+        self._profiling = telemetry.tracer.profiling
+        self._provenance = telemetry.provenance.enabled
         self._m_peer_hits = registry.counter(
             "dist_peer_hits_total", node=node_port,
             help="fetches served by a peer instead of an origin replica")
@@ -90,23 +94,30 @@ class FetchRouter:
         ``fluid`` arguments; the router picks the target.  ``fluid``
         applies only to origin fetches (peer gossip demotes fluid mode
         at arm time, but the threading is defensive either way: peer
-        legs always run packet mode).
+        legs always run packet mode).  Without p2p it returns the origin
+        fetch itself, a generator frame fewer to resume.
         """
         if self.fabric.p2p:
-            blocks = self.fabric.blocks_of(lba, sector_count)
-            if bulk and len(blocks) > 1:
-                # Coalesced multi-block run from the copier: route it
-                # segment by segment so partial peer coverage still
-                # serves what it can.
-                runs = yield from self._read_segmented(lba, sector_count,
-                                                       blocks, fluid)
+            return self._read_from_fabric(lba, sector_count, bulk, fluid)
+        return self._fetch_from_origin(lba, sector_count, bulk, fluid)
+
+    def _read_from_fabric(self, lba: int, sector_count: int, bulk: bool,
+                          fluid: bool):
+        """Generator: :meth:`read_blocks`, peers first."""
+        blocks = self.fabric.blocks_of(lba, sector_count)
+        if bulk and len(blocks) > 1:
+            # Coalesced multi-block run from the copier: route it
+            # segment by segment so partial peer coverage still serves
+            # what it can.
+            runs = yield from self._read_segmented(lba, sector_count,
+                                                   blocks, fluid)
+            return runs
+        peer = self._pick_peer(lba, sector_count)
+        if peer is not None:
+            runs = yield from self._fetch_from_peer(
+                peer, lba, sector_count, bulk)
+            if runs is not None:
                 return runs
-            peer = self._pick_peer(lba, sector_count)
-            if peer is not None:
-                runs = yield from self._fetch_from_peer(
-                    peer, lba, sector_count, bulk)
-                if runs is not None:
-                    return runs
         runs = yield from self._fetch_from_origin(lba, sector_count, bulk,
                                                   fluid)
         return runs
@@ -210,19 +221,27 @@ class FetchRouter:
         target = self.selector.select(lba, sector_count)
         started = self.env.now
         self.selector.note_sent(target)
+        tracer = self.telemetry.tracer
+        span = tracer.open("origin-fetch", component="origin") \
+            if self._profiling else None
         try:
-            with self.telemetry.tracer.track("origin", "origin-fetch"):
+            try:
                 runs = yield from self.initiator.read_blocks(
                     lba, sector_count, bulk=bulk, target=target,
                     fluid=fluid)
+            finally:
+                if span is not None:
+                    tracer.close(span)
         except AoeTimeoutError:
             self.selector.note_complete(target, self.env.now - started,
                                         ok=False)
             raise
         self.selector.note_complete(target, self.env.now - started)
         self.origin_fetches += 1
-        self._m_hit_ratio.set(self.peer_hit_ratio)
-        self.telemetry.provenance.note_fetch(
-            self.node_port, lba, sector_count, target, "origin", started,
-            block_sectors=self.fabric.block_sectors)
+        if self._metered:
+            self._m_hit_ratio.set(self.peer_hit_ratio)
+        if self._provenance:
+            self.telemetry.provenance.note_fetch(
+                self.node_port, lba, sector_count, target, "origin",
+                started, block_sectors=self.fabric.block_sectors)
         return runs

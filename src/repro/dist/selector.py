@@ -68,6 +68,9 @@ class ReplicaSelector:
         self.load: dict[str, int] = {}
         self._outstanding: dict[str, int] = {}
         registry = telemetry.registry
+        # Disabled telemetry is skipped, not called.
+        self._metered = registry.enabled
+        self._traced = telemetry.tracer.enabled
         self._m_requests: dict = {}
         self._registry = registry
         self._m_decisions = registry.counter(
@@ -90,17 +93,21 @@ class ReplicaSelector:
         choice = pool[0] if len(pool) == 1 \
             else self._choose(lba, sector_count, pool)
         self.decisions += 1
-        self._m_decisions.inc()
-        span = self.telemetry.tracer.start(
-            "select-replica", self.span_parent, policy=self.policy,
-            lba=lba, candidates=len(pool))
-        self.telemetry.tracer.end(span, target=choice)
+        if self._metered:
+            self._m_decisions.inc()
+        if self._traced:
+            tracer = self.telemetry.tracer
+            tracer.end(tracer.start(
+                "select-replica", self.span_parent, policy=self.policy,
+                lba=lba, candidates=len(pool)), target=choice)
         return choice
 
     def note_sent(self, target: str) -> None:
         """A request was dispatched to ``target``."""
         self.load[target] = self.load.get(target, 0) + 1
         self._outstanding[target] = self._outstanding.get(target, 0) + 1
+        if not self._metered:
+            return
         counter = self._m_requests.get(target)
         if counter is None:
             counter = self._registry.counter(

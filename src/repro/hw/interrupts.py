@@ -32,6 +32,7 @@ class InterruptController:
         self.suppressed: dict[int, int] = {n: 0 for n in range(lines)}
 
     def _check_line(self, line: int) -> None:
+        # Masking tests ``line in self._waiters`` first: no call per use.
         if not 0 <= line < self.lines:
             raise ValueError(f"no such interrupt line: {line}")
 
@@ -82,19 +83,22 @@ class InterruptController:
     # -- masking (used by device mediators) -----------------------------------
 
     def mask(self, line: int) -> None:
-        self._check_line(line)
+        if line not in self._waiters:
+            self._check_line(line)
         self._masked.add(line)
 
     def unmask(self, line: int) -> None:
         """Unmask; a pending interrupt (if not cleared) is then delivered."""
-        self._check_line(line)
+        if line not in self._waiters:
+            self._check_line(line)
         self._masked.discard(line)
         if line in self._pending and self._waiters[line]:
             self._deliver(line)
 
     def clear_pending(self, line: int) -> None:
         """Drop any pending assertion (mediator acked the device itself)."""
-        self._check_line(line)
+        if line not in self._waiters:
+            self._check_line(line)
         self._pending.discard(line)
 
     def is_pending(self, line: int) -> bool:

@@ -72,6 +72,7 @@ class EthernetSwitch:
         #: how the scale-out benches attribute origin vs peer traffic.
         self.bytes_by_protocol: dict[str, int] = {}
         registry = telemetry.registry
+        self._metered = registry.enabled  # skipped, not called, if off
         self._m_frames = registry.counter("switch_frames_forwarded_total")
         self._m_bytes = registry.counter("switch_bytes_forwarded_total")
         self._m_dropped = registry.counter(
@@ -238,9 +239,7 @@ class EthernetSwitch:
             self._charge_fluid(frame.dst, False, wire_bytes)
         self.frames_forwarded += 1
         self.bytes_forwarded += wire_bytes
-        self._account_protocol(frame.protocol, wire_bytes)
-        self._m_frames.inc()
-        self._m_bytes.inc(wire_bytes)
+        self._account(frame.protocol, 1, wire_bytes)
         self._ports[frame.dst].deliver(frame)
 
     def start_bulk_transfer(self, src: str, dst: str, payload,
@@ -370,14 +369,16 @@ class EthernetSwitch:
         """Account a bulk payload's ``frames`` and hand it to its port."""
         self.frames_forwarded += frames
         self.bytes_forwarded += wire_bytes
-        self._account_protocol(frame.protocol, wire_bytes)
-        self._m_frames.inc(frames)
-        self._m_bytes.inc(wire_bytes)
+        self._account(frame.protocol, frames, wire_bytes)
         self._ports[frame.dst].deliver(frame)
 
-    def _account_protocol(self, protocol: str, wire_bytes: int) -> None:
-        self.bytes_by_protocol[protocol] = \
-            self.bytes_by_protocol.get(protocol, 0) + wire_bytes
+    def _account(self, protocol: str, frames: int, wire_bytes: int) -> None:
+        """Count forwarded frames by protocol, and in the metrics."""
+        by_protocol = self.bytes_by_protocol
+        by_protocol[protocol] = by_protocol.get(protocol, 0) + wire_bytes
+        if self._metered:
+            self._m_frames.inc(frames)
+            self._m_bytes.inc(wire_bytes)
 
 
 class _FrameRequest(Request):

@@ -44,6 +44,7 @@ class Nic:
         self.fluid_tx_bytes = 0
         self._m_fluid_tx_bytes = None
         registry = telemetry.registry
+        self._metered = registry.enabled  # skipped, not called, if off
         self._m_tx_bytes = registry.counter("net_tx_bytes_total",
                                             nic=name)
         self._m_rx_bytes = registry.counter("net_rx_bytes_total",
@@ -140,7 +141,8 @@ class Nic:
     def _check_reply(self, dst: str, sizes: list,
                      per_frame_payload: int | None) -> None:
         switch = self.switch
-        switch._check_ports(self.name, dst)
+        if dst not in switch._ports:
+            switch._check_ports(self.name, dst)
         if per_frame_payload is None and max(sizes) > switch.mtu:
             raise ValueError(
                 f"frame payload {max(sizes)} exceeds MTU {switch.mtu}")
@@ -157,7 +159,8 @@ class Nic:
     def _count_tx(self, wire_bytes: int, frames: int = 1) -> None:
         self.tx_frames += frames
         self.tx_bytes += wire_bytes
-        self._m_tx_bytes.inc(wire_bytes)
+        if self._metered:
+            self._m_tx_bytes.inc(wire_bytes)
 
     def note_fluid_tx(self, frames: int, wire_bytes: int) -> None:
         """Account a fluid flow sourced from this NIC's port.
@@ -197,13 +200,14 @@ class Nic:
         wire_bytes = frame.wire_bytes
         self.rx_frames += 1
         self.rx_bytes += wire_bytes
-        self._m_rx_bytes.inc(wire_bytes)
         if receiver is None:
             # Non-blocking: ring has space, the put succeeds immediately.
             ring.put(frame)
         else:
             receiver(frame)
-        self._m_queue_depth.set(len(ring))
+        if self._metered:
+            self._m_rx_bytes.inc(wire_bytes)
+            self._m_queue_depth.set(len(ring.items))
 
     def recv(self):
         """Generator: block until a frame arrives; returns it."""

@@ -2,34 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import count
-
 from repro import params
 
-_frame_ids = count()
 
-
-@dataclass(slots=True)
 class Frame:
     """One Ethernet frame.
 
     ``payload`` is an arbitrary protocol object; ``payload_bytes`` is what
-    counts for wire timing.  Total wire size adds header and framing
-    overhead.
+    counts for wire timing.  Total wire size, ``wire_bytes``, adds header
+    and framing overhead.  Slotted and built by hand: two per AoE
+    exchange.
     """
 
-    src: str
-    dst: str
-    payload: object
-    payload_bytes: int
-    protocol: str = "aoe"
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    __slots__ = ("src", "dst", "payload", "payload_bytes", "protocol",
+                 "wire_bytes")
 
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload_bytes + params.ETH_FRAME_OVERHEAD
+    def __init__(self, src: str, dst: str, payload: object,
+                 payload_bytes: int, protocol: str = "aoe"):
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.protocol = protocol
+        self.wire_bytes = payload_bytes + params.ETH_FRAME_OVERHEAD
 
     def __repr__(self):
-        return (f"<Frame #{self.frame_id} {self.src}->{self.dst} "
-                f"{self.protocol} {self.payload_bytes}B>")
+        return (f"<Frame {self.src}->{self.dst} {self.protocol} "
+                f"{self.payload_bytes}B at {hex(id(self))}>")

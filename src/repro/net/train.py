@@ -72,11 +72,16 @@ class _FrameTrain:
     A planned instant equal to the hand-over instant counts as passed
     when the loop would have processed its event first: when that
     event was scheduled no later than the current one (a timer's
-    ``_delay`` tells how long ago it was scheduled).  Within one
-    scheduling instant the loop's order is not known here.  The
-    loop's event is taken to come second: the loop's previous event
-    scheduled it, itself at most a frame time earlier, while what
-    else was scheduled then was mostly planned longer ago.  A plan in which two of the
+    ``_delay`` tells how long ago it was scheduled).  The first gap
+    end's place within its scheduling instant is known: the stepped
+    reply makes that gap timer when it starts, so a planned train
+    takes the eid the timer would have taken (``eid``) and, on a tie,
+    compares it with the current timer's (``Timeout._eid``), as the
+    heap would have.  For its other events the loop's order within
+    one scheduling instant is not known here, and the loop's event is
+    taken to come second: the loop's previous event scheduled it,
+    itself at most a frame time earlier, while what else was
+    scheduled then was mostly planned longer ago.  A plan in which two of the
     train's own events tie (a frame's send end or arrival on its
     predecessor's delivery, the last send end on a delivery) is not
     started planned: the loop's order there would depend on when each
@@ -123,7 +128,7 @@ class _FrameTrain:
                  "per_frame_payload", "wire", "late", "tx_lock", "rx_lock",
                  "planned", "began", "ends", "deliveries", "booked",
                  "finish_after", "sent", "delivered", "timer", "finish",
-                 "frame", "span")
+                 "frame", "span", "eid")
 
     def __init__(self, switch: EthernetSwitch, nic, dst: str,
                  payloads: list, sizes: list, protocol: str, gap: float,
@@ -161,13 +166,21 @@ class _FrameTrain:
         if late and tx.holder is not None:
             # As ``start_transmit`` asks for the sending port.
             tx._unplan()
+        # Both ports free: nobody holds, has booked or is about to
+        # take back either.
         self.planned = (nic.plans and (env.settled or not late)
-                        and _free(tx) and _free(rx)
+                        and not tx.users and tx.holder is None
+                        and not tx.rejoining
+                        and not rx.users and rx.holder is None
+                        and not rx.rejoining
                         and (self._plan() if per_frame_payload is None
                              else self._plan_chunks()))
         if not self.planned:
             self._step()
             return
+        #: The eid the stepped reply's first gap timer would have taken
+        #: here: its place among the events due at its instant.
+        self.eid = None if late else next(env._eid)
         tx.holder = rx.holder = self
         if per_frame_payload is not None:
             timer = self.timer = env.timeout_at(self.deliveries[-1])
@@ -249,17 +262,26 @@ class _FrameTrain:
         """The instant frame ``k``'s gap ends."""
         return (self.ends[k - 1] if k else self.began) + self.gap
 
-    def _past(self, at: float, delay: float) -> bool:
+    def _past(self, at: float, delay: float, eid: int | None = None
+              ) -> bool:
         """Whether the loop's event due at ``at``, scheduled ``delay``
         before it, was processed before the current event: it is due
-        earlier, or due now and was scheduled before the current one."""
+        earlier, or due now and was scheduled before the current one.
+        Scheduled at the same instant, the event with the smaller eid
+        came first, where the loop event's ``eid`` is known (the first
+        gap end's)."""
         env = self.env
         now = env.now
         if at != now:
             return at < now
         current = env.current_event
-        return current is not None and \
-            delay > getattr(current, "_delay", 0.0)
+        if current is None:
+            return False
+        current_delay = getattr(current, "_delay", 0.0)
+        if delay == current_delay and eid is not None \
+                and hasattr(current, "_eid"):
+            return eid < current._eid
+        return delay > current_delay
 
     def _ser(self, k: int) -> float:
         """Frame ``k``'s serialization time."""
@@ -390,7 +412,8 @@ class _FrameTrain:
         # The sending side: frame k in its gap, or on the port.
         if k < len(self.sizes):
             start = self._start(k)
-            if self.late or self._past(start, self.gap):
+            if self.late or self._past(start, self.gap,
+                                       None if k else self.eid):
                 frame = self.frame = self._frame(k)
                 tracer = self.nic.telemetry.tracer
                 if tracer.profiling:
@@ -445,7 +468,7 @@ class _FrameTrain:
         timer = self.timer
         self.timer = None
         began = self._start(0)
-        if not self._past(began, self.gap):
+        if not self._past(began, self.gap, self.eid):
             self._cancel(timer)
             env.timeout_at(began).callbacks.append(self._stream)
             return
@@ -552,8 +575,3 @@ class _FrameTrain:
         self.sent += 1
         self.on_sent(1)
         self._step()
-
-
-def _free(lock: _PortLock) -> bool:
-    """Nobody holds, has booked or is about to take back ``lock``."""
-    return not lock.users and lock.holder is None and not lock.rejoining

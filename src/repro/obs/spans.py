@@ -214,25 +214,41 @@ class SpanTracer:
             parent = parent.parent
         return parent
 
+    def open(self, name: str, parent=AMBIENT, component: str | None = None,
+             **attrs) -> Span:
+        """Start a span and push it on the active process's stack, as
+        entering :meth:`span` does; :meth:`close` it on every way out.
+        Hot generators call it only while the span would be recorded."""
+        span = self.start(name, parent=parent, component=component,
+                          **attrs)
+        self._stack().append(span)
+        return span
+
+    def close(self, span: Span) -> None:
+        """Pop ``span`` off its process's stack and end it."""
+        process = self.env.active_process
+        stack = self._stacks.get(None if process is None else id(process))
+        if stack and stack[-1] is span:
+            stack.pop()
+        else:
+            # A generator torn down out of band (GeneratorExit) may
+            # close spans out of order, or while another process runs.
+            for stack in self._stacks.values():
+                if span in stack:
+                    stack.remove(span)
+                    break
+        self.end(span)
+
     @contextmanager
     def span(self, name: str, parent=AMBIENT, component: str | None = None,
              **attrs):
         """``with tracer.span("os-boot"):`` — open a span, push it on the
         active process's stack for the block, close it after."""
-        span = self.start(name, parent=parent, component=component,
-                          **attrs)
-        stack = self._stack()
-        stack.append(span)
+        span = self.open(name, parent=parent, component=component, **attrs)
         try:
             yield span
         finally:
-            # Normally ``span`` is on top; a generator torn down out of
-            # band (GeneratorExit) may close spans out of order.
-            if stack and stack[-1] is span:
-                stack.pop()
-            elif span in stack:
-                stack.remove(span)
-            self.end(span)
+            self.close(span)
 
     def track(self, component: str, name: str):
         """Attribute the simulated time spent inside to ``component``: a

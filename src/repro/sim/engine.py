@@ -18,6 +18,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from repro.sim.events import (
+    _NORMAL,
     AllOf,
     AnyOf,
     Event,
@@ -46,10 +47,12 @@ class Environment:
     #: Priority for urgent events (interrupts) processed before normal ones.
     PRIORITY_URGENT = 0
     #: Default priority.
-    PRIORITY_NORMAL = 1
+    PRIORITY_NORMAL = _NORMAL
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  A plain attribute read
+        #: many times per event, so no property; only the engine sets it.
+        self.now = float(initial_time)
         #: The event heap of (time, priority, eid, event) entries.
         self._queue: list = []
         self._eid = count()
@@ -84,11 +87,6 @@ class Environment:
     # -- clock and introspection ------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    @property
     def active_process(self) -> Process | None:
         """The process currently executing, if any."""
         return self._active_process
@@ -115,10 +113,10 @@ class Environment:
         queued (the answer errs towards the hop).
         """
         queue = self._queue
-        return not (queue and queue[0][0] == self._now)
+        return not (queue and queue[0][0] == self.now)
 
     def __repr__(self):
-        return f"<Environment t={self._now:.6f} queued={self.queued}>"
+        return f"<Environment t={self.now:.6f} queued={self.queued}>"
 
     # -- event construction ------------------------------------------------
 
@@ -140,7 +138,7 @@ class Environment:
         (chunk ends computed by repeated addition) therefore stay
         exactly the ones a step-by-step loop would have reached.
         """
-        now = self._now
+        now = self.now
         if at < now:
             raise ValueError(f"instant {at} is in the past (now {now})")
         return Timeout(self, at - now, value, at=at)
@@ -163,7 +161,7 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        at = self._now + delay
+        at = self.now + delay
         process = self._active_process
         callbacks = self._callbacks
         queue = self._queue
@@ -171,7 +169,7 @@ class Environment:
                 and at <= self._until
                 and (not queue or queue[0][0] > at)
                 and callbacks[-1] == process._resume):
-            self._now = at
+            self.now = at
             return None
         return Timeout(self, delay)
 
@@ -193,7 +191,7 @@ class Environment:
         """Put a triggered event onto the queue ``delay`` seconds from
         now, or at the absolute instant ``at`` when given."""
         if at is None:
-            at = self._now + delay
+            at = self.now + delay
         heappush(self._queue, (at, priority, next(self._eid), event))
         if self.schedule_hook is not None:
             self.schedule_hook(event, self._current_event, at)
@@ -254,7 +252,7 @@ class Environment:
                 f"twice or already processed (cancel duplicate schedules "
                 f"with Environment.cancel)"
             )
-        self._now = now
+        self.now = now
         self.events_processed += 1
         if self.trace_hook is not None:
             self.trace_hook(now, event)
@@ -292,10 +290,10 @@ class Environment:
                 stop_event.callbacks.append(_stop_callback)
             else:
                 stop_at = float(until)
-                if stop_at <= self._now:
+                if stop_at <= self.now:
                     raise ValueError(
                         f"until ({stop_at}) must be greater than "
-                        f"current time ({self._now})"
+                        f"current time ({self.now})"
                     )
 
         self._until = float("inf") if stop_at is None else stop_at
@@ -309,7 +307,7 @@ class Environment:
             peek = self.peek
             while True:
                 if peek() > stop_at:
-                    self._now = stop_at
+                    self.now = stop_at
                     return None
                 step()
         except EmptySchedule:
@@ -318,7 +316,7 @@ class Environment:
                     "simulation ended before the awaited event fired"
                 ) from None
             if stop_at is not None:
-                self._now = stop_at
+                self.now = stop_at
             return None
         except StopSimulation as stop:
             return stop.args[0] if stop.args else None

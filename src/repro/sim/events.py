@@ -10,12 +10,16 @@ waiting process).
 from __future__ import annotations
 
 import typing
+from heapq import heappush
 
 if typing.TYPE_CHECKING:
     from repro.sim.engine import Environment
 
 # Sentinel distinguishing "no value set yet" from "value is None".
 _PENDING = object()
+#: ``Environment.PRIORITY_NORMAL``: the priority of every push made
+#: here, where ``Environment.schedule`` is inlined.
+_NORMAL = 1
 
 
 class SimulationError(Exception):
@@ -91,11 +95,16 @@ class Event:
     def succeed(self, value=None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with ``value``, to be
         processed ``delay`` seconds from now."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay=delay)
+        # ``Environment.schedule``, inlined.
+        env = self.env
+        at = env.now + delay
+        heappush(env._queue, (at, _NORMAL, next(env._eid), self))
+        if env.schedule_hook is not None:
+            env.schedule_hook(self, env._current_event, at)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -126,21 +135,33 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after ``delay`` units of simulated time."""
+    """An event that fires after ``delay`` units of simulated time.
 
-    __slots__ = ("_delay",)
+    It keeps its ``_delay`` and its ``_eid`` (its place among entries
+    due at one instant) for planners ordering ties (``repro.net.train``).
+    """
+
+    __slots__ = ("_delay", "_eid")
 
     def __init__(self, env: "Environment", delay: float, value=None,
                  at: float | None = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
+        # ``Event.__init__`` and ``Environment.schedule``, inlined.
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self.defused = False
+        self._delay = delay
+        if at is None:
+            at = env.now + delay
+        eid = self._eid = next(env._eid)
         # ``at`` (see Environment.timeout_at) pins the instant exactly
         # where ``now + delay`` might round away from it.
-        env.schedule(self, delay=delay, at=at)
+        heappush(env._queue, (at, _NORMAL, eid, self))
+        if env.schedule_hook is not None:
+            env.schedule_hook(self, env._current_event, at)
 
     def __repr__(self):
         return f"<Timeout delay={self._delay} at {hex(id(self))}>"
@@ -268,7 +289,9 @@ class _Poll:
         wake = self.wake
         wake._ok = True
         wake._value = None
-        env.schedule(wake, at=tick)
+        heappush(env._queue, (tick, _NORMAL, next(env._eid), wake))
+        if env.schedule_hook is not None:
+            env.schedule_hook(wake, env._current_event, tick)
 
     def cancel(self) -> None:
         """Withdraw whatever is still pending of this wait."""
@@ -276,7 +299,7 @@ class _Poll:
         if self in polls:
             polls.remove(self)
         wake = self.wake
-        if wake is not None and wake.triggered \
+        if wake is not None and wake._value is not _PENDING \
                 and wake.callbacks is not None:
             self.notifier.env.cancel(wake)
 

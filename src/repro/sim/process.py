@@ -114,15 +114,17 @@ class Process(Event):
                 env.schedule(self)
                 return
 
-            if not isinstance(target, Event):
+            try:
+                callbacks = target.callbacks
+            except AttributeError:
                 env._active_process = None
                 raise SimulationError(
                     f"process {self.name!r} yielded non-event {target!r}"
-                )
+                ) from None
 
-            if target.callbacks is not None:
+            if callbacks is not None:
                 # Target not yet processed: register and go to sleep.
-                target.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self.target = target
                 env._active_process = None
                 return

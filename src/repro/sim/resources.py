@@ -12,7 +12,7 @@ only what the hardware and protocol models need.
 
 from __future__ import annotations
 
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, Event
 
 
 class Request(Event):
@@ -25,7 +25,12 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource", queue: bool = True):
-        super().__init__(resource.env)
+        # ``Event.__init__``, inlined: a copied block makes three.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self.resource = resource
         if queue:
             resource._do_request(self)
@@ -83,7 +88,11 @@ class Resource:
         next one anyway.  Otherwise False, and ``request`` fires once
         granted, as one from :meth:`request` does.
         """
-        if self.env.settled and self.take(request) is not None:
+        env = self.env
+        queue = env._queue
+        # ``Environment.settled``, inlined.
+        if not (queue and queue[0][0] == env.now) \
+                and self.take(request) is not None:
             return True
         self._do_request(request)
         return False
@@ -92,7 +101,8 @@ class Resource:
         """Release a previously granted slot (no-op if not held)."""
         if request in self.users:
             self.users.remove(request)
-            self._grant_waiters()
+            if self.queue:
+                self._grant_waiters()
         elif request in self.queue and not request.triggered:
             # Cancelled before being granted.
             self.queue.remove(request)
@@ -115,7 +125,12 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item):
-        super().__init__(store.env)
+        # ``Event.__init__``, inlined as in ``Request``.
+        self.env = store.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self.item = item
         store._do_put(self)
 
@@ -147,10 +162,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.items
 
     @property
     def is_full(self) -> bool:

@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from itertools import count
 
-from repro import params
 from repro.util.intervalmap import IntervalMap
 
 
 class BlockOp(enum.Enum):
     READ = "read"
     WRITE = "write"
-
-
-_request_ids = count()
 
 
 def coalesce_runs(runs: list) -> list:
@@ -33,13 +27,12 @@ def clip_runs(runs: list, lba: int, sector_count: int) -> list:
     """The parts of ``runs`` inside ``[lba, lba + sector_count)``."""
     end = lba + sector_count
     return [
-        (max(start, lba), min(stop, end), token)
+        (start if start > lba else lba, stop if stop < end else end, token)
         for start, stop, token in runs
         if start < end and stop > lba
     ]
 
 
-@dataclass
 class SectorBuffer:
     """Symbolic contents of a DMA transfer: token runs over sector indexes.
 
@@ -47,17 +40,20 @@ class SectorBuffer:
     request's LBA range; ``token`` ``None`` means unwritten/garbage.
     """
 
-    lba: int
-    sector_count: int
-    runs: list = field(default_factory=list)
+    __slots__ = ("lba", "sector_count", "runs")
 
-    @property
-    def byte_count(self) -> int:
-        return self.sector_count * params.SECTOR_BYTES
+    def __init__(self, lba: int, sector_count: int, runs: list | None = None):
+        self.lba = lba
+        self.sector_count = sector_count
+        self.runs = [] if runs is None else runs
+
+    def __repr__(self):
+        return (f"<SectorBuffer lba={self.lba} n={self.sector_count} "
+                f"runs={len(self.runs)}>")
 
     def fill_from(self, contents: IntervalMap) -> None:
         """Populate from a content map (a disk read into this buffer)."""
-        self.runs = list(contents.runs_in(self.lba, self.sector_count))
+        self.runs = contents.runs_in(self.lba, self.sector_count)
 
     def fill_constant(self, token) -> None:
         """Set the whole buffer to one token."""
@@ -72,34 +68,30 @@ class SectorBuffer:
                 contents.set_range(start, end - start, token)
 
 
-@dataclass
 class BlockRequest:
-    """One I/O request at the block layer."""
+    """One I/O request at the block layer (slotted: two per copied
+    block)."""
 
-    op: BlockOp
-    lba: int
-    sector_count: int
-    buffer: SectorBuffer | None = None
-    #: Who issued it: "guest" or "vmm" (used by moderation accounting).
-    origin: str = "guest"
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    __slots__ = ("op", "lba", "sector_count", "buffer", "origin")
 
-    def __post_init__(self):
-        if self.lba < 0:
+    def __init__(self, op: BlockOp, lba: int, sector_count: int,
+                 buffer: SectorBuffer | None = None, origin: str = "guest"):
+        if lba < 0:
             raise ValueError("lba must be non-negative")
-        if self.sector_count <= 0:
+        if sector_count <= 0:
             raise ValueError("sector_count must be positive")
-        if self.buffer is None:
-            self.buffer = SectorBuffer(self.lba, self.sector_count)
-
-    @property
-    def byte_count(self) -> int:
-        return self.sector_count * params.SECTOR_BYTES
+        self.op = op
+        self.lba = lba
+        self.sector_count = sector_count
+        self.buffer = SectorBuffer(lba, sector_count) if buffer is None \
+            else buffer
+        #: Who issued it: "guest" or "vmm" (moderation accounting).
+        self.origin = origin
 
     @property
     def end_lba(self) -> int:
         return self.lba + self.sector_count
 
     def __repr__(self):
-        return (f"<BlockRequest #{self.request_id} {self.op.value} "
-                f"lba={self.lba} n={self.sector_count} {self.origin}>")
+        return (f"<BlockRequest {self.op.value} lba={self.lba} "
+                f"n={self.sector_count} {self.origin} at {hex(id(self))}>")

@@ -84,13 +84,17 @@ class Disk:
         """Full mechanical service time for ``request`` from current head."""
         if self._cache_hit(request):
             return params.DISK_CACHE_HIT_SECONDS
-        seek = self.seek_time(self._head_lba, request.lba)
+        return self._mechanical_time(
+            request, self.seek_time(self._head_lba, request.lba))
+
+    def _mechanical_time(self, request: BlockRequest, seek: float) -> float:
+        """A cache miss's service time, given its ``seek``."""
         # Sequential continuation skips rotational latency.
         rotational = 0.0 if request.lba == self._head_lba \
             else self.rotation / 2.0
         bandwidth = (self.read_bw if request.op is BlockOp.READ
                      else self.write_bw)
-        transfer = request.byte_count / bandwidth
+        transfer = request.sector_count * params.SECTOR_BYTES / bandwidth
         return (params.DISK_COMMAND_OVERHEAD_SECONDS
                 + seek + rotational + transfer)
 
@@ -142,10 +146,14 @@ class Disk:
     def _granted(self, grant: "_ArmRequest") -> None:
         """The arm is ours: price the I/O and time its mechanics."""
         request = grant.io
-        duration = grant.duration = self.service_time(request)
-        cache_hit = grant.cache_hit = self._cache_hit(request)
-        if not cache_hit:
-            self.seek_seconds += self.seek_time(self._head_lba, request.lba)
+        if self._cache_hit(request):
+            grant.cache_hit = True
+            duration = params.DISK_CACHE_HIT_SECONDS
+        else:
+            seek = self.seek_time(self._head_lba, request.lba)
+            self.seek_seconds += seek
+            duration = self._mechanical_time(request, seek)
+        grant.duration = duration
         self.env.timeout(duration, grant).callbacks.append(
             self._on_serviced)
 

@@ -69,15 +69,17 @@ class IntervalMap:
         if length <= 0:
             raise ValueError("length must be positive")
         end = start + length
+        starts = self._starts
         # Find first run that could overlap.
-        index = bisect_right(self._starts, start) - 1
+        index = bisect_right(starts, start) - 1
         if index < 0:
             index = 0
         new_starts: list[int] = []
         new_ends: list[int] = []
         new_values: list = []
-        while index < len(self._starts):
-            run_start = self._starts[index]
+        stop = len(starts)
+        while index < stop:
+            run_start = starts[index]
             run_end = self._ends[index]
             if run_start >= end:
                 break
@@ -86,9 +88,10 @@ class IntervalMap:
                 continue
             value = self._values[index]
             # Remove this run; keep non-overlapping pieces.
-            del self._starts[index]
+            del starts[index]
             del self._ends[index]
             del self._values[index]
+            stop -= 1
             if run_start < start:
                 new_starts.append(run_start)
                 new_ends.append(start)
@@ -137,38 +140,52 @@ class IntervalMap:
         """All runs as ``(start, end, value)``, ``end`` exclusive."""
         return list(zip(self._starts, self._ends, self._values))
 
-    def runs_in(self, start: int, length: int):
+    def runs_in(self, start: int, length: int) -> list:
         """Runs overlapping ``[start, start+length)``, clipped to it.
 
-        Yields ``(start, end, value)`` including synthetic ``value=None``
-        gap runs, so the output tiles the whole query range.
+        A new list of ``(start, end, value)`` including synthetic
+        ``value=None`` gap runs, so the output tiles the whole query
+        range (a list: the copy path asks for about fifteen per block).
         """
         if length <= 0:
             raise ValueError("length must be positive")
         end = start + length
-        cursor = start
-        index = bisect_right(self._starts, start) - 1
+        starts = self._starts
+        index = bisect_right(starts, start) - 1
         if index < 0:
             index = 0
+        ends = self._ends
+        values = self._values
+        stop = len(starts)
+        if index < stop and ends[index] <= start:
+            index += 1
+        # The common answers: one run covers the range, or none does.
+        if index >= stop or starts[index] >= end:
+            return [(start, end, None)]
+        if starts[index] <= start and ends[index] >= end:
+            return [(start, end, values[index])]
+        tiles = []
+        cursor = start
         while cursor < end:
-            if index >= len(self._starts):
-                yield (cursor, end, None)
-                return
-            run_start = self._starts[index]
-            run_end = self._ends[index]
+            if index >= stop:
+                tiles.append((cursor, end, None))
+                break
+            run_start = starts[index]
+            run_end = ends[index]
             if run_end <= cursor:
                 index += 1
                 continue
             if run_start >= end:
-                yield (cursor, end, None)
-                return
+                tiles.append((cursor, end, None))
+                break
             if run_start > cursor:
-                yield (cursor, run_start, None)
+                tiles.append((cursor, run_start, None))
                 cursor = run_start
-            clipped_end = min(run_end, end)
-            yield (cursor, clipped_end, self._values[index])
+            clipped_end = run_end if run_end < end else end
+            tiles.append((cursor, clipped_end, values[index]))
             cursor = clipped_end
             index += 1
+        return tiles
 
     def covered_length(self, start: int, length: int) -> int:
         """How many keys in ``[start, start+length)`` have a value."""

@@ -71,7 +71,9 @@ class BackgroundCopier:
         self._retriever = None
         self._writer = None
         #: The writer process inside a mediated write, which ``stop()``
-        #: lets finish (see :meth:`_vmm_write`).
+        #: lets finish: an interrupt there would leave the VMM's command
+        #: executing on a device the mediator has handed back to the
+        #: guest, and guest commands queued meanwhile never replayed.
         self._device_writer = None
         #: Fires when the whole image is on the local disk.
         self.done = env.event()
@@ -190,12 +192,17 @@ class BackgroundCopier:
                 start = block * bitmap.block_sectors
                 count = min(claimed * bitmap.block_sectors,
                             bitmap.image_sectors - start)
+                span = self.telemetry.tracer.open(
+                    "fetch-block", component="copier") \
+                    if self.telemetry.tracer.profiling else None
                 try:
-                    with self.telemetry.tracer.track("copier",
-                                                     "fetch-block"):
+                    try:
                         runs = yield from self.deployment.fetcher.read_blocks(
                             start, count, bulk=True,
                             fluid=self.fluid_state.active)
+                    finally:
+                        if span is not None:
+                            self.telemetry.tracer.close(span)
                 except AoeTimeoutError:
                     # Server unreachable: release the claims, back off,
                     # and keep trying — a degraded deployment stalls,
@@ -333,12 +340,21 @@ class BackgroundCopier:
         policy = self.policy
         if policy.is_suspended(self.deployment):
             self.suspensions += 1
-            self._m_suspensions.inc()
-            with self.telemetry.tracer.track("copier", "moderate-hold"):
-                yield self.env.timeout(policy.suspend_interval)
+            if self.telemetry.registry.enabled:
+                self._m_suspensions.inc()
+            name, delay = "moderate-hold", policy.suspend_interval
         elif policy.write_interval > 0:
-            with self.telemetry.tracer.track("copier", "moderate-pace"):
-                yield self.env.timeout(policy.write_interval)
+            name, delay = "moderate-pace", policy.write_interval
+        else:
+            return
+        tracer = self.telemetry.tracer
+        span = tracer.open(name, component="copier") \
+            if tracer.profiling else None
+        try:
+            yield self.env.timeout(delay)
+        finally:
+            if span is not None:
+                tracer.close(span)
 
     def _write_run(self, first_block: int, block_count: int, runs: list):
         """The one block writer: land fetched blocks in one disk write.
@@ -353,8 +369,10 @@ class BackgroundCopier:
         skipped.
         """
         bitmap = self.deployment.bitmap
-        if all(state is BlockState.FILLED for _, _, state
-               in bitmap.state_runs(first_block, block_count)):
+        for _, _, state in bitmap.state_runs(first_block, block_count):
+            if state is not BlockState.FILLED:
+                break
+        else:
             # The guest overwrote every block mid-fetch: drop ours.  An
             # EMPTY block goes on to the lost-claim check below.
             return
@@ -375,12 +393,25 @@ class BackgroundCopier:
                     clean.extend(clip_runs(runs, run_start, run_count))
             return clean
 
-        with self.telemetry.tracer.track("copier", "write-block"):
-            yield from self._vmm_write(request, revalidate)
-        written = sum(end - begin for begin, end, _ in
-                      request.buffer.runs)
+        # Disabled telemetry is skipped, not called.
+        metered = self.telemetry.registry.enabled
+        tracer = self.telemetry.tracer
+        span = tracer.open("write-block", component="copier") \
+            if tracer.profiling else None
+        writer = self._device_writer = self.env.active_process
+        try:
+            yield from self.mediator.vmm_request(request, revalidate)
+        finally:
+            if self._device_writer is writer:
+                self._device_writer = None
+            if span is not None:
+                tracer.close(span)
+        written = 0
+        for begin, end, _ in request.buffer.runs:
+            written += end - begin
         self.bytes_written += written * params.SECTOR_BYTES
-        self._m_bytes_written.inc(written * params.SECTOR_BYTES)
+        if metered:
+            self._m_bytes_written.inc(written * params.SECTOR_BYTES)
         for stretch_start, stretch_end, state in bitmap.state_runs(
                 first_block, block_count):
             if state is BlockState.FILLED:
@@ -397,14 +428,16 @@ class BackgroundCopier:
                     f"(state is {state.value!r} after write)")
             bitmap.commit_fill_run(stretch_start,
                                    stretch_end - stretch_start)
-            progress = bitmap.filled_count / bitmap.block_count
-            rate = self.write_rate()
+            if metered:
+                progress = bitmap.filled_count / bitmap.block_count
+                rate = self.write_rate()
             for block in range(stretch_start, stretch_end):
                 self.deployment.note_block_filled(block)
                 self.blocks_filled += 1
-                self._m_blocks_filled.set(self.blocks_filled)
-                self._m_progress.set(progress)
-                self._m_throughput.record(self.env.now, rate)
+                if metered:
+                    self._m_blocks_filled.set(self.blocks_filled)
+                    self._m_progress.set(progress)
+                    self._m_throughput.record(self.env.now, rate)
 
     def _do_writeback(self, lba: int, sector_count: int, runs: list):
         """Persist data fetched by copy-on-read.
@@ -437,25 +470,16 @@ class BackgroundCopier:
         with tracer.span("write-back", tracer.current(self.deployment.span),
                          component="copier", lba=lba,
                          sectors=sector_count):
-            yield from self._vmm_write(request, revalidate)
+            writer = self._device_writer = self.env.active_process
+            try:
+                yield from self.mediator.vmm_request(request, revalidate)
+            finally:
+                if self._device_writer is writer:
+                    self._device_writer = None
         written = sum(end - begin for begin, end, _ in
                       request.buffer.runs)
         self.writeback_bytes += written * params.SECTOR_BYTES
         self._m_writeback_bytes.inc(written * params.SECTOR_BYTES)
-
-    def _vmm_write(self, request: BlockRequest, revalidate):
-        """Generator: one write through the mediator's I/O multiplexing,
-        shielded from ``stop()``.  An interrupt inside it would leave
-        the VMM's command executing on a device the mediator has handed
-        back to the guest, and guest commands queued meanwhile never
-        replayed."""
-        writer = self.env.active_process
-        self._device_writer = writer
-        try:
-            yield from self.mediator.vmm_request(request, revalidate)
-        finally:
-            if self._device_writer is writer:
-                self._device_writer = None
 
     # -- reporting ------------------------------------------------------------------------------
 

@@ -121,6 +121,9 @@ class DeviceMediator:
         # Labeled telemetry, shared through the deployment context.
         self.telemetry = deployment.telemetry
         registry = self.telemetry.registry
+        # Disabled telemetry is skipped, not called.
+        self._metered = registry.enabled
+        self._traced = self.telemetry.tracer.enabled
         kind = self.kind
         self._m_interpreted = registry.counter(
             "mediator_interpreted_commands_total", controller=kind,
@@ -318,15 +321,20 @@ class DeviceMediator:
         guest_owed = interrupts.is_pending(line)
         interrupts.mask(line)
         self._save_guest_registers()
+        controller = self.controller
+        controller.request_origin = "vmm"
         try:
             for start, count in local:
                 overlay = BlockRequest(BlockOp.READ, start, count,
                                        origin="vmm")
                 buffer = SectorBuffer(start, count)
-                yield from self._issue_raw_and_poll(overlay, buffer)
+                self._issue_to_device(overlay, buffer)
+                yield from self._await(self._device_done,
+                                       controller.completion)
                 self._ack_device()
                 composer.overlay(buffer.runs)
         finally:
+            controller.request_origin = "guest"
             self._restore_guest_registers()
             if not guest_owed:
                 interrupts.clear_pending(line)
@@ -347,17 +355,22 @@ class DeviceMediator:
         """
         request.origin = "vmm"
         started = self.env.now
-        tracer = self.telemetry.tracer
-        grant = Request(self._device_lock, queue=False)
-        with grant, tracer.span("vmm-request",
-                                tracer.current(self.deployment.span),
-                                component="mediator", op=request.op.value,
-                                lba=request.lba,
-                                sectors=request.sector_count):
-            if not self._device_lock.acquire(grant):
+        lock = self._device_lock
+        grant = Request(lock, queue=False)
+        span = None
+        if self._traced:
+            tracer = self.telemetry.tracer
+            span = tracer.open("vmm-request",
+                               tracer.current(self.deployment.span),
+                               component="mediator", op=request.op.value,
+                               lba=request.lba,
+                               sectors=request.sector_count)
+        try:
+            if not lock.acquire(grant):
                 yield grant
-            # 1. Find proper timing: wait until the device is idle.
-            yield from self._wait_device_idle()
+            if self._device_busy():
+                # 1. Find proper timing: wait until the device is idle.
+                yield from self._wait_device_idle()
             self.mode = MediatorMode.VMM_OWNED
             interrupts = self.machine.interrupts
             # Preserve any completion the guest is still owed: only the
@@ -365,6 +378,13 @@ class DeviceMediator:
             guest_owed = interrupts.is_pending(self.irq_line)
             interrupts.mask(self.irq_line)
             self._save_guest_registers()
+            # The controller stamps decoded requests with
+            # request_origin; while the VMM owns the device, commands
+            # are the VMM's.  The device lock guarantees no guest
+            # command executes inside this window (queued ones replay
+            # after restore, as the guest).
+            controller = self.controller
+            controller.request_origin = "vmm"
             try:
                 safe = True
                 if revalidate is not None:
@@ -372,38 +392,34 @@ class DeviceMediator:
                     safe = bool(request.buffer.runs)
                 if safe:
                     # 2. Issue and poll with interrupts suppressed.
-                    yield from self._issue_raw_and_poll(request,
-                                                        request.buffer)
+                    self._issue_to_device(request, request.buffer)
+                    yield from self._await(self._device_done,
+                                           controller.completion)
                     self.multiplexed_requests += 1
-                    self._m_multiplexed.inc()
+                    if self._metered:
+                        self._m_multiplexed.inc()
             finally:
                 # 3. Hide all evidence: ack the device, restore the
                 #    guest-visible register state, drop the suppressed
                 #    interrupt, re-enable delivery.
+                controller.request_origin = "guest"
                 self._ack_device()
                 self._restore_guest_registers()
                 if not guest_owed:
                     interrupts.clear_pending(self.irq_line)
                 interrupts.unmask(self.irq_line)
                 self.mode = MediatorMode.PASSTHROUGH
-                self._m_multiplex_latency.observe(self.env.now - started)
-        # 4. Send queued guest requests to the device.
-        yield from self._drain_queue()
-        return request
-
-    def _issue_raw_and_poll(self, request: BlockRequest,
-                            buffer: SectorBuffer):
-        # The controller stamps decoded requests with request_origin;
-        # while the VMM owns the device, commands are the VMM's.  The
-        # device lock guarantees no guest command executes inside this
-        # window (queued ones replay after restore, as the guest).
-        controller = self.machine.disk_controller
-        controller.request_origin = "vmm"
-        try:
-            self._issue_to_device(request, buffer)
-            yield from self._await(self._device_done, controller.completion)
+                if self._metered:
+                    self._m_multiplex_latency.observe(
+                        self.env.now - started)
         finally:
-            controller.request_origin = "guest"
+            if span is not None:
+                tracer.close(span)
+            lock.release(grant)
+        # 4. Send queued guest requests to the device.
+        if self._queued_commands:
+            yield from self._drain_queue()
+        return request
 
     def _wait_device_idle(self):
         yield from self._await(lambda: not self._device_busy(),
@@ -507,4 +523,4 @@ class _RunComposer:
                 self._map.clear_range(start, end - start)
 
     def runs(self) -> list:
-        return list(self._map.runs_in(self.lba, self.sector_count))
+        return self._map.runs_in(self.lba, self.sector_count)

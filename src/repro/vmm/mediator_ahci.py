@@ -34,10 +34,16 @@ class AhciMediator(DeviceMediator):
         # Device-produced state captured at VMM takeover (an unacked
         # PxIS completion the guest is still owed).
         self._saved_pxis = 0
-        # The VMM's private command list.
+        # The VMM's private command list: slot 0's header and command
+        # table are built once, and each request rewrites the table's
+        # FIS and points its PRDT at the request's mapped buffer.
+        hostmem = machine.hostmem
+        self._vmm_table = ahci.CommandTable(
+            ahci.CommandFis(CMD_READ_DMA_EXT, 0, 1), prdt=[None])
         self._vmm_command_list: list = [None] * ahci.COMMAND_SLOTS
-        self._vmm_clb = machine.hostmem.allocate(self._vmm_command_list)
-        self._vmm_table_address: int | None = None
+        self._vmm_command_list[0] = ahci.CommandHeader(
+            hostmem.allocate(self._vmm_table))
+        self._vmm_clb = hostmem.allocate(self._vmm_command_list)
         self._vmm_buffer_address: int | None = None
 
     # -- intercept installation ---------------------------------------------------
@@ -185,17 +191,16 @@ class AhciMediator(DeviceMediator):
     def _issue_to_device(self, request: BlockRequest,
                          buffer: SectorBuffer) -> None:
         controller = self.controller
+        hostmem = self.machine.hostmem
         if self._vmm_buffer_address is not None:
-            self._free_vmm_structures()
-        self._vmm_buffer_address = self.machine.hostmem.allocate(buffer)
-        command = CMD_READ_DMA_EXT if request.op is BlockOp.READ \
+            hostmem.free(self._vmm_buffer_address)
+        self._vmm_buffer_address = self._vmm_table.prdt[0] = \
+            hostmem.allocate(buffer)
+        fis = self._vmm_table.cfis
+        fis.command = CMD_READ_DMA_EXT if request.op is BlockOp.READ \
             else CMD_WRITE_DMA_EXT
-        table = ahci.CommandTable(
-            ahci.CommandFis(command, request.lba, request.sector_count),
-            prdt=[self._vmm_buffer_address])
-        self._vmm_table_address = self.machine.hostmem.allocate(table)
-        self._vmm_command_list[0] = ahci.CommandHeader(
-            self._vmm_table_address)
+        fis.lba = request.lba
+        fis.sector_count = request.sector_count
         # Swap in the VMM's command list, silence the port's interrupts,
         # make sure the DMA engine runs, and fire slot 0.
         controller.pxclb = self._vmm_clb
@@ -213,16 +218,9 @@ class AhciMediator(DeviceMediator):
         # Clear the completion the VMM's request left behind.
         self.controller.mmio_write(
             self.controller.abar + ahci.REG_PXIS, ahci.PXIS_DHRS)
-        self._free_vmm_structures()
-
-    def _free_vmm_structures(self) -> None:
-        if self._vmm_table_address is not None:
-            self.machine.hostmem.free(self._vmm_table_address)
-            self._vmm_table_address = None
         if self._vmm_buffer_address is not None:
             self.machine.hostmem.free(self._vmm_buffer_address)
             self._vmm_buffer_address = None
-        self._vmm_command_list[0] = None
 
     def _save_guest_registers(self) -> None:
         # The shadow registers track every guest write; capture the

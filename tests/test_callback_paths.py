@@ -771,9 +771,7 @@ class ReferenceSwitch(HopBulkSwitch):
         wire_bytes = frame.wire_bytes
         self.frames_forwarded += 1
         self.bytes_forwarded += wire_bytes
-        self._account_protocol(frame.protocol, wire_bytes)
-        self._m_frames.inc()
-        self._m_bytes.inc(wire_bytes)
+        self._account(frame.protocol, 1, wire_bytes)
         self._ports[frame.dst].deliver(frame)
 
 
@@ -1453,7 +1451,8 @@ def train_scenario(seed):
 #: Why a hand-over can order a same-instant tie otherwise than the loop.
 #: The asker's request and the loop's event were scheduled at one
 #: instant, and the loop ran its own first (the train takes the loop's
-#: event second there).
+#: event second there, unless it is the first gap end, whose eid the
+#: train keeps).
 SAME_SCHEDULING_INSTANT = "asker and loop event scheduled at one instant"
 #: The train's send-end or delivery event was scheduled at the train's
 #: previous event, before the asker's; the loop scheduled its timer
@@ -1467,9 +1466,7 @@ TIMER_MADE_AT_HAND_OVER = "gap timer made at the hand-over instant"
 #: Each is a tie at the hand-over instant; counters never differ.
 TRAIN_FUZZ_DEVIATIONS = {
     57: TIMER_MADE_AT_HAND_OVER, 89: SAME_SCHEDULING_INSTANT,
-    94: SAME_SCHEDULING_INSTANT, 154: SAME_SCHEDULING_INSTANT,
-    168: EARLIER_TRAIN_EVENT, 269: SAME_SCHEDULING_INSTANT,
-    276: SAME_SCHEDULING_INSTANT, 375: SAME_SCHEDULING_INSTANT,
+    168: EARLIER_TRAIN_EVENT,
 }
 
 

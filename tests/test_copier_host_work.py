@@ -6,7 +6,15 @@ the disk's content map as one piece, and the progress gauge reads a
 running filled count instead of walking the filled map once per block.
 Both are deterministic call counts, like ``test_event_budget.py``'s
 ``BLOCK_BUDGET``.
+
+The Python calls one copied block costs the host are counted the same
+way: two paced deploys that differ only in image size, profiled from
+the first simulated event to copy-complete, give the calls per 1 MiB
+block (builtins included, as ``cProfile`` counts them).
 """
+
+import cProfile
+import pstats
 
 from repro import params
 from repro.cloud import build_testbed
@@ -15,9 +23,15 @@ from repro.guest.osimage import OsImage
 from repro.util.intervalmap import IntervalMap
 from repro.vmm.moderation import FULL_SPEED
 
+GIB = 2**30
 MIB = 2**20
 SEED = 20150314
 COALESCE_BLOCKS = 32
+
+#: Python calls per copied block, at most (392.2 on CPython 3.11; 573
+#: when every event went through ``Environment.schedule``, interval-map
+#: runs were yielded and disabled telemetry was called).
+CALL_BUDGET = 399
 
 
 def test_per_run_bookkeeping_of_a_full_speed_deploy(monkeypatch):
@@ -74,3 +88,32 @@ def test_per_run_bookkeeping_of_a_full_speed_deploy(monkeypatch):
     assert len(clean_runs) >= 4
     assert clean_runs == [1] * len(clean_runs)
     assert walks[0] == 0
+
+
+def deploy_calls(image_gib: int) -> int:
+    """Python calls of one paced deploy, from its first simulated event
+    to copy-complete."""
+    image = OsImage(size_bytes=image_gib * GIB, seed=SEED,
+                    boot_read_bytes=8 * MIB, boot_think_seconds=3.0)
+    testbed = build_testbed(node_count=1, disk_controller="ahci",
+                            mtu=params.GBE_MTU, image=image)
+    env = testbed.env
+    provisioner = Provisioner(testbed)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        deployed = env.process(provisioner.deploy("bmcast",
+                                                  skip_firmware=True))
+        instance = env.run(until=deployed)
+        env.run(until=instance.platform.copier.done)
+    finally:
+        profiler.disable()
+    assert instance.platform.bitmap.complete
+    return pstats.Stats(profiler).total_calls
+
+
+def test_calls_per_copied_block():
+    blocks = GIB // params.COPY_BLOCK_BYTES
+    per_block = (deploy_calls(2) - deploy_calls(1)) / blocks
+    assert per_block <= CALL_BUDGET, \
+        f"{per_block:.2f} Python calls per copied block"

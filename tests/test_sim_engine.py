@@ -8,7 +8,9 @@ from repro.sim import (
     Environment,
     Event,
     Interrupt,
+    Resource,
     SimulationError,
+    Store,
     Timeout,
 )
 
@@ -559,3 +561,55 @@ def test_elided_delay_is_no_event_and_names_the_event_before_it():
     assert env.now == 1.75
     assert popped == [process._kick, wake, done, process]
     assert (done, wake) in causes
+
+
+def test_inlined_pushes_keep_their_causal_edge():
+    """Events pushed onto the heap without ``Environment.schedule``
+    reach ``schedule_hook`` as a ``schedule`` call reports them: the
+    event, the event whose callbacks made it (None at the top level)
+    and its instant, in the order they were made, and they pop in that
+    order at one instant as scheduled ones do."""
+    env = Environment()
+    seen = []
+    env.schedule_hook = lambda event, cause, at: seen.append(
+        (event, cause, at))
+    popped = []
+    env.trace_hook = lambda now, event: popped.append(event)
+    made = []
+
+    def body():
+        yield env.timeout(5.0)
+
+    def make(cause):
+        now = env.now
+        made.append((env.timeout(0.25, "v"), cause, now + 0.25))
+        made.append((env.timeout_at(now + 0.5), cause, now + 0.5))
+        made.append((env.event().succeed("x", delay=0.25), cause,
+                     now + 0.25))
+        made.append((env.process(body())._kick, cause, now))
+        reference = env.event()
+        reference._ok, reference._value = True, None
+        env.schedule(reference, delay=0.25)
+        made.append((reference, cause, now + 0.25))
+        made.append((Resource(env).request(), cause, now))
+        made.append((Store(env).put("item"), cause, now))
+
+    make(None)
+    trigger = env.timeout(1.0)
+    trigger.callbacks.append(make)
+    env.run(until=3.0)
+    mine = [entry for entry in seen
+            if any(entry[0] is event for event, _, _ in made)]
+    assert len(mine) == len(made) == 14
+    for (event, cause, at), (want, want_cause, want_at) in zip(mine, made):
+        assert event is want and cause is want_cause and at == want_at
+    # Same-instant entries pop in the order they were made.
+    for batch in (made[:7], made[7:]):
+        due = {}
+        for event, _, at in batch:
+            due.setdefault(at, []).append(event)
+        for events in due.values():
+            order = [event for event in popped
+                     if any(event is mine for mine in events)]
+            assert all(a is b for a, b in zip(order, events))
+            assert len(order) == len(events)
